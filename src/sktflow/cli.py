@@ -20,6 +20,7 @@ from .flow import FlowConfig, integrate
 from .hermitian import (
     biinvariant_compatible,
     is_irreducible,
+    finite_positive,
     is_pluriclosed,
     kahler_flag_residual,
     load_structure,
@@ -79,6 +80,8 @@ def _parse_vector(text: str, rank: int) -> np.ndarray:
         raise ValueError(f"cannot parse vector {text!r}; expected comma-separated floats")
     if len(vals) != rank:
         raise ValueError(f"expected {rank} comma-separated values, got {len(vals)}")
+    if not finite_positive(vals).all():
+        raise ValueError(f"values in {text!r} must be finite and positive")
     return np.array(vals)
 
 
@@ -111,15 +114,13 @@ def cmd_roots(family: str, rank: int, norm: str):
     for i, r in enumerate(rs.positives):
         click.echo(
             f"  {i:3d}  {r.label:<{width}}  coeffs {r.coeffs}"
-            f"  height {r.height}  norm2 {rs.inner(r, r)}"
+            f"  height {r.height}  norm2 {rs.gram_scale * rs.inner_at(i, i)}"
         )
     sc = structure_constants(rs)
     click.echo("squared structure constants for positive pairs:")
-    for i, a in enumerate(rs.positives):
-        for b in rs.positives[i + 1 :]:
-            s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-            if rs.is_root(s):
-                click.echo(f"  N({a.label}, {b.label})^2 = {sc.squared(a, b)}")
+    pos = rs.positives
+    for i, j, _ in zip(*(v.tolist() for v in rs.positive_sums())):
+        click.echo(f"  N({pos[i].label}, {pos[j].label})^2 = {sc.at(i, j).squared()}")
     limit = None if rs.npositive <= 40 else 20000
     rep = verify_identities(rs, sc, cocycle_limit=limit)
     verdict = "PASS" if rep.passed else "FAIL"

@@ -95,7 +95,7 @@ def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
 
 def _family_checked(rs: RootSystem, simple_values) -> np.ndarray:
     vals = family_values(rs, simple_values)
-    bad = np.nonzero(vals <= 0)[0]
+    bad = np.nonzero(~(vals > 0))[0]
     if bad.size:
         t = int(bad[0])
         raise PositivityError(

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import _family_checked, functional_F, grad_F
-from .hermitian import family_values
+from .errors import PositivityError
+from .hermitian import family_values, finite_positive
 from .roots import RootSystem
 
 _TERMINATIONS = ("converged", "t_end_reached", "positivity_violation")
@@ -82,9 +83,10 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     rs = sys_list[factor]
     off = sum(r.rank for r in sys_list[:factor])
     vals = _family_checked(rs, x[off : off + rs.rank])
+    j = rs.index_of(root)
     total = 0.0
-    for t, alpha in enumerate(rs.positives):
-        total -= (1.0 - 1.0 / vals[t]) * float(rs.inner(alpha, root))
+    for t in range(rs.npositive):
+        total -= (1.0 - 1.0 / vals[t]) * float(rs.gram_scale * rs.inner_at(t, j))
     return total
 
 
@@ -213,6 +215,8 @@ def _check_start(sys_list, x0) -> np.ndarray:
     n = sum(rs.rank for rs in sys_list)
     if x0.shape != (n,):
         raise ValueError(f"state must have length {n}, got shape {x0.shape}")
+    if not finite_positive(x0).all():
+        raise PositivityError(f"start values must be finite and positive, got {x0.tolist()}")
     for rs, sl in _slices(sys_list):
         _family_checked(rs, x0[sl])
     return x0

@@ -54,9 +54,12 @@ class ChevalleyBasis:
         return self.rank_offsets[factor] + local
 
     def root_index(self, factor: int, root: Root) -> int:
-        rs, _ = self.factors[factor]
-        t = rs.positive_index(root)
-        return self.fiber_offsets[factor] + 2 * t + (0 if root.sign > 0 else 1)
+        return self.element_index(factor, self.factors[factor][0].index_of(root))
+
+    def element_index(self, factor: int, i: int) -> int:
+        """Basis position of E for the root with index i in the factor's all_roots()."""
+        n = self.factors[factor][0].npositive
+        return self.fiber_offsets[factor] + 2 * (i % n) + (1 if i >= n else 0)
 
     def _bracket_pair(self, i: int, j: int) -> BracketTerms:
         di, dj = self.descriptors[i], self.descriptors[j]
@@ -68,20 +71,21 @@ class ChevalleyBasis:
             if f != g:
                 return ()
             rs, _ = self.factors[f]
-            unit = tuple(int(k == a) for k in range(rs.rank))
-            c = float(rs.inner(rho.coeffs, unit))
+            unit = rs.simples[a]
+            c = float(rs.gram_scale * rs.inner_at(rs.index_of(rho), rs.index_of(unit)))
             return ((j, c),) if c else ()
         f, rho = di[1], di[2]
         g, sig = dj[1], dj[2]
         if f != g:
             return ()
         rs, sc = self.factors[f]
-        if sig.coeffs == tuple(-c for c in rho.coeffs):
+        ir, js = rs.index_of(rho), rs.index_of(sig)
+        if js == rs.neg_index[ir]:
             base = self.rank_offsets[f]
             return tuple((base + k, float(c)) for k, c in enumerate(rho.coeffs) if c)
-        total = tuple(a + b for a, b in zip(rho.coeffs, sig.coeffs))
-        if rs.is_root(total):
-            return ((self.root_index(f, rs.root(total)), sc.as_float(rho, sig)),)
+        total = rs.sum_index[ir, js]
+        if total >= 0:
+            return ((self.element_index(f, int(total)), sc.floats[ir][js]),)
         return ()
 
     def _build_brackets(self):

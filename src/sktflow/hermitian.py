@@ -8,13 +8,13 @@ the complex basis elements H_a throughout this module.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ConsistencyError,
@@ -152,11 +152,18 @@ class FiberMetric:
         object.__setattr__(self, "values", vals)
         for f, row in enumerate(vals):
             for t, v in enumerate(row):
-                if not v > 0:
+                if not finite_positive(v):
                     raise PositivityError(
-                        f"fiber value {v:.6g} at factor {f}, root position {t} is not positive",
+                        f"fiber value {v:.6g} at factor {f}, root position {t}"
+                        " is not finite and positive",
                         value=v,
                     )
+
+
+def finite_positive(values) -> np.ndarray:
+    """Elementwise test that values are finite and strictly positive; NaN fails."""
+    v = np.asarray(values, dtype=float)
+    return np.isfinite(v) & (v > 0)
 
 
 class HermitianStructure:
@@ -205,12 +212,12 @@ class HermitianStructure:
             spec.z * np.asarray(row, dtype=float)
             for spec, row in zip(group.factors, fiber.values)
         )
+        self._x = tuple(row.tolist() for row in self.xhat)
         self.gt = self.torus.matrix
         self.q_full = group.gram_blockdiag()
 
     def xhat_of(self, factor: int, root: Root) -> float:
-        rs = self.group.systems[factor]
-        return float(self.xhat[factor][rs.positive_index(root)])
+        return self._x[factor][self.group.systems[factor].positive_index(root)]
 
     def y(self, factor: int, root: Root) -> complex:
         return -1j * root.sign * self.xhat_of(factor, root)
@@ -247,112 +254,81 @@ def _split_args(h: HermitianStructure, args):
     return torus, roots, positions
 
 
-def d_omega(h: HermitianStructure, a, b, c) -> complex:
-    """Exterior derivative of the fundamental form on three arguments."""
-    torus, roots, tpos = _split_args(h, (a, b, c))
+def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:
+    torus, roots, tpos = _split_args(h, args)
     if len(torus) >= 2:
         return 0j
     if len(torus) == 1:
-        if h.jt is None:
+        if not conjugate and h.jt is None:
             raise MissingComplexStructureError(
                 "d_omega with a torus argument needs a torus complex structure"
             )
         (f1, r1), (f2, r2) = roots
-        if f1 != f2 or r1.coeffs != tuple(-v for v in r2.coeffs):
+        if f1 != f2 or r1.coeffs != (-r2).coeffs:
             return 0j
         sign = -1.0 if tpos[0] % 2 else 1.0
         k = h.group.embed(f1, r1.coeffs)
-        return sign * -((h.jt.matrix @ torus[0]) @ h.gt @ k)
+        t = torus[0] if conjugate else h.jt.matrix @ torus[0]
+        return sign * -(t @ h.gt @ k)
     (f1, r1), (f2, r2), (f3, r3) = roots
     if not (f1 == f2 == f3):
         return 0j
-    if any(x + y + z for x, y, z in zip(r1.coeffs, r2.coeffs, r3.coeffs)):
+    rs = h.group.systems[f1]
+    i1, i2, i3 = (rs.index_of(r) for r in (r1, r2, r3))
+    if rs.sum_index[i1, i2] != rs.neg_index[i3]:
         return 0j
-    n = h.group.constants[f1].as_float(r1, r2)
-    return n * (h.y(f1, r1) + h.y(f1, r2) + h.y(f1, r3))
+    n = h.group.constants[f1].floats[i1][i2]
+    ys = h.y(f1, r1) + h.y(f1, r2) + h.y(f1, r3)
+    return 1j * (r1.sign * r2.sign * r3.sign) * n * ys if conjugate else n * ys
+
+
+def d_omega(h: HermitianStructure, a, b, c) -> complex:
+    """Exterior derivative of the fundamental form on three arguments."""
+    return _first_derivative(h, (a, b, c), conjugate=False)
 
 
 def dc_omega(h: HermitianStructure, a, b, c) -> complex:
     """The conjugated derivative; never needs the torus complex structure."""
-    torus, roots, tpos = _split_args(h, (a, b, c))
-    if len(torus) >= 2:
-        return 0j
-    if len(torus) == 1:
-        (f1, r1), (f2, r2) = roots
-        if f1 != f2 or r1.coeffs != tuple(-v for v in r2.coeffs):
-            return 0j
-        sign = -1.0 if tpos[0] % 2 else 1.0
-        k = h.group.embed(f1, r1.coeffs)
-        return sign * -(torus[0] @ h.gt @ k)
-    (f1, r1), (f2, r2), (f3, r3) = roots
-    if not (f1 == f2 == f3):
-        return 0j
-    if any(x + y + z for x, y, z in zip(r1.coeffs, r2.coeffs, r3.coeffs)):
-        return 0j
-    n = h.group.constants[f1].as_float(r1, r2)
-    eps = r1.sign * r2.sign * r3.sign
-    return 1j * eps * n * (h.y(f1, r1) + h.y(f1, r2) + h.y(f1, r3))
+    return _first_derivative(h, (a, b, c), conjugate=True)
 
 
-def _pair_level_value(h: HermitianStructure, fa: int, alpha: Root, fb: int, beta: Root) -> float:
-    """dd^c on (E_a, E_-a, E_b, E_-b), a and b distinct positive roots."""
-    ka = h.group.embed(fa, alpha.coeffs)
-    kb = h.group.embed(fb, beta.coeffs)
+def _pair_level_value(h: HermitianStructure, fa: int, i: int, fb: int, j: int) -> float:
+    """dd^c on (E_a, E_-a, E_b, E_-b), a and b distinct positive roots by index."""
+    ka = h.group.embed(fa, h.group.systems[fa].positives[i].coeffs)
+    kb = h.group.embed(fb, h.group.systems[fb].positives[j].coeffs)
     val = 2.0 * float(ka @ h.gt @ kb)
     if fa != fb:
         return val
-    rs, sc = h.group.systems[fa], h.group.constants[fa]
-    up = tuple(x + y for x, y in zip(alpha.coeffs, beta.coeffs))
-    if rs.is_root(up):
-        n2 = float(sc.squared(alpha, beta))
-        val -= 2.0 * n2 * (h.xhat_of(fa, rs.root(up)) - h.xhat_of(fa, alpha) - h.xhat_of(fa, beta))
-    down = tuple(x - y for x, y in zip(alpha.coeffs, beta.coeffs))
-    if rs.is_root(down):
-        eps = 1.0 if sum(down) > 0 else -1.0
-        n2 = float(sc.squared(alpha, -beta))
-        val -= (
-            2.0
-            * eps
-            * n2
-            * (eps * h.xhat_of(fa, rs.root(down)) - h.xhat_of(fa, alpha) + h.xhat_of(fa, beta))
-        )
+    rs, sc, x = h.group.systems[fa], h.group.constants[fa], h._x[fa]
+    n = rs.npositive
+    up = rs.sum_index[i, j]
+    if up >= 0:
+        val -= 2.0 * float(sc.at(i, j).squared()) * (x[up] - x[i] - x[j])
+    down = rs.diff_index[i, j]
+    if down >= 0:
+        eps = 1.0 if down < n else -1.0
+        val -= 2.0 * eps * float(sc.at(i, n + j).squared()) * (eps * x[down % n] - x[i] + x[j])
     return val
 
 
-def _quad_level_value(
-    h: HermitianStructure, f: int, alpha: Root, beta: Root, gamma: Root, delta: Root
-) -> float:
-    """dd^c on (E_a, E_b, E_c, E_d): a, b positive, c, d negative, sum zero,
-    no opposite pair."""
-    rs, sc = h.group.systems[f], h.group.constants[f]
-    xa, xb = h.xhat_of(f, alpha), h.xhat_of(f, beta)
-    xg, xd = h.xhat_of(f, gamma), h.xhat_of(f, delta)
+def _quad_level_value(h: HermitianStructure, f: int, a: int, b: int, c: int, d: int) -> float:
+    """dd^c on (E_a, E_b, E_c, E_d) by root index: a, b positive, c, d negative,
+    sum zero, no opposite pair."""
+    rs, fl, x = h.group.systems[f], h.group.constants[f].floats, h._x[f]
+    n, add = rs.npositive, rs.sum_index
+    xa, xb, xc, xd = x[a], x[b], x[c - n], x[d - n]
     val = 0.0
-    up = tuple(x + y for x, y in zip(alpha.coeffs, beta.coeffs))
-    if rs.is_root(up):
-        val += (
-            sc.as_float(alpha, beta)
-            * sc.as_float(gamma, delta)
-            * (xa + xb + xg + xd - 2.0 * h.xhat_of(f, rs.root(up)))
-        )
-    ag = tuple(x + y for x, y in zip(alpha.coeffs, gamma.coeffs))
-    if rs.is_root(ag):
-        eps = 1.0 if sum(ag) > 0 else -1.0
-        val -= (
-            eps
-            * sc.as_float(alpha, gamma)
-            * sc.as_float(beta, delta)
-            * (-xa + xb + xg - xd + 2.0 * eps * h.xhat_of(f, rs.root(ag)))
-        )
-    ad = tuple(x + y for x, y in zip(alpha.coeffs, delta.coeffs))
-    if rs.is_root(ad):
-        eps = 1.0 if sum(ad) > 0 else -1.0
-        val += (
-            eps
-            * sc.as_float(alpha, delta)
-            * sc.as_float(beta, gamma)
-            * (-xa + xb - xg + xd + 2.0 * eps * h.xhat_of(f, rs.root(ad)))
-        )
+    up = add[a, b]
+    if up >= 0:
+        val += fl[a][b] * fl[c][d] * (xa + xb + xc + xd - 2.0 * x[up])
+    ac = add[a, c]
+    if ac >= 0:
+        eps = 1.0 if ac < n else -1.0
+        val -= eps * fl[a][c] * fl[b][d] * (-xa + xb + xc - xd + 2.0 * eps * x[ac % n])
+    ad = add[a, d]
+    if ad >= 0:
+        eps = 1.0 if ad < n else -1.0
+        val += eps * fl[a][d] * fl[b][c] * (-xa + xb - xc + xd + 2.0 * eps * x[ad % n])
     return val
 
 
@@ -369,49 +345,32 @@ def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
     torus, roots, _ = _split_args(h, (a, b, c, d))
     if torus:
         return 0.0
-    keys = [(f, r.coeffs) for f, r in roots]
+    keys = [(f, h.group.systems[f].index_of(r)) for f, r in roots]
     if len(set(keys)) != 4:
         return 0.0
-    nfac = len(h.group.factors)
-    sums = [None] * nfac
-    for f, r in roots:
-        cur = sums[f]
-        sums[f] = r.coeffs if cur is None else tuple(x + y for x, y in zip(cur, r.coeffs))
-    if any(s is not None and any(s) for s in sums):
-        return 0.0
+    for f in {f for f, _ in roots}:
+        if np.any(sum(np.array(r.coeffs) for g, r in roots if g == f)):
+            return 0.0
 
     # opposite pair present: pair-level branch
     for i in range(4):
         for j in range(i + 1, 4):
-            fi, ri = roots[i]
-            fj, rj = roots[j]
-            if fi == fj and ri.coeffs == tuple(-v for v in rj.coeffs):
-                k, l = [m for m in range(4) if m not in (i, j)]
-                fa, alpha = fi, ri.positive
-                fb, betaroot = roots[k][0], roots[k][1].positive
-                if fa == fb and alpha.coeffs == betaroot.coeffs:
+            (fi, ri), (fj, rj) = keys[i], keys[j]
+            if fi == fj and rj == h.group.systems[fi].neg_index[ri]:
+                fb, rb = keys[next(m for m in range(4) if m not in (i, j))]
+                na, nb = h.group.systems[fi].npositive, h.group.systems[fb].npositive
+                ia, ib = ri % na, rb % nb
+                if (fi, ia) == (fb, ib):
                     return 0.0
-                dst = [
-                    (fa, alpha.coeffs),
-                    (fa, tuple(-v for v in alpha.coeffs)),
-                    (fb, betaroot.coeffs),
-                    (fb, tuple(-v for v in betaroot.coeffs)),
-                ]
-                return _perm_sign(keys, dst) * _pair_level_value(h, fa, alpha, fb, betaroot)
+                dst = [(fi, ia), (fi, ia + na), (fb, ib), (fb, ib + nb)]
+                return _perm_sign(keys, dst) * _pair_level_value(h, fi, ia, fb, ib)
 
-    f = roots[0][0]
-    pos = sorted(
-        (r for g, r in roots if r.sign > 0),
-        key=lambda r: h.group.systems[f].positive_index(r),
-    )
-    neg = sorted(
-        (r for g, r in roots if r.sign < 0),
-        key=lambda r: h.group.systems[f].positive_index(r),
-    )
+    f, n = keys[0][0], h.group.systems[keys[0][0]].npositive
+    pos = sorted(i for _, i in keys if i < n)
+    neg = sorted(i for _, i in keys if i >= n)
     if len(pos) != 2:
         return 0.0
-    dst = [(f, r.coeffs) for r in pos + neg]
-    return _perm_sign(keys, dst) * _quad_level_value(h, f, pos[0], pos[1], neg[0], neg[1])
+    return _perm_sign(keys, [(f, i) for i in pos + neg]) * _quad_level_value(h, f, *pos, *neg)
 
 
 def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
@@ -445,21 +404,15 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
             for a in range(h.group.total_rank):
                 if gk[a]:
                     comps[(a, ip, im)] = complex(-gk[a])
-        for i, eta in enumerate(rs.positives):
-            for theta in rs.positives[i + 1 :]:
-                up = tuple(x + y for x, y in zip(eta.coeffs, theta.coeffs))
-                if not rs.is_root(up):
-                    continue
-                xi = rs.root(up)
-                for triple in ((eta, theta, -xi), (-eta, -theta, xi)):
-                    idx = sorted(
-                        (basis.root_index(f, r), r) for r in triple
-                    )
-                    rts = [r for _, r in idx]
-                    eps = rts[0].sign * rts[1].sign * rts[2].sign
-                    n = h.group.constants[f].as_float(rts[0], rts[1])
-                    total_y = sum(h.y(f, r) for r in rts)
-                    comps[tuple(k for k, _ in idx)] = 1j * eps * n * total_y
+        n, fl, x = rs.npositive, h.group.constants[f].floats, h._x[f]
+        for eta, theta, xi in zip(*(v.tolist() for v in rs.positive_sums())):
+            for triple in ((eta, theta, n + xi), (n + eta, n + theta, xi)):
+                idx = sorted((basis.element_index(f, r), r) for r in triple)
+                rts = [r for _, r in idx]
+                signs = [1 if r < n else -1 for r in rts]
+                eps = signs[0] * signs[1] * signs[2]
+                total_y = sum(-1j * sg * x[r % n] for sg, r in zip(signs, rts))
+                comps[tuple(k for k, _ in idx)] = 1j * eps * fl[rts[0]][rts[1]] * total_y
     return InvariantForm(basis=basis, degree=3, components=comps)
 
 
@@ -530,50 +483,31 @@ def _closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
         pos = rs.positives
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
-                r = abs(_pair_level_value(h, f, pos[i], f, pos[j])) / 2.0
+                r = abs(_pair_level_value(h, f, i, f, j)) / 2.0
                 if r > skt1_max:
                     skt1_max = r
                 if r > best[0]:
                     best = (r, f"pair ({pos[i].label}, {pos[j].label}) in factor {f}")
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                alpha, beta = pos[i], pos[j]
-                ab = tuple(x + y for x, y in zip(alpha.coeffs, beta.coeffs))
-                for im, mu in enumerate(pos):
-                    nu_c = tuple(s - m for s, m in zip(ab, mu.coeffs))
-                    if any(v < 0 for v in nu_c) or not any(nu_c) or not rs.is_root(nu_c):
-                        continue
-                    nu = rs.root(nu_c)
-                    if rs.positive_index(nu) <= im:
-                        continue
-                    if mu.coeffs in (alpha.coeffs, beta.coeffs) or nu.coeffs in (
-                        alpha.coeffs,
-                        beta.coeffs,
-                    ):
-                        continue
-                    r = abs(_quad_level_value(h, f, alpha, beta, -mu, -nu)) / 2.0
-                    if r > skt2_max:
-                        skt2_max = r
-                    if r > best[0]:
-                        best = (
-                            r,
-                            f"quad ({alpha.label}, {beta.label}, -{mu.label}, -{nu.label})"
-                            f" in factor {f}",
-                        )
+        n = len(pos)
+        for i, j, m, l in rs.positive_quads().tolist():
+            r = abs(_quad_level_value(h, f, i, j, n + m, n + l)) / 2.0
+            if r > skt2_max:
+                skt2_max = r
+            if r > best[0]:
+                best = (
+                    r,
+                    f"quad ({pos[i].label}, {pos[j].label}, -{pos[m].label}, -{pos[l].label})"
+                    f" in factor {f}",
+                )
     for fa in range(nfac):
         for fb in range(fa + 1, nfac):
-            for alpha in h.group.systems[fa].positives:
-                ka = h.group.embed(fa, alpha.coeffs)
-                for beta in h.group.systems[fb].positives:
-                    kb = h.group.embed(fb, beta.coeffs)
-                    r = abs(float(ka @ h.gt @ kb))
-                    if r > skt1_max:
-                        skt1_max = r
-                    if r > best[0]:
-                        best = (
-                            r,
-                            f"pair (factor {fa}: {alpha.label}, factor {fb}: {beta.label})",
-                        )
+            pa, pb = h.group.systems[fa].positives, h.group.systems[fb].positives
+            for i, j in itertools.product(range(len(pa)), range(len(pb))):
+                r = abs(_pair_level_value(h, fa, i, fb, j)) / 2.0
+                if r > skt1_max:
+                    skt1_max = r
+                if r > best[0]:
+                    best = (r, f"pair (factor {fa}: {pa[i].label}, factor {fb}: {pb[j].label})")
     return best[0], best[1], skt1_max, skt2_max
 
 
@@ -655,11 +589,12 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     for f, rs in enumerate(group.systems):
         vals = family_values(rs, rows[f])
         for t, v in enumerate(vals):
-            if not v > 0:
+            if not finite_positive(v):
                 bound = family_bound(rs)
                 raise PositivityError(
                     f"induced value for root {rs.positives[t].label} in factor {f} is "
-                    f"{v:.6g} <= 0; simple values above {bound:.6g} stay positive",
+                    f"{v:.6g}, not finite and positive; finite simple values above "
+                    f"{bound:.6g} stay positive",
                     root_label=rs.positives[t].label,
                     value=float(v),
                     bound=bound,
@@ -672,17 +607,9 @@ def kahler_flag_residual(h: HermitianStructure) -> float:
     """Worst additivity defect of the fiber values over root sums."""
     worst = 0.0
     for f, rs in enumerate(h.group.systems):
-        pos = rs.positives
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                up = tuple(x + y for x, y in zip(pos[i].coeffs, pos[j].coeffs))
-                if rs.is_root(up):
-                    gap = abs(
-                        h.xhat_of(f, rs.root(up))
-                        - h.xhat_of(f, pos[i])
-                        - h.xhat_of(f, pos[j])
-                    )
-                    worst = max(worst, gap)
+        i, j, k = rs.positive_sums()
+        x = h.xhat[f]
+        worst = max(worst, float(np.abs(x[k] - x[i] - x[j]).max(initial=0.0)))
     return worst
 
 
@@ -716,6 +643,8 @@ def biinvariant_compatible(group: GroupSpec, jt, tol: float = 1e-10) -> Compatib
     basis = np.array(null).T if null else np.zeros((nfac, 0))
     rep = None
     if basis.shape[1]:
+        from scipy.optimize import linprog  # costly import, needed only here
+
         res = linprog(
             c=np.zeros(basis.shape[1]),
             A_ub=-basis,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -186,41 +186,33 @@ def _gram_long2(stype: SimpleType) -> list[list[Fraction]]:
     return gram
 
 
-def _enumerate_positives(stype: SimpleType, gram) -> list[tuple[int, ...]]:
-    """Closure of the simple roots under root-string extension."""
-    n = stype.rank
+def _integer_gram(gram) -> tuple[np.ndarray, Fraction]:
+    """Split a rational gram matrix as scale * integer matrix, entries coprime."""
+    denom = lcm(*(v.denominator for row in gram for v in row))
+    ints = [[v.numerator * (denom // v.denominator) for v in row] for row in gram]
+    common = gcd(*(v for row in ints for v in row))
+    return np.array(ints, dtype=np.int64) // common, Fraction(common, denom)
 
-    def pairing(coeffs, j):
-        return sum(Fraction(c) * gram[i][j] for i, c in enumerate(coeffs) if c)
 
-    simples = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    known = set(simples)
-    level = list(simples)
-    out = list(simples)
+def _enumerate_positives(stype: SimpleType, gram_int: np.ndarray) -> list[tuple[int, ...]]:
+    """Positive part of the orbit of the simple roots under the simple reflections."""
+    n, g = stype.rank, gram_int.tolist()
+    known = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    level = list(known)
     while level:
         nxt = []
         for coeffs in level:
             for j in range(n):
-                down, depth = list(coeffs), 0
-                while True:
-                    down[j] -= 1
-                    if down[j] < 0 or tuple(down) not in known:
-                        break
-                    depth += 1
-                cartan = 2 * pairing(coeffs, j) / gram[j][j]
-                if cartan.denominator != 1:
+                pairing = 2 * sum(c * g[i][j] for i, c in enumerate(coeffs) if c)
+                if pairing % g[j][j]:
                     raise ConsistencyError(f"non-integer Cartan pairing for {coeffs}")
-                # alpha + alpha_j is a root iff the string extends upward
-                if depth - int(cartan) >= 1:
-                    up = list(coeffs)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-        out.extend(nxt)
+                image = list(coeffs)
+                image[j] -= pairing // g[j][j]
+                if tuple(image) not in known:
+                    known.add(tuple(image))
+                    nxt.append(tuple(image))
         level = nxt
-    return out
+    return [c for c in known if sum(c) > 0]
 
 
 _POSITIVE_COUNTS = {
@@ -234,8 +226,23 @@ _POSITIVE_COUNTS = {
 }
 
 
+def _coeffs(x) -> tuple[int, ...]:
+    return x.coeffs if isinstance(x, Root) else tuple(x)
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
+    """Root data plus its combinatorics, compiled once at construction.
+
+    Root indices run over all_roots(): positives[i] is index i, its negative
+    npositive + i. Exact integer tables: gram == gram_scale * gram_int;
+    inner_int, positive-pair inner products in units of gram_scale;
+    sum_index[i, j] and diff_index[i, j], the index of root i + root j and
+    of root i - root j, or -1 for a non-root; neg_index[i], the index of
+    -(root i). Float views: gram_float and coefficient_matrix (positive
+    roots by simple-root coefficients).
+    """
+
     stype: SimpleType
     normalization: Normalization
     simples: tuple[Root, ...]
@@ -244,12 +251,36 @@ class RootSystem:
     maximal_root: Root
 
     def __post_init__(self):
-        index = {r.coeffs: i for i, r in enumerate(self.positives)}
-        object.__setattr__(self, "_pos_index", index)
-        object.__setattr__(self, "_gram_np", np.array(self.gram, dtype=float))
-        object.__setattr__(
-            self, "_kmat", np.array([r.coeffs for r in self.positives], dtype=float)
-        )
+        n, rank = len(self.positives), self.stype.rank
+        pos = np.array([r.coeffs for r in self.positives], dtype=np.int64).reshape(n, rank)
+        roots = self.positives + tuple(-r for r in self.positives)
+        gram_int, scale = _integer_gram(self.gram)
+        # Radix keys with balanced digits: key(a + b) = key(a) + key(b), and with m
+        # the largest root coefficient, two vectors with coefficients in
+        # [-2m, 2m], such as sums of two roots, share a key only when equal.
+        base = 4 * int(np.abs(pos).max()) + 1
+        dtype = np.int64 if base**rank < 2**62 else object
+        weights = np.array([base**k for k in range(rank)], dtype=dtype)
+        keys = np.concatenate([pos @ weights, -(pos @ weights)])
+        order = np.argsort(keys, kind="stable")
+        sums = keys[:, None] + keys[None, :]
+        at = np.searchsorted(keys[order], sums).clip(max=2 * n - 1)
+        sum_index = np.where(keys[order][at] == sums, order[at], -1).astype(np.intp)
+        neg = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+        for name, value in (
+            ("_roots", roots),
+            ("_index", {r.coeffs: i for i, r in enumerate(roots)}),
+            ("_keys", keys),
+            ("gram_float", np.array(self.gram, dtype=float)),
+            ("coefficient_matrix", pos.astype(float)),
+            ("gram_int", gram_int),
+            ("gram_scale", scale),
+            ("inner_int", pos @ gram_int @ pos.T),
+            ("sum_index", sum_index),
+            ("diff_index", sum_index[:, neg]),
+            ("neg_index", neg),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -259,24 +290,23 @@ class RootSystem:
     def npositive(self) -> int:
         return len(self.positives)
 
-    @property
-    def gram_float(self) -> np.ndarray:
-        return self._gram_np
+    def index_of(self, root) -> int:
+        """Index of a Root or coefficient vector in all_roots()."""
+        coeffs = _coeffs(root)
+        try:
+            return self._index[coeffs]
+        except KeyError:
+            raise ValueError(f"{coeffs} is not a root of {self.stype}") from None
 
-    @property
-    def coefficient_matrix(self) -> np.ndarray:
-        """Positive-root coefficients as an (npositive x rank) float matrix."""
-        return self._kmat
+    def inner_at(self, i: int, j: int) -> int:
+        """Inner product of roots i and j in units of gram_scale."""
+        n = self.npositive
+        value = int(self.inner_int[i % n, j % n])
+        return -value if (i < n) != (j < n) else value
 
     def inner(self, a, b) -> Fraction:
-        ca = a.coeffs if isinstance(a, Root) else tuple(a)
-        cb = b.coeffs if isinstance(b, Root) else tuple(b)
-        total = Fraction(0)
-        for i, x in enumerate(ca):
-            if x:
-                row = self.gram[i]
-                total += x * sum(row[j] * y for j, y in enumerate(cb) if y)
-        return total
+        cb = np.array(_coeffs(b), dtype=np.int64)
+        return self.gram_scale * int(np.dot(_coeffs(a), self.gram_int @ cb))
 
     def cartan_integer(self, a, b) -> int:
         val = 2 * self.inner(a, b) / self.inner(b, b)
@@ -284,13 +314,30 @@ class RootSystem:
             raise ConsistencyError(f"non-integer Cartan number for {a}, {b}")
         return int(val)
 
+    def positive_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (i, j, k), i < j, with positives[i] + positives[j] = positives[k],
+        in row-major order of (i, j)."""
+        n = self.npositive
+        i, j = np.nonzero(np.triu(self.sum_index[:n, :n] >= 0, 1))
+        return i, j, self.sum_index[i, j]
+
+    def positive_quads(self) -> np.ndarray:
+        """Rows (i, j, m, l) of positive indices, i < j and m < l, with
+        positives[i] + positives[j] = positives[m] + positives[l] and
+        {i, j} != {m, l}, sorted by (i, j, m)."""
+        i, j = np.triu_indices(self.npositive, 1)
+        pair_keys = self._keys[i] + self._keys[j]
+        # pairs sharing a sum are disjoint, and a stable sort keeps them by i
+        order = np.argsort(pair_keys, kind="stable")
+        lo = np.searchsorted(pair_keys[order], pair_keys, "left")
+        size = np.searchsorted(pair_keys[order], pair_keys, "right") - lo
+        p = np.repeat(np.arange(len(pair_keys)), size)
+        q = order[np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - lo, size)]
+        p, q = p[p != q], q[p != q]
+        return np.stack([i[p], j[p], i[q], j[q]], axis=1)
+
     def is_root(self, coeffs: Sequence[int]) -> bool:
-        coeffs = tuple(coeffs)
-        if all(c >= 0 for c in coeffs):
-            return coeffs in self._pos_index
-        if all(c <= 0 for c in coeffs):
-            return tuple(-c for c in coeffs) in self._pos_index
-        return False
+        return tuple(coeffs) in self._index
 
     def root(self, coeffs: Sequence[int]) -> Root:
         coeffs = tuple(coeffs)
@@ -299,16 +346,17 @@ class RootSystem:
         return Root(coeffs, 1 if sum(coeffs) > 0 else -1)
 
     def positive_index(self, root: Root) -> int:
-        return self._pos_index[root.positive.coeffs]
+        return self._index[root.positive.coeffs]
 
     def all_roots(self) -> tuple[Root, ...]:
-        return self.positives + tuple(-r for r in self.positives)
+        return self._roots
 
 
 def build_root_system(stype: SimpleType, norm: Normalization = Normalization.LONG2) -> RootSystem:
     """Enumerate the positive roots of stype and attach the requested gram matrix."""
     gram2 = _gram_long2(stype)
-    coeff_list = _enumerate_positives(stype, gram2)
+    gram2_int, scale2 = _integer_gram(gram2)
+    coeff_list = _enumerate_positives(stype, gram2_int)
     expected = _POSITIVE_COUNTS[stype.family](stype.rank)
     if len(coeff_list) != expected:
         raise ConsistencyError(
@@ -323,7 +371,7 @@ def build_root_system(stype: SimpleType, norm: Normalization = Normalization.LON
     if norm is Normalization.SHORT2:
         scale = Fraction(2) / min(gram2[i][i] for i in range(stype.rank))
     elif norm is Normalization.KILLING:
-        scale = _killing_constant(gram2, coeff_list)
+        scale = _killing_constant(gram2_int, scale2, np.array(coeff_list, dtype=np.int64))
     else:
         scale = Fraction(1)
     gram = tuple(tuple(scale * v for v in row) for row in gram2)
@@ -340,27 +388,17 @@ def build_root_system(stype: SimpleType, norm: Normalization = Normalization.LON
     )
 
 
-def _killing_constant(gram, coeff_list) -> Fraction:
-    """c with c*gram the dual Killing form, from <a,a> = sum_g <g,a>^2 self-consistency."""
-    n = len(gram)
-
-    def pair(ca, cb):
-        return sum(
-            Fraction(x) * gram[i][j] * y
-            for i, x in enumerate(ca)
-            if x
-            for j, y in enumerate(cb)
-            if y
-        )
-
-    values = []
-    for j in range(n):
-        simple = tuple(int(i == j) for i in range(n))
-        total = 2 * sum(pair(c, simple) ** 2 for c in coeff_list)  # both root signs
-        values.append(gram[j][j] / total)
-    if any(v != values[0] for v in values[1:]):
+def _killing_constant(gram_int: np.ndarray, scale: Fraction, pos: np.ndarray) -> Fraction:
+    """c with c * scale * gram_int the dual Killing form, from the self-consistency
+    identity <a,a> = sum over all roots g of <g,a>^2 on each simple root a."""
+    pairings = pos @ gram_int  # <positive root, simple root j> / scale
+    totals = 2 * (pairings**2).sum(axis=0)  # both root signs
+    values = {
+        Fraction(int(gram_int[j, j]), int(totals[j])) / scale for j in range(len(gram_int))
+    }
+    if len(values) != 1:
         raise ConsistencyError("normalization constant differs across simple roots")
-    return values[0]
+    return values.pop()
 
 
 def killing_normalization_constant(rs: RootSystem) -> Fraction:
@@ -369,23 +407,20 @@ def killing_normalization_constant(rs: RootSystem) -> Fraction:
     Computed from the self-consistency identity, never from tables; equals 1
     when rs is already in killing normalization.
     """
-    return _killing_constant(rs.gram, [r.coeffs for r in rs.positives])
+    return _killing_constant(rs.gram_int, rs.gram_scale, rs.coefficient_matrix.astype(np.int64))
 
 
 def root_string(rs: RootSystem, alpha: Root, beta: Root) -> RootString:
     """The maximal progression beta + n*alpha inside the root set, p <= n <= q."""
     if beta.coeffs == alpha.coeffs or beta.coeffs == (-alpha).coeffs:
         raise RootStringError(f"string through {beta.label} along {alpha.label} is undefined")
-
-    def extent(direction: int) -> int:
-        k = 0
-        while True:
-            cand = tuple(b + (k + 1) * direction * a for a, b in zip(alpha.coeffs, beta.coeffs))
-            if not rs.is_root(cand):
-                return k
-            k += 1
-
-    q, down = extent(+1), extent(-1)
-    if down - q != rs.cartan_integer(beta, alpha):
+    i, j = rs.index_of(alpha), rs.index_of(beta)
+    q, k = 0, rs.sum_index[j, i]
+    while k >= 0:
+        q, k = q + 1, rs.sum_index[k, i]
+    down, k = 0, rs.diff_index[j, i]
+    while k >= 0:
+        down, k = down + 1, rs.diff_index[k, i]
+    if (down - q) * rs.inner_at(i, i) != 2 * rs.inner_at(j, i):
         raise ConsistencyError(f"string length mismatch for ({alpha.label}, {beta.label})")
     return RootString(p=-down, q=q)

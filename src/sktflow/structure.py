@@ -8,36 +8,48 @@ values are exact Surds, so the identity suite below compares without tolerance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .roots import Root, RootSystem, root_string
+from .roots import RootSystem, _coeffs, root_string
 from .surd import Surd
 
 _ZERO = Surd.of(0)
-
-
-def _coeffs(x) -> tuple[int, ...]:
-    return x.coeffs if isinstance(x, Root) else tuple(x)
-
-
-def _neg(c: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-v for v in c)
+_DRAW_CHUNK = 1 << 16  # cocycle triples unranked per numpy block
 
 
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """Signed table N(a,b) over all ordered root pairs whose sum is a root."""
+    """Signed table N(a,b) over all ordered root pairs whose sum is a root.
+
+    table is keyed by coefficient tuples; at(i, j) reads the same values by
+    root index (see RootSystem), and floats holds them as Python floats.
+    """
 
     system: RootSystem
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], Surd] = field(repr=False)
 
+    def __post_init__(self):
+        nroots = 2 * self.system.npositive
+        by_index = np.full((nroots, nroots), _ZERO, dtype=object)
+        entries = []
+        for (r, s), v in self.table.items():
+            i, j = self.system.index_of(r), self.system.index_of(s)
+            by_index[i, j] = v
+            entries.append((i, j, v))
+        object.__setattr__(self, "_by_index", by_index)
+        object.__setattr__(self, "_entries", entries)
+
     def value(self, a, b) -> Surd:
         return self.table.get((_coeffs(a), _coeffs(b)), _ZERO)
+
+    def at(self, i: int, j: int) -> Surd:
+        return self._by_index[i, j]
 
     def squared(self, a, b) -> Fraction:
         return self.value(a, b).squared()
@@ -45,69 +57,65 @@ class StructureConstants:
     def as_float(self, a, b) -> float:
         return float(self.value(a, b))
 
+    @cached_property
+    def floats(self) -> list[list[float]]:
+        """float(N(i, j)) by root index as nested lists, 0.0 off the table."""
+        nroots = 2 * self.system.npositive
+        out = [[0.0] * nroots for _ in range(nroots)]
+        for i, j, v in self._entries:
+            out[i][j] = float(v)
+        return out
 
-def _string_square(rs: RootSystem, a: Root, b: Root) -> Fraction:
-    """N(a,b)^2 from the a-string through b; requires a+b to be a root."""
-    p, q = root_string(rs, a, b)
-    return Fraction(q * (1 - p), 2) * rs.inner(a, a)
+
+def _string_square(rs: RootSystem, i: int, j: int) -> Fraction:
+    """N(a,b)^2 from the a-string through b, roots a, b by index; a+b must be a root."""
+    roots = rs.all_roots()
+    p, q = root_string(rs, roots[i], roots[j])
+    return Fraction(q * (1 - p) * rs.inner_at(i, i), 2) * rs.gram_scale
 
 
 def structure_constants(rs: RootSystem) -> StructureConstants:
     """Build the full signed table by height recursion over positive roots."""
+    n = rs.npositive
+    add, sub, neg = rs.sum_index, rs.diff_index, rs.neg_index
+    coeffs = [r.coeffs for r in rs.all_roots()]
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], Surd] = {}
 
-    def insert_closure(eta: tuple[int, ...], rho: tuple[int, ...], w: Surd):
-        # all entries the single positive-pair value w = N(eta, rho) determines
-        xi = tuple(a + b for a, b in zip(eta, rho))
-        neta, nrho, nxi = _neg(eta), _neg(rho), _neg(xi)
-        for key, val in (
-            ((eta, rho), w),
-            ((rho, eta), -w),
-            ((neta, nrho), -w),
-            ((nrho, neta), w),
-            ((xi, neta), -w),
-            ((neta, xi), w),
-            ((eta, nxi), -w),
-            ((nxi, eta), w),
-            ((xi, nrho), w),
-            ((nrho, xi), -w),
-            ((rho, nxi), w),
-            ((nxi, rho), -w),
-        ):
-            table[key] = val
+    def get(x: int, y: int) -> Surd:
+        return table.get((coeffs[x], coeffs[y]), _ZERO)
 
-    for gamma in rs.positives:
+    def insert_closure(eta: int, rho: int, w: Surd):
+        # all entries the single positive-pair value w = N(eta, rho) determines:
+        # the cyclic rotations of (eta, rho, -xi), each swapped and negated
+        nxi = int(neg[add[eta, rho]])
+        for x, y in ((eta, rho), (rho, nxi), (nxi, eta)):
+            nx, ny = int(neg[x]), int(neg[y])
+            for (u, v), val in (((x, y), w), ((y, x), -w), ((nx, ny), -w), ((ny, nx), w)):
+                table[coeffs[u], coeffs[v]] = val
+
+    for g, gamma in enumerate(rs.positives):
         if gamma.height == 1:
             continue
-        pairs = []
-        for a in rs.positives:
-            if a.height >= gamma.height:
-                break
-            bc = tuple(g - c for g, c in zip(gamma.coeffs, a.coeffs))
-            if any(c < 0 for c in bc) or not rs.is_root(bc):
-                continue
-            b = rs.root(bc)
-            if rs.positive_index(b) > rs.positive_index(a):
-                pairs.append((a, b))
+        # gamma - a for every a below gamma; b > a keeps one order of each pair
+        rest = sub[g, :g]
+        pairs = [(int(a), int(rest[a])) for a in np.nonzero((rest > np.arange(g)) & (rest < n))[0]]
         if not pairs:
             raise ConsistencyError(f"{gamma.label} has no decomposition into positive roots")
 
         a1, b1 = pairs[0]  # extraspecial pair: canonically first component
         w1 = Surd.sqrt(_string_square(rs, a1, b1))
-        insert_closure(a1.coeffs, b1.coeffs, w1)
+        insert_closure(a1, b1, w1)
 
         for a, b in pairs[1:]:
-            na, nb = _neg(a.coeffs), _neg(b.coeffs)
+            na, nb = int(neg[a]), int(neg[b])
             # cocycle on (a1, b1, -a, -b): every referenced sum is lower height
-            num = table.get((a1.coeffs, nb), _ZERO) * table.get((b1.coeffs, na), _ZERO) - table.get(
-                (a1.coeffs, na), _ZERO
-            ) * table.get((b1.coeffs, nb), _ZERO)
-            val = num / w1
+            val = (get(a1, nb) * get(b1, na) - get(a1, na) * get(b1, nb)) / w1
             if val.squared() != _string_square(rs, a, b):
                 raise ConsistencyError(
-                    f"derived |N({a.label},{b.label})| disagrees with the string formula"
+                    f"derived |N({rs.positives[a].label},{rs.positives[b].label})|"
+                    " disagrees with the string formula"
                 )
-            insert_closure(a.coeffs, b.coeffs, val)
+            insert_closure(a, b, val)
 
     return StructureConstants(system=rs, table=table)
 
@@ -125,6 +133,45 @@ class IdentityReport:
         return not self.failures
 
 
+def _triples(nroots: int, cocycle_limit: int | None, seed: int):
+    """Blocks (a, b, c), a < b < c, of root-index triples for the cocycle check.
+
+    Triples are unranked from the combinatorial number system, rank =
+    C(c, 3) + C(b, 2) + a: every rank below C(nroots, 3) in turn, or
+    cocycle_limit ranks drawn uniformly and independently when that is fewer.
+    """
+    total = comb(nroots, 3)
+    sampled = cocycle_limit is not None and cocycle_limit < total
+    if sampled and cocycle_limit < 0:
+        raise ValueError(f"cocycle_limit must be nonnegative, got {cocycle_limit}")
+    rng = np.random.default_rng(seed)
+    k = np.arange(nroots)
+    choose3, choose2 = k * (k - 1) * (k - 2) // 6, k * (k - 1) // 2
+    count = cocycle_limit if sampled else total
+    for start in range(0, count, _DRAW_CHUNK):
+        size = min(_DRAW_CHUNK, count - start)
+        ranks = rng.integers(0, total, size=size) if sampled else np.arange(start, start + size)
+        c = np.searchsorted(choose3, ranks, "right") - 1
+        ranks = ranks - choose3[c]
+        b = np.searchsorted(choose2, ranks, "right") - 1
+        yield ranks - choose2[b], b, c
+
+
+def _cocycle_quads(rs: RootSystem, a, b, c):
+    """The (a, b, c, d) among the triples with d = -(a+b+c) a root of index
+    above c and no opposite pair among a, b, c."""
+    add, neg = rs.sum_index, rs.neg_index
+    # a+b+c = e a root has <e, x> > 0 for some x in {a, b, c}, so e - x is a
+    # root (or zero, an opposite pair): e is reached through one pair sum
+    e = np.full(len(a), -1)
+    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+        xy = add[x, y]
+        e = np.maximum(e, np.where(xy >= 0, add[xy, z], -1))
+    d = np.where(e >= 0, neg[e], -1)
+    keep = (d > c) & (a != neg[b]) & (a != neg[c]) & (b != neg[c])
+    return a[keep], b[keep], c[keep], d[keep]
+
+
 def verify_identities(
     rs: RootSystem,
     sc: StructureConstants,
@@ -134,9 +181,13 @@ def verify_identities(
 ) -> IdentityReport:
     """Check the defining identities of the table, exactly.
 
-    cocycle_limit caps how many index triples the four-term check visits; the
-    full enumeration is cubic in the number of roots, so large systems pass a
-    limit and get a uniform random sample instead.
+    The four-term cocycle check visits index triples of roots. Without
+    cocycle_limit it enumerates all C(n, 3) of them for n roots. With a
+    limit below C(n, 3) it checks cocycle_limit triples drawn uniformly and
+    independently from the 3-subsets, in one vectorised draw per block of
+    draws, deterministic for a given seed; a limit of C(n, 3) or more runs
+    the full enumeration. The triples a seed selects differ from those of
+    releases that drew one triple at a time.
     """
     counts = {
         "antisymmetry": 0,
@@ -147,69 +198,51 @@ def verify_identities(
         "sign_flip_square": 0,
     }
     failures: list[str] = []
-    table = sc.table
+    add, neg = rs.sum_index, rs.neg_index
+    coeffs = [r.coeffs for r in rs.all_roots()]
+    at = sc.at
 
-    for (r, s), v in table.items():
+    for i, j, v in sc._entries:
+        r, s = coeffs[i], coeffs[j]
         counts["antisymmetry"] += 1
-        if table.get((s, r)) != -v:
+        if at(j, i) != -v:
             failures.append(f"antisymmetry at ({r}, {s})")
         counts["negation_symmetry"] += 1
-        if table.get((_neg(r), _neg(s))) != -v:
+        if at(neg[i], neg[j]) != -v:
             failures.append(f"negation symmetry at ({r}, {s})")
         counts["cyclic_rotation"] += 1
-        g = tuple(-(x + y) for x, y in zip(r, s))
-        if sc.value(s, g) != v or sc.value(g, r) != v:
+        k = add[i, j]
+        if k < 0 or at(j, neg[k]) != v or at(neg[k], i) != v:
             failures.append(f"cyclic rotation at ({r}, {s})")
         counts["string_square"] += 1
-        if v.squared() != _string_square(rs, rs.root(r), rs.root(s)):
+        if v.squared() != _string_square(rs, i, j):
             failures.append(f"string square at ({r}, {s})")
 
-    roots = rs.all_roots()
-    nroots = len(roots)
-    index_of = {r.coeffs: i for i, r in enumerate(roots)}
-
-    def quad_holds(ca, cb, cc, cd) -> bool:
+    def quad_holds(a, b, c, d) -> bool:
         acc: dict[int, Fraction] = {}
         for t, sgn in (
-            (sc.value(ca, cb) * sc.value(cc, cd), 1),
-            (sc.value(ca, cc) * sc.value(cb, cd), -1),
-            (sc.value(ca, cd) * sc.value(cb, cc), 1),
+            (at(a, b) * at(c, d), 1),
+            (at(a, c) * at(b, d), -1),
+            (at(a, d) * at(b, c), 1),
         ):
             if not t.is_zero:
                 acc[t.core] = acc.get(t.core, Fraction(0)) + sgn * t.coeff
         return all(val == 0 for val in acc.values())
 
-    if cocycle_limit is not None and nroots >= 3:
-        rng = np.random.default_rng(seed)
-        draws = (
-            tuple(sorted(rng.choice(nroots, size=3, replace=False)))
-            for _ in range(cocycle_limit)
-        )
-        triples = iter(draws)
-    else:
-        triples = itertools.combinations(range(nroots), 3)
-
-    for ia, ib, ic in triples:
-        ca, cb, cc = roots[ia].coeffs, roots[ib].coeffs, roots[ic].coeffs
-        cd = tuple(-(x + y + z) for x, y, z in zip(ca, cb, cc))
-        idx = index_of.get(cd)
-        if idx is None or idx <= ic:
-            continue
-        # a pair summing to zero makes the identity degenerate; skip those quads
-        if ca == _neg(cb) or ca == _neg(cc) or cb == _neg(cc):
-            continue
-        counts["four_term_cocycle"] += 1
-        if not quad_holds(ca, cb, cc, cd):
-            failures.append(f"four-term cocycle at ({ca}, {cb}, {cc}, {cd})")
+    for block in _triples(len(coeffs), cocycle_limit, seed):
+        for a, b, c, d in zip(*(x.tolist() for x in _cocycle_quads(rs, *block))):
+            counts["four_term_cocycle"] += 1
+            if not quad_holds(a, b, c, d):
+                failures.append(
+                    f"four-term cocycle at ({coeffs[a]}, {coeffs[b]}, {coeffs[c]}, {coeffs[d]})"
+                )
 
     pos = rs.positives
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            a, b = pos[i], pos[j]
-            counts["sign_flip_square"] += 1
-            lhs = sc.squared(a.coeffs, _neg(b.coeffs))
-            rhs = sc.squared(a.coeffs, b.coeffs) + rs.inner(a, b)
-            if lhs != rhs:
-                failures.append(f"sign flip square at ({a.label}, {b.label})")
+    for i, j in zip(*np.triu_indices(len(pos), 1)):
+        counts["sign_flip_square"] += 1
+        lhs = at(i, neg[j]).squared()
+        rhs = at(i, j).squared() + rs.gram_scale * rs.inner_at(i, j)
+        if lhs != rhs:
+            failures.append(f"sign flip square at ({pos[i].label}, {pos[j].label})")
 
     return IdentityReport(system=str(rs.stype), counts=counts, failures=failures)

@@ -72,7 +72,8 @@ class Surd:
         return self.coeff == 0
 
     def squared(self) -> Fraction:
-        return self.coeff * self.coeff * self.core
+        c = self.coeff
+        return Fraction(c.numerator**2 * self.core, c.denominator**2)
 
     def __float__(self) -> float:
         if self.core == 1:

@@ -1,6 +1,9 @@
 """End-to-end command tests through the click runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,14 @@ def test_flow_bad_start(runner):
     assert "error:" in res.output
 
 
+@pytest.mark.parametrize("start", ["nan,1.5", "inf,1.5", "1.5,-inf"])
+def test_flow_non_finite_start(runner, start):
+    res = invoke(runner, "flow", "A", "2", "--x0", start)
+    assert res.exit_code == 2
+    assert res.output.startswith("error: ")
+    assert "termination" not in res.output
+
+
 def test_flow_bad_vector_length(runner):
     res = invoke(runner, "flow", "A", "2", "--x0", "1,2,3")
     assert res.exit_code == 2
@@ -213,6 +224,23 @@ def test_verify_bad_token(runner):
     res = invoke(runner, "verify", "--types", "A2,Q9")
     assert res.exit_code == 2
     assert "error:" in res.output
+
+
+def test_verify_negative_cocycle_limit(runner):
+    res = invoke(runner, "verify", "--types", "D4", "--cocycle-limit", "-1")
+    assert res.exit_code == 2
+    assert "cocycle_limit must be nonnegative" in res.output
+
+
+# ---------------------------------------------------------------- cold start
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, sktflow; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- round trip

@@ -151,6 +151,14 @@ def test_positivity_error_at_start():
         integrate(system("B2"), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_is_refused(bad):
+    with pytest.raises(PositivityError):
+        integrate(system("A2"), (bad, 1.5))
+    with pytest.raises(PositivityError):
+        integrate([system("A2"), system("G2")], (1.5, 1.5, 1.5, bad))
+
+
 def test_positivity_violation_termination():
     traj = integrate(system("A2"), (2.0, 2.0), FlowConfig(eps_pos=1.5))
     assert traj.termination == "positivity_violation"

@@ -356,6 +356,24 @@ def test_json_bad_inputs():
         )
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_refuses_non_finite_fiber_value(tmp_path, token):
+    path = tmp_path / "s.json"
+    path.write_text(
+        '{"factors": [{"family": "A", "rank": 2, "x": [1.0, %s, 2.0]}], "torus": "killing"}'
+        % token
+    )
+    with pytest.raises(PositivityError, match="not finite and positive"):
+        load_structure(path)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the matmul
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_family_refuses_non_finite_simple_value(bad):
+    with pytest.raises(PositivityError):
+        pluriclosed_family(A2, (bad, 1.5))
+
+
 def test_save_refuses_cross_factor_coupling(tmp_path):
     g = _group("A1", "A1")
     gt = g.gram_blockdiag().astype(float)

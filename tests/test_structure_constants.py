@@ -1,11 +1,12 @@
 """Chevalley structure constants: exact values and the identity suite."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import constants, system
-from sktflow import Root, verify_identities
+from sktflow import Root, StructureConstants, verify_identities
 
 
 def test_g2_squares():
@@ -83,6 +84,55 @@ def test_identity_suite_sampled_cocycle():
     rep = verify_identities(rs, sc, cocycle_limit=200, seed=7)
     assert rep.passed
     assert 0 < rep.counts["four_term_cocycle"] <= 200
+
+
+def test_sampled_cocycle_is_seeded_and_full_at_the_limit():
+    rs = system("D4")
+    sc = constants("D4")
+    full = verify_identities(rs, sc)
+    total = comb(2 * rs.npositive, 3)
+    assert verify_identities(rs, sc, cocycle_limit=total, seed=5).counts == full.counts
+    first = verify_identities(rs, sc, cocycle_limit=total - 1, seed=5)
+    again = verify_identities(rs, sc, cocycle_limit=total - 1, seed=5)
+    assert first.passed and first.counts == again.counts
+    assert first.counts["four_term_cocycle"] > 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_identities(rs, sc, cocycle_limit=-1)
+
+
+def _decompositions(rs, gamma):
+    """Pairs (a, b) of positive roots, a before b, with a + b = gamma."""
+    out = []
+    for i, a in enumerate(rs.positives):
+        rest = tuple(g - x for g, x in zip(gamma.coeffs, a.coeffs))
+        if all(c >= 0 for c in rest) and rs.is_root(rest):
+            if rs.positive_index(rs.root(rest)) > i:
+                out.append((a, rs.root(rest)))
+    return out
+
+
+@pytest.mark.parametrize("token", ["D4", "F4"])
+def test_verifier_catches_flipped_non_extraspecial_pair(token):
+    # Flipping every entry that N(a, b) determines keeps antisymmetry, negation,
+    # the cyclic rotation and the string squares; only the four-term cocycle
+    # that ties (a, b) to the extraspecial pair of a + b can see it.
+    rs = system(token)
+    sc = constants(token)
+    a, b = next(d[1] for d in (_decompositions(rs, g) for g in rs.positives) if len(d) > 1)
+    mxi = -rs.root(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    keys = [
+        key
+        for x, y in ((a, b), (b, mxi), (mxi, a))
+        for key in ((x, y), (y, x), (-x, -y), (-y, -x))
+    ]
+    broken = dict(sc.table)
+    for x, y in keys:
+        broken[x.coeffs, y.coeffs] = -broken[x.coeffs, y.coeffs]
+    rep = verify_identities(rs, StructureConstants(system=rs, table=broken))
+    assert len(keys) == 12
+    assert rep.counts == verify_identities(rs, sc).counts
+    assert rep.failures
+    assert all(f.startswith("four-term cocycle") for f in rep.failures), rep.failures[:3]
 
 
 def test_normalization_covariance_of_squares():
