@@ -7,7 +7,6 @@ Example:
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ def main(argv=None):
     norm = Normalization.parse(args.norm)
     failures = 0
     print(f"{'type':<6} {'integrator':<10} {'start':<28} {'termination':<22} "
-          f"{'steps':>6} {'t_final':>9} {'dist_to_1':>10} {'wall_s':>7}")
+          f"{'steps':>6} {'evals':>6} {'t_final':>9} {'dist_to_1':>10} {'wall_s':>7}")
     for token in args.types.split(","):
         token = token.strip()
         rs = build_root_system(SimpleType(token[0].upper(), int(token[1:])), norm)
@@ -54,21 +53,19 @@ def main(argv=None):
         for integrator in args.integrators.split(","):
             cfg = FlowConfig(integrator=integrator.strip(), t_end=args.t_end, tol=args.tol)
             for i, x0 in enumerate(starts):
-                t0 = time.perf_counter()
                 try:
                     traj = integrate(rs, x0, cfg)
                 except PositivityError as exc:
                     print(f"{token:<6} {integrator:<10} start outside domain: {exc}")
                     failures += 1
                     continue
-                wall = time.perf_counter() - t0
                 dist = np.abs(traj.states[-1] - 1).max()
                 if traj.termination != "converged":
                     failures += 1
                 start_s = ",".join(f"{v:.3f}" for v in x0)
                 print(f"{token:<6} {integrator:<10} {start_s:<28} {traj.termination:<22} "
-                      f"{len(traj.times) - 1:>6} {traj.times[-1]:>9.3f} "
-                      f"{dist:>10.2e} {wall:>7.3f}")
+                      f"{traj.stats.accepted:>6} {traj.stats.evaluations:>6} "
+                      f"{traj.times[-1]:>9.3f} {dist:>10.2e} {traj.stats.wall_s:>7.3f}")
                 if outdir:
                     traj.to_csv(outdir / f"{token}_{integrator}_{i}.csv")
     if failures:

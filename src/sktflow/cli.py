@@ -194,28 +194,38 @@ def cmd_classify(path: str, tol: float):
 )
 @click.option("--tol", type=float, default=1e-8, help="Convergence tolerance.")
 @click.option("--eps-pos", type=float, default=1e-8, help="Positivity guard margin.")
+@click.option("--rel-tol", type=float, default=1e-8, help="Error tolerance (rkf45).")
+@click.option("--min-step", type=float, default=1e-12, help="Smallest step before giving up.")
 @click.option("--out", type=click.Path(), default=None, help="Trajectory output path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--stats", "show_stats", is_flag=True, help="Print the run's work counters.")
 @_guarded
-def cmd_flow(family, rank, x0_text, norm, t_end, step, integrator, tol, eps_pos, out, fmt):
+def cmd_flow(
+    family, rank, x0_text, norm, t_end, step, integrator, tol, eps_pos, rel_tol, min_step,
+    out, fmt, show_stats,
+):
     """Integrate the induced metric flow from a simple-value start."""
     rs = build_root_system(_parse_type(family, rank), Normalization.parse(norm))
     x0 = _parse_vector(x0_text, rs.rank)
     cfg = FlowConfig(
-        integrator=integrator, h=step, t_end=t_end, tol=tol, eps_pos=eps_pos
+        integrator=integrator, h=step, t_end=t_end, tol=tol, eps_pos=eps_pos,
+        rel_tol=rel_tol, min_step=min_step,
     )
     traj = integrate(rs, x0, cfg)
     click.echo(f"termination: {traj.termination}")
     click.echo(f"steps: {len(traj.times) - 1}   t_final: {_fmt(traj.times[-1])}")
     click.echo(f"final state: {_vec(traj.states[-1])}")
     click.echo(f"F: {_fmt(traj.f_values[-1])}   grad sup: {_fmt(traj.grad_inf[-1])}")
+    if show_stats:
+        for key, val in traj.stats.to_meta().items():
+            click.echo(f"{key} = {val}")
     if out is not None:
         if fmt == "csv":
             traj.to_csv(out)
         else:
             Path(out).write_text(json.dumps(traj.to_json(), indent=2))
         click.echo(f"wrote {fmt} trajectory to {out}")
-    return 3 if traj.termination == "positivity_violation" else 0
+    return 3 if traj.termination in ("positivity_violation", "step_underflow") else 0
 
 
 @main.command("verify")

@@ -8,16 +8,19 @@ which is exactly the induced flow of the geometric evolution on this family.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import math
+import time
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .curvature import _family_checked, functional_F, grad_F
 from .errors import PositivityError
-from .hermitian import family_values, finite_positive
+# family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
+from .hermitian import family_values, finite_positive  # noqa: F401
 from .roots import RootSystem
 
-_TERMINATIONS = ("converged", "t_end_reached", "positivity_violation")
+_TERMINATIONS = ("converged", "t_end_reached", "positivity_violation", "step_underflow")
 
 
 def _systems(arg) -> list[RootSystem]:
@@ -119,6 +122,39 @@ class _Violation(Exception):
 
 
 @dataclass
+class FlowStats:
+    """The work one integrate call did.
+
+    evaluations counts guarded flow evaluations (stages and new points);
+    rejected counts rkf45 steps refused by error control; halvings counts
+    steps halved because a stage or the new point failed the positivity
+    guard; h_min and h_max span the steps tried (0 when none was).
+    """
+
+    evaluations: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    halvings: int = 0
+    h_min: float = 0.0
+    h_max: float = 0.0
+    wall_s: float = 0.0
+
+    def to_meta(self) -> dict:
+        """The `stats.<name>` metadata lines, values as exact reprs."""
+        return {f"stats.{f.name}": repr(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def pop_meta(cls, meta: dict) -> "FlowStats | None":
+        """Take the `stats.<name>` entries out of parsed metadata, if present."""
+        found = {
+            f.name: type(f.default)(meta.pop(f"stats.{f.name}"))
+            for f in fields(cls)
+            if f"stats.{f.name}" in meta
+        }
+        return cls(**found) if found else None
+
+
+@dataclass
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
@@ -126,6 +162,7 @@ class Trajectory:
     grad_inf: np.ndarray
     termination: str
     metadata: dict = field(default_factory=dict)
+    stats: FlowStats | None = None
 
     @property
     def converged(self) -> bool:
@@ -138,7 +175,8 @@ class Trajectory:
     def to_csv(self, path_or_buf) -> None:
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
         try:
-            for key, val in {**self.metadata, "termination": self.termination}.items():
+            stats = self.stats.to_meta() if self.stats is not None else {}
+            for key, val in {**self.metadata, **stats, "termination": self.termination}.items():
                 buf.write(f"# {key} = {val}\n")
             n = self.states.shape[1]
             buf.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",F,grad_inf\n")
@@ -174,6 +212,7 @@ class Trajectory:
             raise ValueError("trajectory file has no data rows")
         data = np.array(rows)
         termination = meta.pop("termination", "unknown")
+        stats = FlowStats.pop_meta(meta)
         return Trajectory(
             times=data[:, 0],
             states=data[:, 1:-2],
@@ -181,10 +220,11 @@ class Trajectory:
             grad_inf=data[:, -1],
             termination=termination,
             metadata=meta,
+            stats=stats,
         )
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "metadata": dict(self.metadata),
             "termination": self.termination,
             "times": self.times.tolist(),
@@ -192,6 +232,9 @@ class Trajectory:
             "f_values": self.f_values.tolist(),
             "grad_inf": self.grad_inf.tolist(),
         }
+        if self.stats is not None:
+            out["stats"] = asdict(self.stats)
+        return out
 
     @staticmethod
     def from_json(data: dict) -> "Trajectory":
@@ -202,6 +245,7 @@ class Trajectory:
             grad_inf=np.asarray(data["grad_inf"], dtype=float),
             termination=data.get("termination", "unknown"),
             metadata=dict(data.get("metadata", {})),
+            stats=FlowStats(**data["stats"]) if "stats" in data else None,
         )
 
     def to_csv_string(self) -> str:
@@ -222,21 +266,54 @@ def _check_start(sys_list, x0) -> np.ndarray:
     return x0
 
 
-def _guarded_rhs(sys_list, x, eps_pos):
-    for rs, sl in _slices(sys_list):
-        if (family_values(rs, x[sl]) <= eps_pos).any():
-            raise _Violation
-    return rhs(sys_list, x)
+class _Evaluator:
+    """The guarded flow evaluation, with each factor's arrays fetched once.
+
+    Calling it at x returns the rhs and, per factor, the induced values v and
+    the gradient g; it raises _Violation when some v is at or below eps, and
+    PositivityError when some v is NaN or infinite. The arithmetic is that of
+    rhs(), factor by factor, so the result is bit-identical to it.
+    """
+
+    def __init__(self, sys_list):
+        self.blocks = [
+            (rs, sl, rs.coefficient_matrix, rs.coefficient_matrix.T, -rs.gram_float)
+            for rs, sl in _slices(sys_list)
+        ]
+        self.n = sum(rs.rank for rs in sys_list)
+        self.calls = 0
+
+    def __call__(self, x, eps):
+        self.calls += 1
+        out = np.empty(self.n)
+        parts = []
+        for rs, sl, k, kt, neg_q in self.blocks:
+            v = 1.0 + k @ (x[sl] - 1.0)
+            if not (v.min() > eps and v.max() < math.inf):
+                _refuse(rs, v, eps)
+            g = kt @ (1.0 - 1.0 / v)
+            out[sl] = neg_q @ g
+            parts.append((v, g))
+        return out, parts
 
 
-def _rk4_step(sys_list, x, h, eps_pos):
-    k1 = _guarded_rhs(sys_list, x, eps_pos)
-    k2 = _guarded_rhs(sys_list, x + 0.5 * h * k1, eps_pos)
-    k3 = _guarded_rhs(sys_list, x + 0.5 * h * k2, eps_pos)
-    k4 = _guarded_rhs(sys_list, x + h * k3, eps_pos)
-    out = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    _guarded_rhs(sys_list, out, eps_pos)
-    return out
+def _refuse(rs, v, eps):
+    if (v <= eps).any():
+        raise _Violation
+    t = int(np.nonzero(~np.isfinite(v))[0][0])
+    raise PositivityError(
+        f"induced value for root {rs.positives[t].label} became {v[t]} during integration",
+        root_label=rs.positives[t].label,
+        value=float(v[t]),
+    )
+
+
+def _rk4(f, x, h, k1):
+    """One classical RK4 step of x' = f(x), given k1 = f(x)."""
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 _RKF_K = (
@@ -250,80 +327,102 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-def _rkf45_step(sys_list, x, h, eps_pos):
-    ks = [_guarded_rhs(sys_list, x, eps_pos)]
+def _rkf45(f, x, h, k1):
+    """One Runge-Kutta-Fehlberg step given k1 = f(x): the 5th-order point and its error."""
+    ks = [k1]
     for row in _RKF_K:
         stage = x + h * sum(c * k for c, k in zip(row, ks))
-        ks.append(_guarded_rhs(sys_list, stage, eps_pos))
+        ks.append(f(stage))
     x4 = x + h * sum(c * k for c, k in zip(_RKF_B4, ks))
     x5 = x + h * sum(c * k for c, k in zip(_RKF_B5, ks))
-    _guarded_rhs(sys_list, x5, eps_pos)
     return x5, float(np.abs(x5 - x4).max())
 
 
 def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     """Run the flow from x0 until convergence, t_end, or loss of positivity.
 
-    Loss of positivity is recorded as the termination reason rather than
-    raised, except when the starting point itself is inadmissible.
+    Loss of positivity, and an adaptive step driven below min_step by error
+    control, are recorded as the termination reason rather than raised; a
+    start outside the domain, or a stage value that is NaN or infinite,
+    raises PositivityError.
+
+    Every stage and every new point is evaluated once, guarded. The
+    evaluation at an accepted point is its recorded F and gradient norm, the
+    convergence test's rhs and the first stage of the next step; a step that
+    is halved or rejected keeps it.
     """
+    wall_start = time.perf_counter()
     sys_list = _systems(systems)
     cfg = config or FlowConfig()
     x = _check_start(sys_list, x0)
+    evaluate = _Evaluator(sys_list)
+    eps = cfg.eps_pos
+
+    def stage(s):
+        return evaluate(s, eps)[0]
 
     rows_t, rows_x, rows_f, rows_g = [], [], [], []
 
-    def record(t, x):
+    def record(t, x, parts):
         rows_t.append(t)
-        rows_x.append(x.copy())
-        rows_f.append(total_functional(sys_list, x))
-        rows_g.append(float(np.abs(total_gradient(sys_list, x)).max()))
+        rows_x.append(x)
+        rows_f.append(sum(float(np.sum(v - np.log(v))) for v, _ in parts))
+        rows_g.append(max(float(np.abs(g).max()) for _, g in parts))
 
-    def converged(x):
-        return (
-            np.abs(x - 1.0).max() < cfg.tol
-            and np.abs(rhs(sys_list, x)).max() < cfg.tol
-        )
-
+    try:
+        k, parts = evaluate(x, eps)
+        admissible = True
+    except _Violation:
+        # a start with induced values in (0, eps_pos] is recorded, but every
+        # step from it fails the guard until h falls below min_step
+        k, parts = evaluate(x, 0.0)
+        admissible = False
     t = 0.0
-    record(t, x)
-    termination = None
+    record(t, x, parts)
     h = cfg.h
-    while termination is None:
-        if converged(x):
+    stop = None  # set once h has fallen below min_step, with the reason
+    rejected = halvings = 0
+    h_min, h_max = math.inf, 0.0
+    while True:
+        if np.abs(x - 1.0).max() < cfg.tol and np.abs(k).max() < cfg.tol:
             termination = "converged"
             break
         if t >= cfg.t_end - 1e-15 * cfg.t_end:
             termination = "t_end_reached"
             break
+        if stop is not None:
+            termination = stop
+            break
         step = min(h, cfg.t_end - t)
+        h_min, h_max = min(h_min, step), max(h_max, step)
+        try:
+            if not admissible:
+                raise _Violation
+            if cfg.integrator == "rk4_fixed":
+                x_new = _rk4(stage, x, step, k)
+            else:
+                x_new, err = _rkf45(stage, x, step, k)
+            k_new, parts = evaluate(x_new, eps)
+        except _Violation:
+            halvings += 1
+            h = step / 2.0
+            if h < cfg.min_step:
+                stop = "positivity_violation"
+            continue
         if cfg.integrator == "rk4_fixed":
-            try:
-                x_new = _rk4_step(sys_list, x, step, cfg.eps_pos)
-            except _Violation:
-                h = step / 2.0
-                if h < cfg.min_step:
-                    termination = "positivity_violation"
-                continue
-            x, t = x_new, t + step
-            record(t, x)
+            accept = True
             h = cfg.h
         else:
-            try:
-                x_new, err = _rkf45_step(sys_list, x, step, cfg.eps_pos)
-            except _Violation:
-                h = step / 2.0
-                if h < cfg.min_step:
-                    termination = "positivity_violation"
-                continue
             scale = cfg.rel_tol * max(1.0, float(np.abs(x).max()))
-            if err <= scale:
-                x, t = x_new, t + step
-                record(t, x)
+            accept = err <= scale
+            rejected += not accept
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
             h = step * factor
             if h < cfg.min_step:
-                termination = "positivity_violation"
+                stop = "step_underflow"
+        if accept:
+            x, t, k = x_new, t + step, k_new
+            record(t, x, parts)
 
     meta = {
         "systems": " x ".join(f"{rs.stype}[{rs.normalization.value}]" for rs in sys_list),
@@ -333,6 +432,15 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
         "tol": repr(cfg.tol),
         "eps_pos": repr(cfg.eps_pos),
     }
+    stats = FlowStats(
+        evaluations=evaluate.calls,
+        accepted=len(rows_t) - 1,
+        rejected=rejected,
+        halvings=halvings,
+        h_min=h_min if h_max > 0 else 0.0,
+        h_max=h_max,
+        wall_s=time.perf_counter() - wall_start,
+    )
     return Trajectory(
         times=np.array(rows_t),
         states=np.array(rows_x),
@@ -340,6 +448,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
         grad_inf=np.array(rows_g),
         termination=termination,
         metadata=meta,
+        stats=stats,
     )
 
 
@@ -360,13 +469,6 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     nsteps = max(1, int(np.ceil(t_end / h)))
     dt = t_end / nsteps
 
-    def rk4(f, state):
-        k1 = f(state)
-        k2 = f(state + 0.5 * dt * k1)
-        k3 = f(state + 0.5 * dt * k2)
-        k4 = f(state + dt * k3)
-        return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
     def f_x(state):
         return rhs(sys_list, state)
 
@@ -377,7 +479,7 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     y = s_inv @ x0
     worst = 0.0
     for _ in range(nsteps):
-        x = rk4(f_x, x)
-        y = rk4(f_y, y)
+        x = _rk4(f_x, x, dt, f_x(x))
+        y = _rk4(f_y, y, dt, f_y(y))
         worst = max(worst, float(np.abs(s @ y - x).max()))
     return worst

@@ -575,6 +575,17 @@ def family_values(rs: RootSystem, simple_values) -> np.ndarray:
     return 1.0 + rs.coefficient_matrix @ (s - 1.0)
 
 
+def _refuse_family_value(f: int, rs: RootSystem, root, v) -> None:
+    bound = family_bound(rs)
+    raise PositivityError(
+        f"induced value for root {root.label} in factor {f} is {v:.6g}, not finite and "
+        f"positive; finite simple values above {bound:.6g} stay positive",
+        root_label=root.label,
+        value=float(v),
+        bound=bound,
+    )
+
+
 def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     """The pluriclosed structure determined by values on the simple roots.
 
@@ -587,18 +598,18 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
         raise ValueError("need one tuple of simple values per factor")
     xs = []
     for f, rs in enumerate(group.systems):
-        vals = family_values(rs, rows[f])
-        for t, v in enumerate(vals):
-            if not finite_positive(v):
-                bound = family_bound(rs)
-                raise PositivityError(
-                    f"induced value for root {rs.positives[t].label} in factor {f} is "
-                    f"{v:.6g}, not finite and positive; finite simple values above "
-                    f"{bound:.6g} stay positive",
-                    root_label=rs.positives[t].label,
-                    value=float(v),
-                    bound=bound,
-                )
+        simple = np.asarray(rows[f], dtype=float)
+        if simple.shape != (rs.rank,):
+            raise ValueError(f"{rs.stype} needs {rs.rank} simple values, got shape {simple.shape}")
+        # A simple value is its root's induced value; refusing a bad one before
+        # the matmul keeps an infinite one from meeting the zero coefficients.
+        bad = np.nonzero(~finite_positive(simple))[0]
+        if bad.size:
+            _refuse_family_value(f, rs, rs.simples[bad[0]], simple[bad[0]])
+        vals = family_values(rs, simple)
+        bad = np.nonzero(~finite_positive(vals))[0]
+        if bad.size:
+            _refuse_family_value(f, rs, rs.positives[bad[0]], vals[bad[0]])
         xs.append(tuple(float(v) for v in vals))
     return HermitianStructure(group, fiber=FiberMetric(tuple(xs)), torus="killing")
 

@@ -197,6 +197,27 @@ def test_flow_positivity_violation_exit(runner):
     assert "termination: positivity_violation" in res.output
 
 
+def test_flow_step_underflow_exit(runner):
+    res = invoke(
+        runner, "flow", "A", "2", "--x0", "2,2", "--integrator", "rkf45",
+        "--rel-tol", "1e-300", "--min-step", "1e-3",
+    )
+    assert res.exit_code == 3
+    assert "termination: step_underflow" in res.output
+
+
+def test_flow_stats_match_the_written_trajectory(runner, tmp_path):
+    out = tmp_path / "traj.csv"
+    res = invoke(runner, "flow", "B", "2", "--x0", "1.7,1.2", "--stats", "--out", str(out))
+    assert res.exit_code == 0
+    printed = dict(
+        line.split(" = ") for line in res.output.splitlines() if line.startswith("stats.")
+    )
+    traj = Trajectory.from_csv(out)
+    assert printed == traj.stats.to_meta()
+    assert traj.stats.accepted == len(traj.times) - 1
+
+
 def test_flow_rkf45(runner):
     res = invoke(
         runner, "flow", "A", "3", "--x0", "1.5,2,0.9", "--integrator", "rkf45"

@@ -1,6 +1,7 @@
 """Hermitian structures: form components, pluriclosed scans, serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -367,11 +368,13 @@ def test_load_refuses_non_finite_fiber_value(tmp_path, token):
         load_structure(path)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the matmul
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_family_refuses_non_finite_simple_value(bad):
-    with pytest.raises(PositivityError):
-        pluriclosed_family(A2, (bad, 1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic can warn
+        with pytest.raises(PositivityError) as exc:
+            pluriclosed_family(A2, (bad, 1.5))
+    assert exc.value.root_label == A2.systems[0].simples[0].label
 
 
 def test_save_refuses_cross_factor_coupling(tmp_path):
