@@ -194,22 +194,16 @@ def cmd_classify(path: str, tol: float):
 )
 @click.option("--tol", type=float, default=1e-8, help="Convergence tolerance.")
 @click.option("--eps-pos", type=float, default=1e-8, help="Positivity guard margin.")
-@click.option("--rel-tol", type=float, default=1e-8, help="Error tolerance (rkf45).")
-@click.option("--min-step", type=float, default=1e-12, help="Smallest step before giving up.")
 @click.option("--out", type=click.Path(), default=None, help="Trajectory output path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--stats", "show_stats", is_flag=True, help="Print the run's work counters.")
 @_guarded
-def cmd_flow(
-    family, rank, x0_text, norm, t_end, step, integrator, tol, eps_pos, rel_tol, min_step,
-    out, fmt, show_stats,
-):
+def cmd_flow(family, rank, x0_text, norm, t_end, step, integrator, tol, eps_pos, out, fmt, show_stats):
     """Integrate the induced metric flow from a simple-value start."""
     rs = build_root_system(_parse_type(family, rank), Normalization.parse(norm))
     x0 = _parse_vector(x0_text, rs.rank)
     cfg = FlowConfig(
-        integrator=integrator, h=step, t_end=t_end, tol=tol, eps_pos=eps_pos,
-        rel_tol=rel_tol, min_step=min_step,
+        integrator=integrator, h=step, t_end=t_end, tol=tol, eps_pos=eps_pos
     )
     traj = integrate(rs, x0, cfg)
     click.echo(f"termination: {traj.termination}")

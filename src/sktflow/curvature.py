@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, PositivityError
+from .errors import ConsistencyError
 from .forms import ChevalleyBasis, InvariantForm
-from .hermitian import HermitianStructure, family_values, sigma_form
+from .hermitian import HermitianStructure, family_values, induced_value_error, sigma_form
 from .roots import RootSystem
 
 
@@ -97,12 +97,7 @@ def _family_checked(rs: RootSystem, simple_values) -> np.ndarray:
     vals = family_values(rs, simple_values)
     bad = np.nonzero(~(vals > 0))[0]
     if bad.size:
-        t = int(bad[0])
-        raise PositivityError(
-            f"induced value for root {rs.positives[t].label} is {vals[t]:.6g} <= 0",
-            root_label=rs.positives[t].label,
-            value=float(vals[t]),
-        )
+        raise induced_value_error(rs, rs.positives[bad[0]], vals[bad[0]])
     return vals
 
 

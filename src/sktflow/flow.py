@@ -17,7 +17,7 @@ import numpy as np
 from .curvature import _family_checked, functional_F, grad_F
 from .errors import PositivityError
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
-from .hermitian import family_values, finite_positive  # noqa: F401
+from .hermitian import family_values, finite_positive, induced_value_error  # noqa: F401
 from .roots import RootSystem
 
 _TERMINATIONS = ("converged", "t_end_reached", "positivity_violation", "step_underflow")
@@ -300,12 +300,8 @@ class _Evaluator:
 def _refuse(rs, v, eps):
     if (v <= eps).any():
         raise _Violation
-    t = int(np.nonzero(~np.isfinite(v))[0][0])
-    raise PositivityError(
-        f"induced value for root {rs.positives[t].label} became {v[t]} during integration",
-        root_label=rs.positives[t].label,
-        value=float(v[t]),
-    )
+    t = np.nonzero(~np.isfinite(v))[0][0]
+    raise induced_value_error(rs, rs.positives[t], v[t])
 
 
 def _rk4(f, x, h, k1):

@@ -166,6 +166,19 @@ def finite_positive(values) -> np.ndarray:
     return np.isfinite(v) & (v > 0)
 
 
+def induced_value_error(rs: RootSystem, root, value, factor=None) -> PositivityError:
+    """The error for an induced fiber value of root that is not finite and positive."""
+    bound = family_bound(rs)
+    where = root.label if factor is None else f"{root.label} in factor {factor}"
+    return PositivityError(
+        f"induced value for root {where} is {value:.6g}, not finite and positive; "
+        f"finite simple values above {bound:.6g} stay positive",
+        root_label=root.label,
+        value=float(value),
+        bound=bound,
+    )
+
+
 class HermitianStructure:
     """Torus metric + fiber metric (+ optional torus complex structure)."""
 
@@ -567,23 +580,16 @@ def family_bound(rs: RootSystem) -> float:
     return 1.0 - 1.0 / rs.maximal_root.height
 
 
-def family_values(rs: RootSystem, simple_values) -> np.ndarray:
-    """Fiber values induced by values on the simple roots, affinely through 1."""
+def _simple_array(rs: RootSystem, simple_values) -> np.ndarray:
     s = np.asarray(simple_values, dtype=float)
     if s.shape != (rs.rank,):
         raise ValueError(f"{rs.stype} needs {rs.rank} simple values, got shape {s.shape}")
-    return 1.0 + rs.coefficient_matrix @ (s - 1.0)
+    return s
 
 
-def _refuse_family_value(f: int, rs: RootSystem, root, v) -> None:
-    bound = family_bound(rs)
-    raise PositivityError(
-        f"induced value for root {root.label} in factor {f} is {v:.6g}, not finite and "
-        f"positive; finite simple values above {bound:.6g} stay positive",
-        root_label=root.label,
-        value=float(v),
-        bound=bound,
-    )
+def family_values(rs: RootSystem, simple_values) -> np.ndarray:
+    """Fiber values induced by values on the simple roots, affinely through 1."""
+    return 1.0 + rs.coefficient_matrix @ (_simple_array(rs, simple_values) - 1.0)
 
 
 def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
@@ -598,18 +604,16 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
         raise ValueError("need one tuple of simple values per factor")
     xs = []
     for f, rs in enumerate(group.systems):
-        simple = np.asarray(rows[f], dtype=float)
-        if simple.shape != (rs.rank,):
-            raise ValueError(f"{rs.stype} needs {rs.rank} simple values, got shape {simple.shape}")
+        simple = _simple_array(rs, rows[f])
         # A simple value is its root's induced value; refusing a bad one before
         # the matmul keeps an infinite one from meeting the zero coefficients.
         bad = np.nonzero(~finite_positive(simple))[0]
         if bad.size:
-            _refuse_family_value(f, rs, rs.simples[bad[0]], simple[bad[0]])
+            raise induced_value_error(rs, rs.simples[bad[0]], simple[bad[0]], f)
         vals = family_values(rs, simple)
         bad = np.nonzero(~finite_positive(vals))[0]
         if bad.size:
-            _refuse_family_value(f, rs, rs.positives[bad[0]], vals[bad[0]])
+            raise induced_value_error(rs, rs.positives[bad[0]], vals[bad[0]], f)
         xs.append(tuple(float(v) for v in vals))
     return HermitianStructure(group, fiber=FiberMetric(tuple(xs)), torus="killing")
 

@@ -1,5 +1,6 @@
 """End-to-end command tests through the click runner."""
 
+import functools
 import json
 import os
 import subprocess
@@ -13,11 +14,13 @@ from sktflow import (
     FactorSpec,
     GroupSpec,
     SimpleType,
+    FlowConfig,
     Trajectory,
     canonical_jt,
     pluriclosed_family,
     save_structure,
 )
+import sktflow.cli as cli_module
 from sktflow.cli import main
 
 
@@ -197,11 +200,12 @@ def test_flow_positivity_violation_exit(runner):
     assert "termination: positivity_violation" in res.output
 
 
-def test_flow_step_underflow_exit(runner):
-    res = invoke(
-        runner, "flow", "A", "2", "--x0", "2,2", "--integrator", "rkf45",
-        "--rel-tol", "1e-300", "--min-step", "1e-3",
+def test_flow_step_underflow_exit(runner, monkeypatch):
+    # The CLI keeps FlowConfig's rel_tol and min_step; tighten them behind it.
+    monkeypatch.setattr(
+        cli_module, "FlowConfig", functools.partial(FlowConfig, rel_tol=1e-300, min_step=1e-3)
     )
+    res = invoke(runner, "flow", "A", "2", "--x0", "2,2", "--integrator", "rkf45")
     assert res.exit_code == 3
     assert "termination: step_underflow" in res.output
 
