@@ -47,12 +47,9 @@ def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
 
 
 def _concat_z(h: HermitianStructure, weighted: bool) -> np.ndarray:
-    out = np.zeros(h.group.total_rank)
-    for f, rs in enumerate(h.group.systems):
-        off = h.group.rank_offsets[f]
-        w = h.xhat[f] if weighted else None
-        out[off : off + rs.rank] = z_vector(rs, w)
-    return out
+    return np.concatenate(
+        [z_vector(rs, h.xhat[f] if weighted else None) for f, rs in enumerate(h.group.systems)]
+    )
 
 
 @dataclass(frozen=True)

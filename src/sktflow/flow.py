@@ -3,6 +3,8 @@
 State vectors are the simple-root values of every factor concatenated; each
 factor evolves under minus its gram matrix applied to the factor gradient,
 which is exactly the induced flow of the geometric evolution on this family.
+The factors are given as a RootSystem, a sequence of them, a GroupSpec or a
+FactorLayout; FactorLayout.of resolves all four.
 """
 
 from __future__ import annotations
@@ -18,59 +20,32 @@ from .curvature import _family_checked, functional_F, grad_F
 from .errors import PositivityError
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
 from .hermitian import family_values, finite_positive, induced_value_error  # noqa: F401
-from .roots import RootSystem
+from .roots import FactorLayout
 
 _TERMINATIONS = ("converged", "t_end_reached", "positivity_violation", "step_underflow")
 
 
-def _systems(arg) -> list[RootSystem]:
-    if isinstance(arg, RootSystem):
-        return [arg]
-    if hasattr(arg, "systems"):
-        return list(arg.systems)
-    return list(arg)
-
-
-def gram_matrix(systems) -> np.ndarray:
-    """Block-diagonal gram matrix of the factor list."""
-    sys_list = _systems(systems)
-    n = sum(rs.rank for rs in sys_list)
-    out = np.zeros((n, n))
-    off = 0
-    for rs in sys_list:
-        out[off : off + rs.rank, off : off + rs.rank] = rs.gram_float
-        off += rs.rank
-    return out
-
-
-def _slices(sys_list):
-    off = 0
-    for rs in sys_list:
-        yield rs, slice(off, off + rs.rank)
-        off += rs.rank
-
-
 def total_functional(systems, x) -> float:
-    sys_list = _systems(systems)
+    layout = FactorLayout.of(systems)
     x = np.asarray(x, dtype=float)
-    return sum(functional_F(rs, x[sl]) for rs, sl in _slices(sys_list))
+    return sum(functional_F(rs, x[sl]) for rs, sl in zip(layout.systems, layout.slices))
 
 
 def total_gradient(systems, x) -> np.ndarray:
-    sys_list = _systems(systems)
+    layout = FactorLayout.of(systems)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    for rs, sl in _slices(sys_list):
+    for rs, sl in zip(layout.systems, layout.slices):
         out[sl] = grad_F(rs, x[sl])
     return out
 
 
 def rhs(systems, x) -> np.ndarray:
     """Flow velocity: minus the gram matrix applied to the gradient, per factor."""
-    sys_list = _systems(systems)
+    layout = FactorLayout.of(systems)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    for rs, sl in _slices(sys_list):
+    for rs, sl in zip(layout.systems, layout.slices):
         out[sl] = -rs.gram_float @ grad_F(rs, x[sl])
     return out
 
@@ -81,11 +56,10 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     Equals the matching combination of rhs components; kept as an independent
     cross-check of the rearrangement used there.
     """
-    sys_list = _systems(systems)
+    layout = FactorLayout.of(systems)
     x = np.asarray(x, dtype=float)
-    rs = sys_list[factor]
-    off = sum(r.rank for r in sys_list[:factor])
-    vals = _family_checked(rs, x[off : off + rs.rank])
+    rs = layout.systems[factor]
+    vals = _family_checked(rs, x[layout.slices[factor]])
     j = rs.index_of(root)
     total = 0.0
     for t in range(rs.npositive):
@@ -106,15 +80,11 @@ class FlowConfig:
     def __post_init__(self):
         if self.integrator not in ("rk4_fixed", "rkf45"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        # an infinite value would leave the stepping loop without a bound
         for name in ("h", "t_end", "tol", "eps_pos", "rel_tol", "min_step"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class FlowState:
-    t: float
-    x: np.ndarray
+            value = getattr(self, name)
+            if not finite_positive(value):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class _Violation(Exception):
@@ -167,10 +137,6 @@ class Trajectory:
     @property
     def converged(self) -> bool:
         return self.termination == "converged"
-
-    @property
-    def final(self) -> FlowState:
-        return FlowState(t=float(self.times[-1]), x=self.states[-1].copy())
 
     def to_csv(self, path_or_buf) -> None:
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
@@ -254,14 +220,13 @@ class Trajectory:
         return out.getvalue()
 
 
-def _check_start(sys_list, x0) -> np.ndarray:
+def _check_start(layout: FactorLayout, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).copy()
-    n = sum(rs.rank for rs in sys_list)
-    if x0.shape != (n,):
-        raise ValueError(f"state must have length {n}, got shape {x0.shape}")
+    if x0.shape != (layout.size,):
+        raise ValueError(f"state must have length {layout.size}, got shape {x0.shape}")
     if not finite_positive(x0).all():
         raise PositivityError(f"start values must be finite and positive, got {x0.tolist()}")
-    for rs, sl in _slices(sys_list):
+    for rs, sl in zip(layout.systems, layout.slices):
         _family_checked(rs, x0[sl])
     return x0
 
@@ -275,12 +240,13 @@ class _Evaluator:
     rhs(), factor by factor, so the result is bit-identical to it.
     """
 
-    def __init__(self, sys_list):
+    def __init__(self, systems):
+        layout = FactorLayout.of(systems)
         self.blocks = [
             (rs, sl, rs.coefficient_matrix, rs.coefficient_matrix.T, -rs.gram_float)
-            for rs, sl in _slices(sys_list)
+            for rs, sl in zip(layout.systems, layout.slices)
         ]
-        self.n = sum(rs.rank for rs in sys_list)
+        self.n = layout.size
         self.calls = 0
 
     def __call__(self, x, eps):
@@ -348,10 +314,10 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     is halved or rejected keeps it.
     """
     wall_start = time.perf_counter()
-    sys_list = _systems(systems)
+    layout = FactorLayout.of(systems)
     cfg = config or FlowConfig()
-    x = _check_start(sys_list, x0)
-    evaluate = _Evaluator(sys_list)
+    x = _check_start(layout, x0)
+    evaluate = _Evaluator(layout)
     eps = cfg.eps_pos
 
     def stage(s):
@@ -421,7 +387,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
             record(t, x, parts)
 
     meta = {
-        "systems": " x ".join(f"{rs.stype}[{rs.normalization.value}]" for rs in sys_list),
+        "systems": " x ".join(f"{rs.stype}[{rs.normalization.value}]" for rs in layout.systems),
         "integrator": cfg.integrator,
         "h": repr(cfg.h),
         "t_end": repr(cfg.t_end),
@@ -455,9 +421,9 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     is the largest pointwise distance along the grid, which is bounded by the
     integrator error when the flow really is gradient-like.
     """
-    sys_list = _systems(systems)
-    x0 = _check_start(sys_list, x0)
-    q = gram_matrix(sys_list)
+    layout = FactorLayout.of(systems)
+    x0 = _check_start(layout, x0)
+    q = layout.blockdiag(rs.gram_float for rs in layout.systems)
     w, v = np.linalg.eigh(q)
     s = v @ np.diag(np.sqrt(w)) @ v.T
     s_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
@@ -466,10 +432,10 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     dt = t_end / nsteps
 
     def f_x(state):
-        return rhs(sys_list, state)
+        return rhs(layout, state)
 
     def f_y(state):
-        return -(s @ total_gradient(sys_list, s @ state))
+        return -(s @ total_gradient(layout, s @ state))
 
     x = x0.copy()
     y = s_inv @ x0

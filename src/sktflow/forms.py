@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .roots import Root, RootSystem
+from .roots import FactorLayout, Root, RootSystem
 from .structure import StructureConstants
 
 BracketTerms = tuple[tuple[int, complex], ...]
@@ -26,14 +26,9 @@ class ChevalleyBasis:
 
     def __init__(self, factors: list[tuple[RootSystem, StructureConstants]]):
         self.factors = factors
-        self.rank_offsets = []
-        r = 0
-        for rs, _ in factors:
-            self.rank_offsets.append(r)
-            r += rs.rank
-        self.total_rank = r
+        self.layout = FactorLayout([rs for rs, _ in factors])
         self.fiber_offsets = []
-        e = r
+        e = self.layout.size
         for rs, _ in factors:
             self.fiber_offsets.append(e)
             e += 2 * rs.npositive
@@ -51,7 +46,7 @@ class ChevalleyBasis:
         self._brackets = self._build_brackets()
 
     def torus_index(self, factor: int, local: int) -> int:
-        return self.rank_offsets[factor] + local
+        return self.layout.slices[factor].start + local
 
     def root_index(self, factor: int, root: Root) -> int:
         return self.element_index(factor, self.factors[factor][0].index_of(root))
@@ -81,7 +76,7 @@ class ChevalleyBasis:
         rs, sc = self.factors[f]
         ir, js = rs.index_of(rho), rs.index_of(sig)
         if js == rs.neg_index[ir]:
-            base = self.rank_offsets[f]
+            base = self.layout.slices[f].start
             return tuple((base + k, float(c)) for k, c in enumerate(rho.coeffs) if c)
         total = rs.sum_index[ir, js]
         if total >= 0:

@@ -22,7 +22,7 @@ from .errors import (
     PositivityError,
 )
 from .forms import ChevalleyBasis, InvariantForm, exterior_derivative
-from .roots import Normalization, Root, RootSystem, SimpleType, build_root_system
+from .roots import FactorLayout, Normalization, Root, RootSystem, SimpleType, build_root_system
 from .structure import StructureConstants, structure_constants
 
 
@@ -53,12 +53,11 @@ class GroupSpec:
         self.systems: tuple[RootSystem, ...] = tuple(
             build_root_system(f.stype, f.normalization) for f in self.factors
         )
-        self.rank_offsets = []
-        r = 0
-        for rs in self.systems:
-            self.rank_offsets.append(r)
-            r += rs.rank
-        self.total_rank = r
+        self.layout = FactorLayout(self.systems)
+        self.total_rank = self.layout.size
+        # block-diagonal gram matrix, shared read-only by every structure on the group
+        self.q_full = self.layout.blockdiag(rs.gram_float for rs in self.systems)
+        self.q_full.flags.writeable = False
         self._constants: tuple[StructureConstants, ...] | None = None
         self._basis: ChevalleyBasis | None = None
 
@@ -73,20 +72,6 @@ class GroupSpec:
         if self._basis is None:
             self._basis = ChevalleyBasis(list(zip(self.systems, self.constants)))
         return self._basis
-
-    def embed(self, factor: int, coeffs) -> np.ndarray:
-        v = np.zeros(self.total_rank)
-        off = self.rank_offsets[factor]
-        v[off : off + self.systems[factor].rank] = coeffs
-        return v
-
-    def gram_blockdiag(self, scales: Sequence[float] | None = None) -> np.ndarray:
-        out = np.zeros((self.total_rank, self.total_rank))
-        for f, rs in enumerate(self.systems):
-            off = self.rank_offsets[f]
-            s = 1.0 if scales is None else scales[f]
-            out[off : off + rs.rank, off : off + rs.rank] = s * rs.gram_float
-        return out
 
     def build(self, x=None, torus="killing", jt=None) -> "HermitianStructure":
         return HermitianStructure(self, fiber=x, torus=torus, jt=jt)
@@ -115,19 +100,8 @@ class TorusMetric:
 
     @staticmethod
     def killing(group: GroupSpec) -> "TorusMetric":
-        scales = [f.z for f in group.factors]
-        return TorusMetric(group.gram_blockdiag(scales), is_killing=True)
-
-    @staticmethod
-    def from_blocks(blocks: Sequence) -> "TorusMetric":
-        mats = [_as_matrix(b) for b in blocks]
-        n = sum(m.shape[0] for m in mats)
-        out = np.zeros((n, n))
-        off = 0
-        for m in mats:
-            out[off : off + m.shape[0], off : off + m.shape[0]] = m
-            off += m.shape[0]
-        return TorusMetric(out)
+        blocks = (f.z * rs.gram_float for f, rs in zip(group.factors, group.systems))
+        return TorusMetric(group.layout.blockdiag(blocks), is_killing=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +201,7 @@ class HermitianStructure:
         )
         self._x = tuple(row.tolist() for row in self.xhat)
         self.gt = self.torus.matrix
-        self.q_full = group.gram_blockdiag()
+        self.q_full = group.q_full
 
     def xhat_of(self, factor: int, root: Root) -> float:
         return self._x[factor][self.group.systems[factor].positive_index(root)]
@@ -280,7 +254,7 @@ def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:
         if f1 != f2 or r1.coeffs != (-r2).coeffs:
             return 0j
         sign = -1.0 if tpos[0] % 2 else 1.0
-        k = h.group.embed(f1, r1.coeffs)
+        k = h.group.layout.embed(f1, r1.coeffs)
         t = torus[0] if conjugate else h.jt.matrix @ torus[0]
         return sign * -(t @ h.gt @ k)
     (f1, r1), (f2, r2), (f3, r3) = roots
@@ -307,8 +281,8 @@ def dc_omega(h: HermitianStructure, a, b, c) -> complex:
 
 def _pair_level_value(h: HermitianStructure, fa: int, i: int, fb: int, j: int) -> float:
     """dd^c on (E_a, E_-a, E_b, E_-b), a and b distinct positive roots by index."""
-    ka = h.group.embed(fa, h.group.systems[fa].positives[i].coeffs)
-    kb = h.group.embed(fb, h.group.systems[fb].positives[j].coeffs)
+    ka = h.group.layout.embed(fa, h.group.systems[fa].positives[i].coeffs)
+    kb = h.group.layout.embed(fb, h.group.systems[fb].positives[j].coeffs)
     val = 2.0 * float(ka @ h.gt @ kb)
     if fa != fb:
         return val
@@ -412,7 +386,7 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
     comps: dict[tuple[int, ...], complex] = {}
     for f, rs in enumerate(h.group.systems):
         for root in rs.positives:
-            gk = h.gt @ h.group.embed(f, root.coeffs)
+            gk = h.gt @ h.group.layout.embed(f, root.coeffs)
             ip, im = basis.root_index(f, root), basis.root_index(f, -root)
             for a in range(h.group.total_rank):
                 if gk[a]:
@@ -471,7 +445,7 @@ def d_star_omega(h: HermitianStructure) -> np.ndarray:
     out = np.zeros(h.group.total_rank)
     for f, rs in enumerate(h.group.systems):
         for t, root in enumerate(rs.positives):
-            out -= h.group.embed(f, root.coeffs) / h.xhat[f][t]
+            out -= h.group.layout.embed(f, root.coeffs) / h.xhat[f][t]
     return out
 
 
@@ -640,21 +614,24 @@ class CompatibilityCone:
 def biinvariant_compatible(group: GroupSpec, jt, tol: float = 1e-10) -> CompatibilityCone:
     """Which block scalings of the torus metric the given jt preserves."""
     j = _as_matrix(jt.matrix if isinstance(jt, TorusComplexStructure) else jt)
-    r = group.total_rank
+    layout = group.layout
+    r = layout.size
     if j.shape != (r, r):
         raise ValueError(f"jt must be {r}x{r} for this group")
     nfac = len(group.factors)
     cols = []
     for f in range(nfac):
-        d = np.zeros((r, r))
-        off = group.rank_offsets[f]
-        rk = group.systems[f].rank
-        d[off : off + rk, off : off + rk] = group.systems[f].gram_float
+        # the gram matrix of factor f alone, zero on every other block
+        d = layout.blockdiag(
+            rs.gram_float if g == f else np.zeros((rs.rank, rs.rank))
+            for g, rs in enumerate(layout.systems)
+        )
         cols.append((j.T @ d @ j - d).ravel())
     m = np.array(cols).T
+    # m has r * r >= nfac rows, so there is one singular value per factor
     _, svals, vt = np.linalg.svd(m)
     smax = svals.max(initial=0.0)
-    null = [vt[i] for i in range(nfac) if (svals[i] if i < len(svals) else 0.0) <= tol * max(smax, 1.0)]
+    null = [vt[i] for i in range(nfac) if svals[i] <= tol * max(smax, 1.0)]
     basis = np.array(null).T if null else np.zeros((nfac, 0))
     rep = None
     if basis.shape[1]:
@@ -680,10 +657,7 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
         return True
     if nfac > 20:
         raise ValueError(f"subset scan over {nfac} factors is not tractable")
-    spans = []
-    for f in range(nfac):
-        off = group.rank_offsets[f]
-        spans.append(list(range(off, off + group.systems[f].rank)))
+    spans = [list(range(sl.start, sl.stop)) for sl in group.layout.slices]
     for mask in range(1, 2**nfac - 1):
         inside = [i for f in range(nfac) if mask >> f & 1 for i in spans[f]]
         outside = [i for f in range(nfac) if not mask >> f & 1 for i in spans[f]]
@@ -726,17 +700,12 @@ def structure_to_dict(h: HermitianStructure) -> dict:
     if h.torus.is_killing:
         out["torus"] = "killing"
     else:
-        blocks = []
-        probe = h.gt.copy()
-        for f, rs in enumerate(h.group.systems):
-            off = h.group.rank_offsets[f]
-            blocks.append(h.gt[off : off + rs.rank, off : off + rs.rank].tolist())
-            probe[off : off + rs.rank, off : off + rs.rank] = 0.0
-        if np.abs(probe).max() > 0:
+        blocks = [h.gt[sl, sl] for sl in h.group.layout.slices]
+        if np.abs(h.gt - h.group.layout.blockdiag(blocks)).max() > 0:
             raise ValueError(
                 "torus metric couples different factors; only block-diagonal metrics serialize"
             )
-        out["torus"] = {"blocks": blocks}
+        out["torus"] = {"blocks": [b.tolist() for b in blocks]}
     if h.jt is not None:
         out["jt"] = h.jt.matrix.tolist()
     return out
@@ -759,7 +728,7 @@ def structure_from_dict(data: dict) -> HermitianStructure:
         )
         torus = data.get("torus", "killing")
         if isinstance(torus, dict):
-            torus = TorusMetric.from_blocks(torus["blocks"])
+            torus = TorusMetric(group.layout.blockdiag(torus["blocks"]))
         elif torus != "killing":
             raise ValueError(f"unknown torus entry {torus!r}")
         jt = data.get("jt")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence
 
@@ -350,6 +351,56 @@ class RootSystem:
 
     def all_roots(self) -> tuple[Root, ...]:
         return self._roots
+
+
+class FactorLayout:
+    """Where each factor's coordinates sit on the shared torus of a product.
+
+    Factor f owns slices[f], its rank coordinates following those of the
+    factors before it; size is the total rank. Torus vectors, block-diagonal
+    torus matrices and flow states all use this layout.
+    """
+
+    def __init__(self, systems: Sequence[RootSystem]):
+        self.systems = tuple(systems)
+        ends = list(accumulate((rs.rank for rs in self.systems), initial=0))
+        self.slices = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+        self.size = ends[-1]
+
+    @classmethod
+    def of(cls, arg) -> "FactorLayout":
+        """The layout of a RootSystem, a sequence of them, a group or a layout."""
+        if isinstance(arg, FactorLayout):
+            return arg
+        if isinstance(arg, RootSystem):
+            return cls([arg])
+        if hasattr(arg, "layout"):  # a GroupSpec
+            return arg.layout
+        return cls(arg)
+
+    def embed(self, factor: int, coeffs) -> np.ndarray:
+        """A torus vector that is coeffs on the factor's block and zero elsewhere."""
+        v = np.zeros(self.size)
+        v[self.slices[factor]] = coeffs
+        return v
+
+    def blockdiag(self, blocks) -> np.ndarray:
+        """The (size, size) matrix with one rank x rank block per factor."""
+        blocks = list(blocks)
+        if len(blocks) != len(self.systems):
+            raise ValueError(
+                f"need one torus block per factor ({len(self.systems)}), got {len(blocks)}"
+            )
+        out = np.zeros((self.size, self.size))
+        for f, (rs, sl, block) in enumerate(zip(self.systems, self.slices, blocks)):
+            block = np.asarray(block, dtype=float)
+            if block.shape != (rs.rank, rs.rank):
+                raise ValueError(
+                    f"torus block of factor {f} ({rs.stype}) must be"
+                    f" {rs.rank}x{rs.rank}, got shape {block.shape}"
+                )
+            out[sl, sl] = block
+        return out
 
 
 def build_root_system(stype: SimpleType, norm: Normalization = Normalization.LONG2) -> RootSystem:

@@ -111,6 +111,18 @@ def test_check_bad_file(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_check_refuses_blocks_that_do_not_match_factor_ranks(runner, tmp_path):
+    p = tmp_path / "blocks.json"
+    p.write_text(json.dumps({
+        "factors": [{"family": "A", "rank": 1}, {"family": "A", "rank": 2}],
+        "torus": {"blocks": [[[2, 0.5], [0.5, 2]], [[3]]]},
+    }))
+    res = invoke(runner, "check", str(p))
+    assert res.exit_code == 2
+    assert res.output.startswith("error:")
+    assert "factor 0" in res.output
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_requires_jt(runner, tmp_path):
@@ -186,6 +198,18 @@ def test_flow_non_finite_start(runner, start):
     assert res.exit_code == 2
     assert res.output.startswith("error: ")
     assert "termination" not in res.output
+
+
+def test_flow_infinite_t_end_is_refused():
+    # run apart, with a timeout: a run to t_end = inf would never return
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = ["flow", "A", "2", "--x0", "2,2", "--t-end", "inf", "--tol", "1e-300"]
+    out = subprocess.run(
+        [sys.executable, "-m", "sktflow.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stdout.startswith("error: t_end must be finite and positive")
 
 
 def test_flow_bad_vector_length(runner):

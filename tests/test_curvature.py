@@ -47,6 +47,7 @@ def test_z_vector_oracles():
 def test_chern_ricci_oracles():
     assert np.allclose(chern_ricci(A2.build()).vector.components, [-2, -2])
     assert np.allclose(chern_ricci(_group("G2").build()).vector.components, [-10, -6])
+    assert chern_ricci(_group("A1", "G2").build()).vector.components.tolist() == [-1, -10, -6]
 
 
 def test_bismut_vanishes_on_killing():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from sktflow import (
     SimpleType,
     Trajectory,
     gradient_flow_check,
-    gram_matrix,
     integrate,
     per_root_rhs,
     rhs,
@@ -97,7 +97,7 @@ def test_rhs_zero_at_identity_multi_factor():
 
 def test_gram_matrix_blockdiag():
     g = GroupSpec([FactorSpec(SimpleType("A", 1)), FactorSpec(SimpleType("B", 2))])
-    Q = gram_matrix(g)
+    Q = g.q_full
     assert Q.shape == (3, 3)
     assert Q[0, 0] == pytest.approx(2.0)
     assert np.abs(Q[0, 1:]).max() == 0
@@ -110,6 +110,13 @@ def test_flow_config_validation():
         FlowConfig(h=-0.1)
     with pytest.raises(ValueError):
         FlowConfig(t_end=0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["h", "t_end", "tol", "eps_pos", "rel_tol", "min_step"])
+def test_flow_config_refuses_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        FlowConfig(**{name: value})
 
 
 def test_integrate_converges_and_f_monotone():

@@ -109,7 +109,7 @@ def test_off_family_detected():
 
 def test_cross_factor_torus_coupling_detected():
     g = _group("A1", "A1")
-    gt = g.gram_blockdiag().astype(float)
+    gt = g.q_full.astype(float)
     gt[0, 1] = gt[1, 0] = 0.3
     h = g.build(torus=gt)
     rep = is_pluriclosed(h)
@@ -277,7 +277,7 @@ def test_fiber_positivity():
 
 def test_jt_validation():
     g = _group("A2")
-    gt = g.gram_blockdiag().astype(float)
+    gt = g.q_full.astype(float)
     with pytest.raises(ValueError, match="compatible"):
         g.build(jt=np.array([[0.0, -2.0], [0.5, 0.0]]))
     ok = canonical_jt(gt)
@@ -319,6 +319,20 @@ def test_biinvariant_cone_blockdiag_reducible():
     assert not is_irreducible(g, jt)
 
 
+def test_biinvariant_cone_unequal_ranks():
+    # the coupled A1 pair above, next to an A2 factor with its own jt block
+    b = 2.0
+    g = _group("A1", "A1", "A2")
+    jt = np.zeros((4, 4))
+    jt[:2, :2] = [[0.0, -1.0 / b], [b, 0.0]]
+    jt[2:, 2:] = canonical_jt(g.systems[2].gram_float)
+    cone = biinvariant_compatible(g, jt)
+    assert cone.dimension == 2
+    z = cone.representative
+    assert z is not None and z[0] / z[1] == pytest.approx(b * b)
+    assert not is_irreducible(g, jt)
+
+
 # ---------------------------------------------------------------- files
 
 def test_json_round_trip(tmp_path):
@@ -338,12 +352,35 @@ def test_json_explicit_blocks_and_jt(tmp_path):
     g = _group("A2")
     gt = _rand_spd(np.random.default_rng(3), 2)
     jt = canonical_jt(gt)
-    h = g.build(torus=TorusMetric.from_blocks([gt]), jt=jt)
+    h = g.build(torus=TorusMetric(g.layout.blockdiag([gt])), jt=jt)
     path = tmp_path / "s.json"
     save_structure(h, path)
     h2 = load_structure(path)
     assert np.allclose(h2.gt, gt)
     assert h2.jt is not None and np.allclose(h2.jt.matrix, jt)
+
+
+def test_json_explicit_blocks_unequal_ranks(tmp_path):
+    g = _group("A1", "G2")
+    blocks = [[[3.0]], _rand_spd(np.random.default_rng(5), 2)]
+    h = g.build(torus=TorusMetric(g.layout.blockdiag(blocks)))
+    d = structure_to_dict(h)
+    assert d["torus"] == {"blocks": [[[3.0]], blocks[1].tolist()]}
+    path = tmp_path / "s.json"
+    save_structure(h, path)
+    h2 = load_structure(path)
+    assert np.array_equal(h2.gt, h.gt)
+    assert structure_to_dict(h2) == d
+
+
+def test_load_refuses_blocks_that_do_not_match_factor_ranks():
+    # sizes 2 and 1 add up to the total rank 3, but A1 needs 1 and A2 needs 2
+    data = {
+        "factors": [{"family": "A", "rank": 1}, {"family": "A", "rank": 2}],
+        "torus": {"blocks": [[[2, 0.5], [0.5, 2]], [[3]]]},
+    }
+    with pytest.raises(ValueError, match="factor 0"):
+        structure_from_dict(data)
 
 
 def test_json_bad_inputs():
@@ -379,7 +416,7 @@ def test_family_refuses_non_finite_simple_value(bad):
 
 def test_save_refuses_cross_factor_coupling(tmp_path):
     g = _group("A1", "A1")
-    gt = g.gram_blockdiag().astype(float)
+    gt = g.q_full.astype(float)
     gt[0, 1] = gt[1, 0] = 0.25
     h = g.build(torus=gt)
     with pytest.raises(ValueError, match="couples different factors"):

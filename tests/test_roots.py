@@ -11,6 +11,9 @@ from conftest import system
 from sktflow import (
     ConsistencyError,
     DynkinTypeError,
+    FactorLayout,
+    FactorSpec,
+    GroupSpec,
     Normalization,
     Root,
     RootStringError,
@@ -196,6 +199,28 @@ def test_root_string_cartan_relation(token):
             p, q = root_string(rs, a, b)
             assert p <= 0 <= q
             assert p + q == -rs.cartan_integer(b, a)
+
+
+def test_factor_layout_on_unequal_ranks():
+    a1, g2, b3 = system("A1"), system("G2"), system("B3")
+    layout = FactorLayout([a1, g2, b3])
+    assert layout.size == 6
+    assert layout.slices == (slice(0, 1), slice(1, 3), slice(3, 6))
+    assert layout.embed(1, [5.0, 7.0]).tolist() == [0.0, 5.0, 7.0, 0.0, 0.0, 0.0]
+    q = layout.blockdiag(rs.gram_float for rs in layout.systems)
+    for rs, sl in zip(layout.systems, layout.slices):
+        assert np.array_equal(q[sl, sl], rs.gram_float)
+    assert np.count_nonzero(q) == sum(np.count_nonzero(rs.gram_float) for rs in layout.systems)
+    with pytest.raises(ValueError, match="one torus block per factor"):
+        layout.blockdiag([a1.gram_float, g2.gram_float])
+    with pytest.raises(ValueError, match="factor 1 .* must be 2x2"):
+        layout.blockdiag([a1.gram_float, b3.gram_float, b3.gram_float])
+    # every accepted form of a factor list resolves to the same layout
+    group = GroupSpec([FactorSpec(rs.stype) for rs in layout.systems])
+    assert FactorLayout.of(layout) is layout
+    assert FactorLayout.of(group) is group.layout
+    assert FactorLayout.of([a1, g2, b3]).slices == layout.slices
+    assert FactorLayout.of(g2).slices == (slice(0, 2),)
 
 
 def test_moduli_dimensions():

@@ -1,0 +1,27 @@
+"""Smoke runs of the batch scripts under scripts/, which no other test imports."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("flow_battery", ["--types", "A2", "--starts", "1", "--t-end", "50"]),
+        ("oracle_crosscheck", ["--types", "A2,B2", "--samples", "2"]),
+    ],
+)
+def test_script_runs(name, argv, capsys):
+    assert _load(name).main(argv) == 0
+    assert capsys.readouterr().out.strip()
