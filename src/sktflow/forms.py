@@ -11,6 +11,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .roots import FactorLayout, Root, RootSystem
 from .structure import StructureConstants
 
@@ -21,7 +23,9 @@ class ChevalleyBasis:
     """Ordered basis: all torus directions first, then (E_+, E_-) per positive root.
 
     Torus indices are global across factors; fiber indices are grouped by
-    factor. Brackets between different factors vanish.
+    factor. pair_of[m] is the global index of the positive-root pair
+    {E_a, E_-a} holding element m, or -1 for a torus element. Brackets
+    between different factors vanish.
     """
 
     def __init__(self, factors: list[tuple[RootSystem, StructureConstants]]):
@@ -42,6 +46,8 @@ class ChevalleyBasis:
             for root in rs.positives:
                 self.descriptors.append(("E", f, root))
                 self.descriptors.append(("E", f, -root))
+        size = self.layout.size
+        self.pair_of = [-1] * size + [(m - size) // 2 for m in range(size, self.dim)]
 
         self._brackets = self._build_brackets()
 
@@ -56,41 +62,28 @@ class ChevalleyBasis:
         n = self.factors[factor][0].npositive
         return self.fiber_offsets[factor] + 2 * (i % n) + (1 if i >= n else 0)
 
-    def _bracket_pair(self, i: int, j: int) -> BracketTerms:
-        di, dj = self.descriptors[i], self.descriptors[j]
-        if di[0] == "H" and dj[0] == "H":
-            return ()
-        if di[0] == "H":
-            f, a = di[1], di[2]
-            g, rho = dj[1], dj[2]
-            if f != g:
-                return ()
-            rs, _ = self.factors[f]
-            unit = rs.simples[a]
-            c = float(rs.gram_scale * rs.inner_at(rs.index_of(rho), rs.index_of(unit)))
-            return ((j, c),) if c else ()
-        f, rho = di[1], di[2]
-        g, sig = dj[1], dj[2]
-        if f != g:
-            return ()
-        rs, sc = self.factors[f]
-        ir, js = rs.index_of(rho), rs.index_of(sig)
-        if js == rs.neg_index[ir]:
-            base = self.layout.slices[f].start
-            return tuple((base + k, float(c)) for k, c in enumerate(rho.coeffs) if c)
-        total = rs.sum_index[ir, js]
-        if total >= 0:
-            return ((self.element_index(f, int(total)), sc.floats[ir][js]),)
-        return ()
-
     def _build_brackets(self):
+        """The nonzero [X_i, X_j], i < j, sorted by (i, j), from the root tables:
+        [H_a, E_r] = <r, a> E_r, [E_r, E_-r] = sum of r's coefficients times H,
+        and [E_r, E_s] = N(r, s) E_(r+s)."""
         table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                terms = self._bracket_pair(i, j)
-                if terms:
-                    table[(i, j)] = terms
-        return table
+        for f, (rs, sc) in enumerate(self.factors):
+            torus = self.layout.slices[f].start
+            elem = [self.element_index(f, r) for r in range(2 * rs.npositive)]
+            for a, simple in enumerate(rs.simples):
+                ia = rs.index_of(simple)
+                for r, e in enumerate(elem):
+                    c = float(rs.gram_scale * rs.inner_at(r, ia))
+                    if c:
+                        table[(torus + a, e)] = ((e, c),)
+            for t, root in enumerate(rs.positives):
+                table[(elem[t], elem[rs.neg_index[t]])] = tuple(
+                    (torus + k, float(c)) for k, c in enumerate(root.coeffs) if c
+                )
+            for r, s in np.argwhere(rs.sum_index >= 0).tolist():
+                if elem[r] < elem[s]:
+                    table[(elem[r], elem[s])] = ((elem[rs.sum_index[r, s]], sc.floats[r][s]),)
+        return dict(sorted(table.items()))
 
     def bracket(self, i: int, j: int) -> BracketTerms:
         """[X_i, X_j] as basis coefficients; antisymmetric in (i, j)."""
@@ -102,6 +95,14 @@ class ChevalleyBasis:
 
     def nonzero_brackets(self):
         return self._brackets.items()
+
+
+def sort_sign(seq) -> int:
+    """The sign, +1 or -1, of the permutation that sorts seq (distinct items)."""
+    inversions = sum(
+        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
+    )
+    return -1 if inversions % 2 else 1
 
 
 @dataclass
@@ -118,16 +119,8 @@ class InvariantForm:
     def value(self, *indices: int) -> complex:
         if len(set(indices)) != len(indices):
             return 0j
-        order = sorted(range(len(indices)), key=lambda k: indices[k])
-        inversions = sum(
-            1
-            for a in range(len(order))
-            for b in range(a + 1, len(order))
-            if order[a] > order[b]
-        )
-        key = tuple(sorted(indices))
-        val = self.components.get(key, 0j)
-        return -val if inversions % 2 else val
+        val = self.components.get(tuple(sorted(indices)), 0j)
+        return -val if sort_sign(indices) < 0 else val
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.components.values()), default=0.0)

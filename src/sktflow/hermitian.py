@@ -21,7 +21,7 @@ from .errors import (
     MissingComplexStructureError,
     PositivityError,
 )
-from .forms import ChevalleyBasis, InvariantForm, exterior_derivative
+from .forms import ChevalleyBasis, InvariantForm, exterior_derivative, sort_sign
 from .roots import FactorLayout, Normalization, Root, RootSystem, SimpleType, build_root_system
 from .structure import StructureConstants, structure_constants
 
@@ -35,8 +35,8 @@ class FactorSpec:
     z: float = 1.0
 
     def __post_init__(self):
-        if not self.z > 0:
-            raise ValueError(f"factor scale z must be positive, got {self.z}")
+        if not finite_positive(self.z):
+            raise ValueError(f"factor scale z must be finite and positive, got {self.z}")
 
 
 class GroupSpec:
@@ -81,6 +81,8 @@ def _as_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr
 
 
@@ -206,9 +208,6 @@ class HermitianStructure:
     def xhat_of(self, factor: int, root: Root) -> float:
         return self._x[factor][self.group.systems[factor].positive_index(root)]
 
-    def y(self, factor: int, root: Root) -> complex:
-        return -1j * root.sign * self.xhat_of(factor, root)
-
     def parse_argument(self, arg):
         """Root (single factor), (factor, Root), or a torus vector over H_a."""
         if isinstance(arg, Root):
@@ -265,7 +264,9 @@ def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:
     if rs.sum_index[i1, i2] != rs.neg_index[i3]:
         return 0j
     n = h.group.constants[f1].floats[i1][i2]
-    ys = h.y(f1, r1) + h.y(f1, r2) + h.y(f1, r3)
+    x, npos = h._x[f1], rs.npositive
+    y1, y2, y3 = (-1j * r.sign * x[i % npos] for r, i in ((r1, i1), (r2, i2), (r3, i3)))
+    ys = y1 + y2 + y3
     return 1j * (r1.sign * r2.sign * r3.sign) * n * ys if conjugate else n * ys
 
 
@@ -319,14 +320,6 @@ def _quad_level_value(h: HermitianStructure, f: int, a: int, b: int, c: int, d: 
     return val
 
 
-def _perm_sign(src: list, dst: list) -> float:
-    perm = [dst.index(k) for k in src]
-    inv = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1.0 if inv % 2 else 1.0
-
-
 def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
     """dd^c of the fundamental form on four arguments; real-valued."""
     torus, roots, _ = _split_args(h, (a, b, c, d))
@@ -350,14 +343,16 @@ def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
                 if (fi, ia) == (fb, ib):
                     return 0.0
                 dst = [(fi, ia), (fi, ia + na), (fb, ib), (fb, ib + nb)]
-                return _perm_sign(keys, dst) * _pair_level_value(h, fi, ia, fb, ib)
+                sign = sort_sign([dst.index(k) for k in keys])
+                return sign * _pair_level_value(h, fi, ia, fb, ib)
 
     f, n = keys[0][0], h.group.systems[keys[0][0]].npositive
     pos = sorted(i for _, i in keys if i < n)
     neg = sorted(i for _, i in keys if i >= n)
     if len(pos) != 2:
         return 0.0
-    return _perm_sign(keys, [(f, i) for i in pos + neg]) * _quad_level_value(h, f, *pos, *neg)
+    # pos + neg is sorted, as every positive index is below every negative one
+    return sort_sign(keys) * _quad_level_value(h, f, *pos, *neg)
 
 
 def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
@@ -373,10 +368,9 @@ def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> In
             if m[a, b]:
                 comps[(a, b)] = complex(m[a, b])
     for f, rs in enumerate(h.group.systems):
-        for root in rs.positives:
-            comps[(basis.root_index(f, root), basis.root_index(f, -root))] = -1j * h.xhat_of(
-                f, root
-            )
+        for t in range(rs.npositive):
+            e = basis.element_index(f, t)
+            comps[(e, e + 1)] = -1j * h._x[f][t]
     return InvariantForm(basis=basis, degree=2, components=comps)
 
 
@@ -385,12 +379,12 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
     basis = basis or h.group.basis
     comps: dict[tuple[int, ...], complex] = {}
     for f, rs in enumerate(h.group.systems):
-        for root in rs.positives:
+        for t, root in enumerate(rs.positives):
             gk = h.gt @ h.group.layout.embed(f, root.coeffs)
-            ip, im = basis.root_index(f, root), basis.root_index(f, -root)
+            e = basis.element_index(f, t)
             for a in range(h.group.total_rank):
                 if gk[a]:
-                    comps[(a, ip, im)] = complex(-gk[a])
+                    comps[(a, e, e + 1)] = complex(-gk[a])
         n, fl, x = rs.npositive, h.group.constants[f].floats, h._x[f]
         for eta, theta, xi in zip(*(v.tolist() for v in rs.positive_sums())):
             for triple in ((eta, theta, n + xi), (n + eta, n + theta, xi)):
@@ -423,18 +417,15 @@ def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     """2-form pairing brackets against x through the invariant form."""
     basis = basis or h.group.basis
     parsed = h.parse_argument(x)
+    # pairing[m]: the invariant form of basis element m against x
+    pairing = [0] * basis.dim
+    if parsed[0] == "torus":
+        pairing[: h.group.total_rank] = [row @ parsed[1] for row in h.q_full]
+    else:
+        pairing[basis.root_index(parsed[1], -parsed[2])] = 1
     comps: dict[tuple[int, ...], complex] = {}
     for (i, j), terms in basis.nonzero_brackets():
-        val = 0j
-        for m, cm in terms:
-            desc = basis.descriptors[m]
-            if parsed[0] == "torus" and desc[0] == "H":
-                a = basis.torus_index(desc[1], desc[2])
-                val += cm * (h.q_full[a] @ parsed[1])
-            elif parsed[0] == "t0" and desc[0] == "E":
-                _, f, root = parsed
-                if desc[1] == f and desc[2].coeffs == tuple(-v for v in root.coeffs):
-                    val += cm
+        val = sum((c * pairing[m] for m, c in terms), 0j)
         if val:
             comps[(i, j)] = val
     return InvariantForm(basis=basis, degree=2, components=comps)
@@ -498,6 +489,14 @@ def _closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
     return best[0], best[1], skt1_max, skt2_max
 
 
+def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
+    """mixed with a torus element, skt1 for two opposite pairs, else skt2; key sorted."""
+    p0, p1, p2, p3 = (basis.pair_of[m] for m in key)
+    if p0 < 0:
+        return "mixed"
+    return "skt1" if p0 == p1 and p2 == p3 else "skt2"
+
+
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float]:
     basis = h.group.basis
     four = exterior_derivative(dc_form(h, basis))
@@ -506,15 +505,7 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
     skt2_max = 0.0
     for key, val in four.components.items():
         r = abs(val) / 2.0
-        descs = [basis.descriptors[i] for i in key]
-        if all(dd[0] == "E" for dd in descs):
-            pairs: dict[tuple, int] = {}
-            for dd in descs:
-                pk = (dd[1], dd[2].positive.coeffs)
-                pairs[pk] = pairs.get(pk, 0) + 1
-            bucket = "skt1" if len(pairs) == 2 and all(v == 2 for v in pairs.values()) else "skt2"
-        else:
-            bucket = "mixed"
+        bucket = _bucket(basis, key)
         if bucket == "skt1" and r > skt1_max:
             skt1_max = r
         if bucket == "skt2" and r > skt2_max:
@@ -522,7 +513,7 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
         if r > best[0]:
             names = ", ".join(
                 f"H_{dd[2] + 1}" if dd[0] == "H" else f"factor {dd[1]}: {dd[2].label}"
-                for dd in descs
+                for dd in (basis.descriptors[i] for i in key)
             )
             best = (r, f"{bucket} ({names})")
     return best[0], best[1], skt1_max, skt2_max
@@ -650,20 +641,18 @@ def biinvariant_compatible(group: GroupSpec, jt, tol: float = 1e-10) -> Compatib
 
 
 def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
-    """False when jt keeps the torus of some proper set of factors invariant."""
+    """False when jt keeps the torus of some proper set of factors invariant.
+
+    Such a set exists exactly when the coupling graph, a -> b when jt maps
+    factor a's torus partly into factor b's, is not strongly connected.
+    """
     j = _as_matrix(jt.matrix if isinstance(jt, TorusComplexStructure) else jt)
-    nfac = len(group.factors)
-    if nfac == 1:
-        return True
-    if nfac > 20:
-        raise ValueError(f"subset scan over {nfac} factors is not tractable")
-    spans = [list(range(sl.start, sl.stop)) for sl in group.layout.slices]
-    for mask in range(1, 2**nfac - 1):
-        inside = [i for f in range(nfac) if mask >> f & 1 for i in spans[f]]
-        outside = [i for f in range(nfac) if not mask >> f & 1 for i in spans[f]]
-        if np.abs(j[np.ix_(outside, inside)]).max() <= tol:
-            return False
-    return True
+    slices = group.layout.slices
+    reach = np.array([[np.abs(j[sb, sa]).max() > tol for sb in slices] for sa in slices])
+    reach |= np.eye(len(slices), dtype=bool)
+    for k in range(len(slices)):  # transitive closure (Warshall)
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return bool(reach.all())
 
 
 def canonical_jt(gt: np.ndarray) -> np.ndarray:

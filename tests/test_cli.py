@@ -123,6 +123,24 @@ def test_check_refuses_blocks_that_do_not_match_factor_ranks(runner, tmp_path):
     assert "factor 0" in res.output
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"factors": [{"family": "A", "rank": 2, "z": Infinity}], "torus": "killing"}',
+        '{"factors": [{"family": "A", "rank": 2}], "torus": {"blocks": [[[Infinity, 0], [0, 2]]]}}',
+        '{"factors": [{"family": "A", "rank": 2}], "torus": "killing", "jt": [[NaN, -1], [1, 0]]}',
+    ],
+    ids=["z", "torus", "jt"],
+)
+def test_check_refuses_non_finite_numbers(runner, tmp_path, text):
+    p = tmp_path / "s.json"
+    p.write_text(text)
+    res = invoke(runner, "check", str(p))
+    assert res.exit_code == 2
+    assert res.output.startswith("error:")
+    assert "finite" in res.output
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_requires_jt(runner, tmp_path):

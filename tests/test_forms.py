@@ -1,5 +1,7 @@
 """Basis brackets and the exterior derivative on invariant forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,81 @@ from sktflow import (
     FactorSpec,
     GroupSpec,
     InvariantForm,
+    Normalization,
     SimpleType,
     exterior_derivative,
 )
+from sktflow.forms import sort_sign
 
 
-def _basis(*tokens):
-    group = GroupSpec([FactorSpec(SimpleType(t[0], int(t[1:]))) for t in tokens])
+def _basis(*tokens, norm=Normalization.LONG2):
+    group = GroupSpec([FactorSpec(SimpleType(t[0], int(t[1:])), norm) for t in tokens])
     return group.basis
+
+
+def _reference_bracket(basis, i, j):
+    """[X_i, X_j] for i < j from the descriptors and Root arithmetic alone."""
+    (ki, fi, ri), (kj, fj, rj) = basis.descriptors[i], basis.descriptors[j]
+    if ki == "H" and kj == "H" or fi != fj:
+        return ()
+    rs, sc = basis.factors[fi]
+    if ki == "H":
+        c = float(rs.inner(rj, rs.simples[ri]))
+        return ((j, c),) if c else ()
+    total = tuple(a + b for a, b in zip(ri.coeffs, rj.coeffs))
+    if not any(total):
+        start = basis.torus_index(fi, 0)
+        return tuple((start + k, float(c)) for k, c in enumerate(ri.coeffs) if c)
+    if not rs.is_root(total):
+        return ()
+    return ((basis.root_index(fi, rs.root(total)), sc.as_float(ri, rj)),)
+
+
+def _hex_table(items):
+    return [(key, [(m, float(c).hex()) for m, c in terms]) for key, terms in items]
+
+
+@pytest.mark.parametrize("norm", list(Normalization))
+@pytest.mark.parametrize(
+    "tokens",
+    [("A1",), ("A2",), ("A3",), ("B2",), ("B3",), ("C3",), ("D4",), ("G2",), ("F4",),
+     ("A1", "A2"), ("B3", "G2")],
+)
+def test_bracket_table_matches_pairwise_root_arithmetic(tokens, norm):
+    basis = _basis(*tokens, norm=norm)
+    reference = []
+    for i, j in itertools.combinations(range(basis.dim), 2):
+        terms = _reference_bracket(basis, i, j)
+        if terms:
+            reference.append(((i, j), terms))
+    got = list(basis.nonzero_brackets())
+    assert [k for k, _ in got] == [k for k, _ in reference]  # keys in the same order
+    assert _hex_table(got) == _hex_table(reference)
+    assert all(type(c) is float for _, terms in got for _, c in terms)
+
+
+def test_pair_of_follows_the_layout():
+    basis = _basis("A1", "B2")
+    assert basis.pair_of[: basis.layout.size] == [-1, -1, -1]
+    for f, (rs, _) in enumerate(basis.factors):
+        for root in rs.positives:
+            i, j = basis.root_index(f, root), basis.root_index(f, -root)
+            assert j == i + 1 and basis.pair_of[i] == basis.pair_of[j] >= 0
+    fiber = basis.pair_of[basis.layout.size :]
+    assert fiber == sorted(fiber) and len(set(fiber)) == len(fiber) // 2
+
+
+def test_sort_sign_is_the_permutation_parity():
+    for perm in itertools.permutations(range(5)):
+        seen, transpositions = set(), 0
+        for start in range(5):  # a cycle of length L is L - 1 transpositions
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start, length = perm[start], length + 1
+            transpositions += max(length - 1, 0)
+        assert sort_sign(perm) == (-1) ** transpositions
+        assert sort_sign([10 * p - 3 for p in perm]) == sort_sign(perm)
 
 
 def test_layout_single_factor():

@@ -1,7 +1,9 @@
 """Hermitian structures: form components, pluriclosed scans, serialization."""
 
+import itertools
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from sktflow import (
     structure_to_dict,
     theta_form,
 )
+import sktflow.hermitian as hermitian_module
 
 
 def _group(*tokens, **kw):
@@ -261,6 +264,45 @@ def test_d_omega_matches_exterior_derivative_of_omega():
         assert abs(closed - dom.value(*tri)) < 1e-10
 
 
+@pytest.mark.parametrize("tokens", [("F4",), ("B3", "G2")])
+def test_brute_force_buckets_match_descriptor_reference(tokens):
+    g = _group(*tokens)
+    rng = np.random.default_rng(17)
+    x = [tuple(rng.uniform(0.5, 2.5, rs.npositive)) for rs in g.systems]
+    h = g.build(x=x, torus=_rand_spd(rng, g.total_rank))
+    basis = g.basis
+    four = exterior_derivative(dc_form(h, basis))
+
+    def reference(key):
+        descs = [basis.descriptors[m] for m in key]
+        if any(d[0] == "H" for d in descs):
+            return "mixed"
+        pairs = Counter((d[1], d[2].positive.coeffs) for d in descs)
+        return "skt1" if sorted(pairs.values()) == [2, 2] else "skt2"
+
+    want = {key: reference(key) for key in four.components}
+    got = {key: hermitian_module._bucket(basis, key) for key in four.components}
+    assert Counter(got.values()) == Counter(want.values())
+    assert got == want
+    assert set(want.values()) == {"skt1", "skt2", "mixed"}
+    rep = is_pluriclosed(h, mode="brute_force")
+    for bucket, worst in (("skt1", rep.skt1_max), ("skt2", rep.skt2_max)):
+        assert worst == max(abs(v) / 2.0 for k, v in four.components.items() if want[k] == bucket)
+
+
+def test_brute_force_scan_goes_through_the_module_level_functions(monkeypatch):
+    # the traced scan benchmark times these two by wrapping the module attributes
+    calls = Counter()
+    for name in ("exterior_derivative", "dc_form"):
+        def counted(*args, _fn=getattr(hermitian_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian_module, name, counted)
+    assert is_pluriclosed(pluriclosed_family(A2, (1.5, 2.0)), mode="brute_force").verdict
+    assert calls == {"exterior_derivative": 1, "dc_form": 1}
+
+
 # ---------------------------------------------------------------- validation
 
 def test_torus_metric_validation():
@@ -333,6 +375,37 @@ def test_biinvariant_cone_unequal_ranks():
     assert not is_irreducible(g, jt)
 
 
+def _subset_scan_irreducible(g, j, tol=1e-12):
+    spans = [list(range(sl.start, sl.stop)) for sl in g.layout.slices]
+    nfac = len(spans)
+    for mask in range(1, 2**nfac - 1):
+        inside = [i for f in range(nfac) if mask >> f & 1 for i in spans[f]]
+        outside = [i for f in range(nfac) if not mask >> f & 1 for i in spans[f]]
+        if np.abs(j[np.ix_(outside, inside)]).max() <= tol:
+            return False
+    return True
+
+
+def test_irreducibility_by_coupling_graph():
+    rng = np.random.default_rng(21)
+    for tokens in (("A1",), ("A1", "A2"), ("A2", "A1", "B2"), ("A1", "A1", "G2", "A1")):
+        g = _group(*tokens)
+        for _ in range(25):
+            j = np.zeros((g.total_rank, g.total_rank))
+            for sa, sb in itertools.product(g.layout.slices, repeat=2):
+                if rng.random() < 0.4:
+                    j[sb, sa] = rng.normal(size=(sb.stop - sb.start, sa.stop - sa.start))
+            assert is_irreducible(g, j) == _subset_scan_irreducible(g, j)
+    # 22 factors, past the reach of a subset scan
+    g = _group(*["A1"] * 22)
+    assert not is_irreducible(g, canonical_jt(np.eye(22)))  # factors paired 2k, 2k + 1
+    assert is_irreducible(g, canonical_jt(_rand_spd(rng, 22)))
+    cycle = np.roll(np.eye(22), 1, axis=0)  # factor k -> factor k + 1 only
+    assert is_irreducible(g, cycle)
+    cycle[0, 21] = 0.0  # the cycle broken into a path
+    assert not is_irreducible(g, cycle)
+
+
 # ---------------------------------------------------------------- files
 
 def test_json_round_trip(tmp_path):
@@ -403,6 +476,25 @@ def test_load_refuses_non_finite_fiber_value(tmp_path, token):
     )
     with pytest.raises(PositivityError, match="not finite and positive"):
         load_structure(path)
+
+
+NON_FINITE_STRUCTURES = {
+    "z": '{"factors": [{"family": "A", "rank": 2, "z": Infinity}], "torus": "killing"}',
+    "torus": '{"factors": [{"family": "A", "rank": 2}],'
+    ' "torus": {"blocks": [[[Infinity, 0], [0, 2]]]}}',
+    "jt": '{"factors": [{"family": "A", "rank": 2}], "torus": "killing",'
+    ' "jt": [[NaN, -1], [1, 0]]}',
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_STRUCTURES))
+def test_load_refuses_non_finite_numbers(tmp_path, entry):
+    path = tmp_path / "s.json"
+    path.write_text(NON_FINITE_STRUCTURES[entry])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            load_structure(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
