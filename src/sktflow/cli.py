@@ -149,6 +149,8 @@ def cmd_check(path: str, tol: float, mode: str):
     if rep.witness is not None:
         click.echo(f"worst witness: {rep.witness}")
     click.echo(f"skt1 max: {_fmt(rep.skt1_max)}   skt2 max: {_fmt(rep.skt2_max)}")
+    unit = "residual rows" if rep.mode == "closed_form" else "nonzero dd^c components"
+    click.echo(f"checked: {rep.checked} {unit} in {rep.elapsed_s * 1e3:.3g} ms")
     click.echo(f"kahler flag residual: {_fmt(kahler_flag_residual(h))}")
     cyt = is_cyt(h)
     click.echo(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,6 +23,16 @@ from .errors import (
     PositivityError,
 )
 from .forms import ChevalleyBasis, InvariantForm, exterior_derivative, sort_sign
+from .residuals import (
+    ResidualTables,
+    build_residual_tables,
+    closed_form_scan,
+    pair_rows,
+    pair_values,
+    quad_rows,
+    quad_values,
+    worst_row,
+)
 from .roots import FactorLayout, Normalization, Root, RootSystem, SimpleType, build_root_system
 from .structure import StructureConstants, structure_constants
 
@@ -42,8 +53,8 @@ class FactorSpec:
 class GroupSpec:
     """Product of simple factors with cached root data.
 
-    Structure constants and the basis are built lazily; closed-form metric
-    computations on large types never pay for them.
+    Structure constants, the basis and the residual tables are built lazily;
+    closed-form metric computations on large types never pay for the basis.
     """
 
     def __init__(self, factors: Sequence[FactorSpec]):
@@ -60,6 +71,7 @@ class GroupSpec:
         self.q_full.flags.writeable = False
         self._constants: tuple[StructureConstants, ...] | None = None
         self._basis: ChevalleyBasis | None = None
+        self._tables: ResidualTables | None = None
 
     @property
     def constants(self) -> tuple[StructureConstants, ...]:
@@ -72,6 +84,12 @@ class GroupSpec:
         if self._basis is None:
             self._basis = ChevalleyBasis(list(zip(self.systems, self.constants)))
         return self._basis
+
+    @property
+    def residual_tables(self) -> ResidualTables:
+        if self._tables is None:
+            self._tables = build_residual_tables(self)
+        return self._tables
 
     def build(self, x=None, torus="killing", jt=None) -> "HermitianStructure":
         return HermitianStructure(self, fiber=x, torus=torus, jt=jt)
@@ -280,46 +298,6 @@ def dc_omega(h: HermitianStructure, a, b, c) -> complex:
     return _first_derivative(h, (a, b, c), conjugate=True)
 
 
-def _pair_level_value(h: HermitianStructure, fa: int, i: int, fb: int, j: int) -> float:
-    """dd^c on (E_a, E_-a, E_b, E_-b), a and b distinct positive roots by index."""
-    ka = h.group.layout.embed(fa, h.group.systems[fa].positives[i].coeffs)
-    kb = h.group.layout.embed(fb, h.group.systems[fb].positives[j].coeffs)
-    val = 2.0 * float(ka @ h.gt @ kb)
-    if fa != fb:
-        return val
-    rs, sc, x = h.group.systems[fa], h.group.constants[fa], h._x[fa]
-    n = rs.npositive
-    up = rs.sum_index[i, j]
-    if up >= 0:
-        val -= 2.0 * float(sc.at(i, j).squared()) * (x[up] - x[i] - x[j])
-    down = rs.diff_index[i, j]
-    if down >= 0:
-        eps = 1.0 if down < n else -1.0
-        val -= 2.0 * eps * float(sc.at(i, n + j).squared()) * (eps * x[down % n] - x[i] + x[j])
-    return val
-
-
-def _quad_level_value(h: HermitianStructure, f: int, a: int, b: int, c: int, d: int) -> float:
-    """dd^c on (E_a, E_b, E_c, E_d) by root index: a, b positive, c, d negative,
-    sum zero, no opposite pair."""
-    rs, fl, x = h.group.systems[f], h.group.constants[f].floats, h._x[f]
-    n, add = rs.npositive, rs.sum_index
-    xa, xb, xc, xd = x[a], x[b], x[c - n], x[d - n]
-    val = 0.0
-    up = add[a, b]
-    if up >= 0:
-        val += fl[a][b] * fl[c][d] * (xa + xb + xc + xd - 2.0 * x[up])
-    ac = add[a, c]
-    if ac >= 0:
-        eps = 1.0 if ac < n else -1.0
-        val -= eps * fl[a][c] * fl[b][d] * (-xa + xb + xc - xd + 2.0 * eps * x[ac % n])
-    ad = add[a, d]
-    if ad >= 0:
-        eps = 1.0 if ad < n else -1.0
-        val += eps * fl[a][d] * fl[b][c] * (-xa + xb - xc + xd + 2.0 * eps * x[ad % n])
-    return val
-
-
 def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
     """dd^c of the fundamental form on four arguments; real-valued."""
     torus, roots, _ = _split_args(h, (a, b, c, d))
@@ -344,7 +322,10 @@ def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
                     return 0.0
                 dst = [(fi, ia), (fi, ia + na), (fb, ib), (fb, ib + nb)]
                 sign = sort_sign([dst.index(k) for k in keys])
-                return sign * _pair_level_value(h, fi, ia, fb, ib)
+                ka, kb = (h.group.layout.embed(g, h.group.systems[g].positives[k].coeffs)
+                          for g, k in ((fi, ia), (fb, ib)))
+                row = pair_rows(h.group, fi, [ia], fb, [ib])
+                return sign * float(pair_values(h, row, {ia: ka @ h.gt}, {ib: kb})[0])
 
     f, n = keys[0][0], h.group.systems[keys[0][0]].npositive
     pos = sorted(i for _, i in keys if i < n)
@@ -352,7 +333,8 @@ def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
     if len(pos) != 2:
         return 0.0
     # pos + neg is sorted, as every positive index is below every negative one
-    return sort_sign(keys) * _quad_level_value(h, f, *pos, *neg)
+    row = quad_rows(h.group, f, *([k] for k in (*pos, *(c - n for c in neg))))
+    return sort_sign(keys) * float(quad_values(h, row)[0])
 
 
 def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
@@ -442,6 +424,9 @@ def d_star_omega(h: HermitianStructure) -> np.ndarray:
 
 @dataclass
 class PluriclosedReport:
+    """A scan's verdict. checked counts the residual rows scanned in closed
+    form, or the nonzero dd^c components in brute force."""
+
     verdict: bool
     max_residual: float
     witness: str | None
@@ -449,44 +434,8 @@ class PluriclosedReport:
     skt2_max: float
     mode: str
     tol: float
-
-
-def _closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, float]:
-    best = (0.0, None)
-    skt1_max = 0.0
-    skt2_max = 0.0
-    nfac = len(h.group.factors)
-    for f in range(nfac):
-        rs = h.group.systems[f]
-        pos = rs.positives
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                r = abs(_pair_level_value(h, f, i, f, j)) / 2.0
-                if r > skt1_max:
-                    skt1_max = r
-                if r > best[0]:
-                    best = (r, f"pair ({pos[i].label}, {pos[j].label}) in factor {f}")
-        n = len(pos)
-        for i, j, m, l in rs.positive_quads().tolist():
-            r = abs(_quad_level_value(h, f, i, j, n + m, n + l)) / 2.0
-            if r > skt2_max:
-                skt2_max = r
-            if r > best[0]:
-                best = (
-                    r,
-                    f"quad ({pos[i].label}, {pos[j].label}, -{pos[m].label}, -{pos[l].label})"
-                    f" in factor {f}",
-                )
-    for fa in range(nfac):
-        for fb in range(fa + 1, nfac):
-            pa, pb = h.group.systems[fa].positives, h.group.systems[fb].positives
-            for i, j in itertools.product(range(len(pa)), range(len(pb))):
-                r = abs(_pair_level_value(h, fa, i, fb, j)) / 2.0
-                if r > skt1_max:
-                    skt1_max = r
-                if r > best[0]:
-                    best = (r, f"pair (factor {fa}: {pa[i].label}, factor {fb}: {pb[j].label})")
-    return best[0], best[1], skt1_max, skt2_max
+    checked: int
+    elapsed_s: float = field(compare=False)
 
 
 def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
@@ -497,38 +446,36 @@ def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
     return "skt1" if p0 == p1 and p2 == p3 else "skt2"
 
 
-def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float]:
+def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     basis = h.group.basis
-    four = exterior_derivative(dc_form(h, basis))
-    best = (0.0, None)
-    skt1_max = 0.0
-    skt2_max = 0.0
-    for key, val in four.components.items():
-        r = abs(val) / 2.0
-        bucket = _bucket(basis, key)
-        if bucket == "skt1" and r > skt1_max:
-            skt1_max = r
-        if bucket == "skt2" and r > skt2_max:
-            skt2_max = r
-        if r > best[0]:
-            names = ", ".join(
-                f"H_{dd[2] + 1}" if dd[0] == "H" else f"factor {dd[1]}: {dd[2].label}"
-                for dd in (basis.descriptors[i] for i in key)
-            )
-            best = (r, f"{bucket} ({names})")
-    return best[0], best[1], skt1_max, skt2_max
+    comps = exterior_derivative(dc_form(h, basis)).components
+    n = len(comps)
+    elems = np.fromiter(itertools.chain.from_iterable(comps), dtype=np.int32, count=4 * n)
+    pair = np.array(basis.pair_of, dtype=np.int32)[elems].reshape(n, 4)
+    r = np.abs(np.fromiter(comps.values(), dtype=complex, count=n)) / 2.0
+    skt1 = (pair[:, 0] >= 0) & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
+    skt2 = (pair[:, 0] >= 0) & ~skt1
+    best, row = worst_row(r)
+    witness = None
+    if row >= 0:
+        key = next(itertools.islice(comps, row, None))
+        names = ", ".join(
+            f"H_{dd[2] + 1}" if dd[0] == "H" else f"factor {dd[1]}: {dd[2].label}"
+            for dd in (basis.descriptors[i] for i in key)
+        )
+        witness = f"{_bucket(basis, key)} ({names})"
+    return best, witness, worst_row(r[skt1])[0], worst_row(r[skt2])[0], n
 
 
 def is_pluriclosed(
     h: HermitianStructure, mode: str = "closed_form", tol: float = 1e-8
 ) -> PluriclosedReport:
     """Scan dd^c of the fundamental form and report the worst component / 2."""
-    if mode == "closed_form":
-        max_res, witness, skt1_max, skt2_max = _closed_form_scan(h)
-    elif mode == "brute_force":
-        max_res, witness, skt1_max, skt2_max = _brute_force_scan(h)
-    else:
+    scans = {"closed_form": closed_form_scan, "brute_force": _brute_force_scan}
+    if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}; expected closed_form or brute_force")
+    start = time.perf_counter()
+    max_res, witness, skt1_max, skt2_max, checked = scans[mode](h)
     return PluriclosedReport(
         verdict=max_res < tol,
         max_residual=max_res,
@@ -537,6 +484,8 @@ def is_pluriclosed(
         skt2_max=skt2_max,
         mode=mode,
         tol=tol,
+        checked=checked,
+        elapsed_s=time.perf_counter() - start,
     )
 
 
@@ -602,13 +551,19 @@ class CompatibilityCone:
     representative: np.ndarray | None
 
 
+def _jt_matrix(group: GroupSpec, jt) -> np.ndarray:
+    """jt (a matrix or TorusComplexStructure) as an (r, r) array, r the total rank."""
+    j = _as_matrix(jt.matrix if isinstance(jt, TorusComplexStructure) else jt)
+    r = group.layout.size
+    if j.shape != (r, r):
+        raise ValueError(f"jt must be {r}x{r} for this group, got shape {j.shape}")
+    return j
+
+
 def biinvariant_compatible(group: GroupSpec, jt, tol: float = 1e-10) -> CompatibilityCone:
     """Which block scalings of the torus metric the given jt preserves."""
-    j = _as_matrix(jt.matrix if isinstance(jt, TorusComplexStructure) else jt)
+    j = _jt_matrix(group, jt)
     layout = group.layout
-    r = layout.size
-    if j.shape != (r, r):
-        raise ValueError(f"jt must be {r}x{r} for this group")
     nfac = len(group.factors)
     cols = []
     for f in range(nfac):
@@ -646,7 +601,7 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
     Such a set exists exactly when the coupling graph, a -> b when jt maps
     factor a's torus partly into factor b's, is not strongly connected.
     """
-    j = _as_matrix(jt.matrix if isinstance(jt, TorusComplexStructure) else jt)
+    j = _jt_matrix(group, jt)
     slices = group.layout.slices
     reach = np.array([[np.abs(j[sb, sa]).max() > tol for sb in slices] for sa in slices])
     reach |= np.eye(len(slices), dtype=bool)

@@ -1,0 +1,192 @@
+"""Closed-form dd^c residuals of invariant Hermitian structures, as row tables.
+
+Every dd^c component that can be nonzero on a product of simple factors is
+fixed by its roots: a pair (E_a, E_-a, E_b, E_-b) or a quad (E_a, E_b, E_-c,
+E_-d) with a + b = c + d. Its value is linear in the fiber values and the
+torus metric, with coefficients from the root tables and the structure
+constants. Those coefficients are built once per group, as arrays with one
+row per component, and a scan evaluates every row with elementwise numpy in
+the order of the scalar formula.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
+
+from .roots import RootSystem
+
+if TYPE_CHECKING:
+    from .hermitian import GroupSpec, HermitianStructure
+
+
+class Term(NamedTuple):
+    """The rows of a residual whose roots have a root sum, and what they read there."""
+
+    rows: np.ndarray  # row numbers
+    at: np.ndarray  # positive index of the sum's root
+    eps: np.ndarray  # 1 when the sum is positive, -1 when negative
+    coef: np.ndarray  # the N factor, multiplied in the scalar formula's order
+
+
+def _term(rs: RootSystem, sums: np.ndarray, coef) -> Term:
+    """Rows where sums, root indices or -1, is a root; coef(rows, eps) gives their N factors."""
+    rows = np.nonzero(sums >= 0)[0].astype(np.int32)
+    n = rs.npositive
+    eps = np.where(sums[rows] < n, 1, -1).astype(np.int8)
+    at = (sums[rows] % n).astype(np.int32)
+    return Term(rows, at, eps, np.array(coef(rows, eps), dtype=float))
+
+
+class PairRows(NamedTuple):
+    """dd^c on (E_a, E_-a, E_b, E_-b), per row: a = positives[i] of factor fa,
+    b = positives[j] of factor fb, a != b. Within one factor, up holds the rows
+    with a + b a root, coef 2 N(a, b)^2, and down those with a - b a root,
+    coef 2 eps N(a, -b)^2; both are empty across factors."""
+
+    fa: int
+    fb: int
+    i: np.ndarray
+    j: np.ndarray
+    up: Term
+    down: Term
+
+    def witness(self, group: GroupSpec, row: int) -> str:
+        pa, pb = group.systems[self.fa].positives, group.systems[self.fb].positives
+        a, b = pa[self.i[row]].label, pb[self.j[row]].label
+        if self.fa == self.fb:
+            return f"pair ({a}, {b}) in factor {self.fa}"
+        return f"pair (factor {self.fa}: {a}, factor {self.fb}: {b})"
+
+
+def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
+    i, j = np.asarray(i, dtype=np.int32), np.asarray(j, dtype=np.int32)
+    rs, sc = group.systems[fa], group.constants[fa]
+    if fa != fb:
+        up = down = _term(rs, np.full(len(i), -1), lambda rows, eps: [])
+        return PairRows(fa, fb, i, j, up, down)
+    n = rs.npositive
+
+    def squares(rows, eps, shift):
+        pairs = zip(eps.tolist(), i[rows].tolist(), j[rows].tolist())
+        return [2.0 * e * float(sc.at(a, shift + b).squared()) for e, a, b in pairs]
+
+    up = _term(rs, rs.sum_index[i, j], lambda rows, eps: squares(rows, eps, 0))
+    down = _term(rs, rs.diff_index[i, j], lambda rows, eps: squares(rows, eps, n))
+    return PairRows(fa, fb, i, j, up, down)
+
+
+def pair_values(h: HermitianStructure, t: PairRows, kg, kb) -> np.ndarray:
+    """The rows' dd^c values; kg[i] is k_a @ g_T for root i of factor fa, and kb[j]
+    the embedded root j of factor fb."""
+    torus = np.array([float(kg[a] @ kb[b]) for a, b in zip(t.i.tolist(), t.j.tolist())])
+    val = 2.0 * torus
+    x = h.xhat[t.fa]
+    r, at = t.up.rows, t.up.at
+    val[r] -= t.up.coef * (x[at] - x[t.i[r]] - x[t.j[r]])
+    r, at, eps = t.down.rows, t.down.at, t.down.eps
+    val[r] -= t.down.coef * (eps * x[at] - x[t.i[r]] + x[t.j[r]])
+    return val
+
+
+class QuadRows(NamedTuple):
+    """dd^c on (E_a, E_b, E_-c, E_-d), per row: a, b, c, d = positives[i, j, m, l]
+    of factor f, with a + b = c + d and no opposite pair. ab holds the rows with
+    a + b a root, coef N(a, b) N(-c, -d); ac those with a - c a root, coef
+    eps N(a, -c) N(b, -d); ad those with a - d a root, coef eps N(a, -d) N(b, -c)."""
+
+    f: int
+    i: np.ndarray
+    j: np.ndarray
+    m: np.ndarray
+    l: np.ndarray
+    ab: Term
+    ac: Term
+    ad: Term
+
+    def witness(self, group: GroupSpec, row: int) -> str:
+        pos = group.systems[self.f].positives
+        a, b, c, d = (pos[k[row]].label for k in (self.i, self.j, self.m, self.l))
+        return f"quad ({a}, {b}, -{c}, -{d}) in factor {self.f}"
+
+
+def quad_rows(group: GroupSpec, f: int, i, j, m, l) -> QuadRows:
+    i, j, m, l = (np.asarray(v, dtype=np.int32) for v in (i, j, m, l))
+    rs, fl = group.systems[f], group.constants[f].float_array
+    n, add = rs.npositive, rs.sum_index
+    a, b, c, d = i, j, n + m, n + l
+    return QuadRows(
+        f, i, j, m, l,
+        _term(rs, add[a, b], lambda rows, eps: fl[a[rows], b[rows]] * fl[c[rows], d[rows]]),
+        _term(rs, add[a, c], lambda rows, eps: eps * fl[a[rows], c[rows]] * fl[b[rows], d[rows]]),
+        _term(rs, add[a, d], lambda rows, eps: eps * fl[a[rows], d[rows]] * fl[b[rows], c[rows]]),
+    )
+
+
+def quad_values(h: HermitianStructure, t: QuadRows) -> np.ndarray:
+    x = h.xhat[t.f]
+    xa, xb, xc, xd = x[t.i], x[t.j], x[t.m], x[t.l]
+    val = np.zeros(len(t.i))
+    r = t.ab.rows
+    val[r] += t.ab.coef * (xa[r] + xb[r] + xc[r] + xd[r] - 2.0 * x[t.ab.at])
+    r = t.ac.rows
+    val[r] -= t.ac.coef * (-xa[r] + xb[r] + xc[r] - xd[r] + 2.0 * t.ac.eps * x[t.ac.at])
+    r = t.ad.rows
+    val[r] += t.ad.coef * (-xa[r] + xb[r] - xc[r] + xd[r] + 2.0 * t.ad.eps * x[t.ad.at])
+    return val
+
+
+class ResidualTables(NamedTuple):
+    """What the closed-form scan reads, per group: the embedded positive roots
+    of each factor, and the residual rows in scan order: per factor its pairs
+    (i < j) then its quads, then the pairs across factors."""
+
+    roots: tuple[list[np.ndarray], ...]
+    segments: tuple[PairRows | QuadRows, ...]
+
+
+def build_residual_tables(group: GroupSpec) -> ResidualTables:
+    roots = tuple(
+        [group.layout.embed(f, root.coeffs) for root in rs.positives]
+        for f, rs in enumerate(group.systems)
+    )
+    segments = []
+    for f, rs in enumerate(group.systems):
+        i, j = np.triu_indices(rs.npositive, 1)
+        segments.append(pair_rows(group, f, i, f, j))
+        segments.append(quad_rows(group, f, *rs.positive_quads().T))
+    for fa, fb in itertools.combinations(range(len(group.systems)), 2):
+        ia, ib = np.indices((len(roots[fa]), len(roots[fb]))).reshape(2, -1)
+        segments.append(pair_rows(group, fa, ia, fb, ib))
+    return ResidualTables(roots, tuple(segments))
+
+
+def worst_row(r: np.ndarray) -> tuple[float, int]:
+    """The largest residual, NaN skipped, and the first row holding it;
+    (0.0, -1) when none is positive."""
+    r = np.where(np.isnan(r), 0.0, r)
+    row = int(np.argmax(r)) if r.size else -1
+    return (float(r[row]), row) if row >= 0 and r[row] > 0 else (0.0, -1)
+
+
+def closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
+    """(max residual, witness, skt1 max, skt2 max, rows checked) over every row."""
+    tables = h.group.residual_tables
+    kg = [[k @ h.gt for k in roots] for roots in tables.roots]
+    best, witness = 0.0, None
+    skt1 = skt2 = 0.0
+    checked = 0
+    for seg in tables.segments:
+        quad = isinstance(seg, QuadRows)
+        val = quad_values(h, seg) if quad else pair_values(h, seg, kg[seg.fa], tables.roots[seg.fb])
+        top, row = worst_row(np.abs(val) / 2.0)
+        checked += len(val)
+        if quad:
+            skt2 = max(skt2, top)
+        else:
+            skt1 = max(skt1, top)
+        if top > best:
+            best, witness = top, seg.witness(h.group, row)
+    return best, witness, skt1, skt2, checked

@@ -28,7 +28,8 @@ class StructureConstants:
     """Signed table N(a,b) over all ordered root pairs whose sum is a root.
 
     table is keyed by coefficient tuples; at(i, j) reads the same values by
-    root index (see RootSystem), and floats holds them as Python floats.
+    root index (see RootSystem), and floats holds them as Python floats
+    (float_array as an array).
     """
 
     system: RootSystem
@@ -64,6 +65,13 @@ class StructureConstants:
         out = [[0.0] * nroots for _ in range(nroots)]
         for i, j, v in self._entries:
             out[i][j] = float(v)
+        return out
+
+    @cached_property
+    def float_array(self) -> np.ndarray:
+        """floats as a read-only (2n, 2n) array."""
+        out = np.array(self.floats)
+        out.flags.writeable = False
         return out
 
 

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -99,6 +100,17 @@ def test_check_off_family_fails(runner, tmp_path):
     assert "pluriclosed: false" in res.output
     assert "worst witness: pair" in res.output
     assert "max residual: 1" in res.output
+
+
+def test_check_prints_what_the_scan_checked(runner, tmp_path):
+    p = tmp_path / "b2.json"
+    p.write_text(json.dumps({"factors": [{"family": "B", "rank": 2, "x": [1, 2, 1.5, 0.7]}]}))
+    res = invoke(runner, "check", str(p))
+    assert res.exit_code == 1
+    assert re.search(r"^checked: 6 residual rows in [0-9.e+-]+ ms$", res.output, re.M)
+    res = invoke(runner, "check", str(p), "--mode", "brute_force")
+    assert res.exit_code == 1
+    assert re.search(r"^checked: \d+ nonzero dd\^c components in [0-9.e+-]+ ms$", res.output, re.M)
 
 
 def test_check_bad_file(runner, tmp_path):

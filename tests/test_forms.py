@@ -177,3 +177,29 @@ def test_exterior_derivative_of_killing_dual_is_closed():
     f.set((2,), 0.5 + 0.25j)
     ddf = exterior_derivative(exterior_derivative(f))
     assert ddf.max_abs() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "components",
+    [{(4, 2): -1.0}, {(2, 40): 1.0}, {(2, 4): 1.0, (3,): 0.5}, {(2, 2): 1.0}, {(-1, 3): 1.0}],
+    ids=["unsorted", "out_of_range", "short_key", "repeated", "negative"],
+)
+def test_exterior_derivative_refuses_malformed_keys(components):
+    basis = _basis("A2")  # dim 8
+    with pytest.raises(ValueError, match="strictly increasing indices in \\[0, 8\\)"):
+        exterior_derivative(InvariantForm(basis, 2, components))
+
+
+def test_exterior_derivative_takes_numpy_integer_keys():
+    basis = _basis("A2")
+    plain = InvariantForm(basis, 2, {(2, 4): 1.0, (0, 5): 0.5j})
+    numpy_keys = InvariantForm(basis, 2, {(np.int64(2), np.int64(4)): 1.0, (0, np.int32(5)): 0.5j})
+    assert exterior_derivative(numpy_keys).components == exterior_derivative(plain).components
+    assert exterior_derivative(InvariantForm(basis, 2, {})).components == {}
+
+
+@pytest.mark.parametrize("value", [float("inf"), complex(0.0, float("nan")), float("nan")])
+def test_exterior_derivative_refuses_non_finite_values(value):
+    basis = _basis("A2")
+    with pytest.raises(ValueError, match=r"component \(2,\) of a form must be finite"):
+        exterior_derivative(InvariantForm(basis, 1, {(0,): 1.0, (2,): value}))

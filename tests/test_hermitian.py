@@ -406,6 +406,15 @@ def test_irreducibility_by_coupling_graph():
     assert not is_irreducible(g, cycle)
 
 
+@pytest.mark.parametrize("size", [1, 4])
+def test_irreducibility_refuses_jt_of_the_wrong_size(size):
+    g = _group("A1", "A1")  # total rank 2
+    with pytest.raises(ValueError, match=rf"jt must be 2x2 for this group, got shape \({size}, {size}\)"):
+        is_irreducible(g, np.eye(size))
+    with pytest.raises(ValueError, match="jt must be 2x2"):
+        biinvariant_compatible(g, np.eye(size))
+
+
 # ---------------------------------------------------------------- files
 
 def test_json_round_trip(tmp_path):
