@@ -44,6 +44,17 @@ def _vec(v) -> str:
     return "(" + ", ".join(_fmt(c) for c in np.atleast_1d(np.asarray(v))) + ")"
 
 
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.3g} ms"
+
+
+def _echo_failures(rep) -> None:
+    for failure in rep.failures[:5]:
+        click.echo(f"  failure: {failure}")
+    if rep.failure_count > 5:
+        click.echo(f"  ... and {rep.failure_count - 5} more failures")
+
+
 def _guarded(fn):
     """Map exception families onto the documented exit codes."""
 
@@ -120,13 +131,12 @@ def cmd_roots(family: str, rank: int, norm: str):
     click.echo("squared structure constants for positive pairs:")
     pos = rs.positives
     for i, j, _ in zip(*(v.tolist() for v in rs.positive_sums())):
-        click.echo(f"  N({pos[i].label}, {pos[j].label})^2 = {sc.at(i, j).squared()}")
+        click.echo(f"  N({pos[i].label}, {pos[j].label})^2 = {sc.unit * int(sc.sq[i, j])}")
     limit = None if rs.npositive <= 40 else 20000
     rep = verify_identities(rs, sc, cocycle_limit=limit)
     verdict = "PASS" if rep.passed else "FAIL"
-    click.echo(f"identities {verdict} ({sum(rep.counts.values())} checks)")
-    for failure in rep.failures[:5]:
-        click.echo(f"  failure: {failure}")
+    click.echo(f"identities {verdict} ({sum(rep.counts.values())} checks) in {_ms(rep.elapsed_s)}")
+    _echo_failures(rep)
     return 0 if rep.passed else 3
 
 
@@ -150,7 +160,7 @@ def cmd_check(path: str, tol: float, mode: str):
         click.echo(f"worst witness: {rep.witness}")
     click.echo(f"skt1 max: {_fmt(rep.skt1_max)}   skt2 max: {_fmt(rep.skt2_max)}")
     unit = "residual rows" if rep.mode == "closed_form" else "nonzero dd^c components"
-    click.echo(f"checked: {rep.checked} {unit} in {rep.elapsed_s * 1e3:.3g} ms")
+    click.echo(f"checked: {rep.checked} {unit} in {_ms(rep.elapsed_s)}")
     click.echo(f"kahler flag residual: {_fmt(kahler_flag_residual(h))}")
     cyt = is_cyt(h)
     click.echo(
@@ -250,9 +260,8 @@ def cmd_verify(types: str, cocycle_limit, seed: int):
         rep = verify_identities(rs, sc, cocycle_limit=cocycle_limit, seed=seed)
         verdict = "PASS" if rep.passed else "FAIL"
         detail = ", ".join(f"{k}={v}" for k, v in rep.counts.items())
-        click.echo(f"{token}: {verdict} ({detail})")
-        for failure in rep.failures[:5]:
-            click.echo(f"  failure: {failure}")
+        click.echo(f"{token}: {verdict} ({detail}) in {_ms(rep.elapsed_s)}")
+        _echo_failures(rep)
         any_failed = any_failed or not rep.passed
     return 3 if any_failed else 0
 

@@ -70,8 +70,9 @@ def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
     n = rs.npositive
 
     def squares(rows, eps, shift):
-        pairs = zip(eps.tolist(), i[rows].tolist(), j[rows].tolist())
-        return [2.0 * e * float(sc.at(a, shift + b).squared()) for e, a, b in pairs]
+        values, inverse = np.unique(sc.sq[i[rows], shift + j[rows]], return_inverse=True)
+        floats = np.array([float(sc.unit * v) for v in values.tolist()])
+        return 2.0 * eps * floats[inverse]
 
     up = _term(rs, rs.sum_index[i, j], lambda rows, eps: squares(rows, eps, 0))
     down = _term(rs, rs.diff_index[i, j], lambda rows, eps: squares(rows, eps, n))

@@ -15,11 +15,14 @@ from sktflow import (
     FactorSpec,
     GroupSpec,
     SimpleType,
+    StructureConstants,
     FlowConfig,
     Trajectory,
     canonical_jt,
     pluriclosed_family,
     save_structure,
+    verify_identities,
+    build_root_system,
 )
 import sktflow.cli as cli_module
 from sktflow.cli import main
@@ -297,6 +300,26 @@ def test_verify_sampled_cocycle(runner):
     res = invoke(runner, "verify", "--types", "D4", "--cocycle-limit", "50", "--seed", "3")
     assert res.exit_code == 0
     assert "D4: PASS" in res.output
+
+
+def test_verify_counts_the_failures_it_does_not_print(runner, monkeypatch):
+    build = cli_module.structure_constants
+
+    def doubled(rs):
+        table = {key: 2 * value for key, value in build(rs).table.items()}
+        return StructureConstants(system=rs, table=table)
+
+    monkeypatch.setattr(cli_module, "structure_constants", doubled)
+    res = invoke(runner, "verify", "--types", "A2,G2")
+    assert res.exit_code == 3
+    lines = res.output.splitlines()
+    for token in ("A2", "G2"):
+        at = next(k for k, line in enumerate(lines) if line.startswith(f"{token}: FAIL ("))
+        rs = build_root_system(SimpleType(token[0], 2))
+        rep = verify_identities(rs, doubled(rs))
+        assert rep.failure_count > 5
+        assert all(line.startswith("  failure: ") for line in lines[at + 1:at + 6])
+        assert lines[at + 6] == f"  ... and {rep.failure_count - 5} more failures"
 
 
 def test_verify_bad_token(runner):

@@ -1,0 +1,308 @@
+"""The index-native structure constants against the Surd recursion and the
+per-entry Fraction verifier they replaced, kept here as references."""
+
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import sktflow.structure as structure
+from conftest import constants, system
+from sktflow import (
+    ConsistencyError,
+    StructureConstants,
+    Surd,
+    root_string,
+    structure_constants,
+    verify_identities,
+)
+from sktflow.structure import _cocycle_quads, _triples
+
+_ZERO = Surd.of(0)
+
+TABLE_TYPES = (
+    [f"A{k}" for k in range(1, 9)]
+    + [f"B{k}" for k in range(2, 7)]
+    + [f"C{k}" for k in range(2, 7)]
+    + [f"D{k}" for k in range(3, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+NORMS = ["long2", "short2", "killing"]
+
+
+def _string_square(rs, i, j):
+    roots = rs.all_roots()
+    p, q = root_string(rs, roots[i], roots[j])
+    return Fraction(q * (1 - p) * rs.inner_at(i, i), 2) * rs.gram_scale
+
+
+def reference_table(rs):
+    """The signed table as a dict of Surds, by the Surd height recursion."""
+    n = rs.npositive
+    add, sub, neg = rs.sum_index, rs.diff_index, rs.neg_index
+    coeffs = [r.coeffs for r in rs.all_roots()]
+    table = {}
+
+    def get(x, y):
+        return table.get((coeffs[x], coeffs[y]), _ZERO)
+
+    def insert_closure(eta, rho, w):
+        nxi = int(neg[add[eta, rho]])
+        for x, y in ((eta, rho), (rho, nxi), (nxi, eta)):
+            nx, ny = int(neg[x]), int(neg[y])
+            for (u, v), val in (((x, y), w), ((y, x), -w), ((nx, ny), -w), ((ny, nx), w)):
+                table[coeffs[u], coeffs[v]] = val
+
+    for g, gamma in enumerate(rs.positives):
+        if gamma.height == 1:
+            continue
+        rest = sub[g, :g]
+        pairs = [(int(a), int(rest[a])) for a in np.nonzero((rest > np.arange(g)) & (rest < n))[0]]
+        a1, b1 = pairs[0]
+        w1 = Surd.sqrt(_string_square(rs, a1, b1))
+        insert_closure(a1, b1, w1)
+        for a, b in pairs[1:]:
+            na, nb = int(neg[a]), int(neg[b])
+            val = (get(a1, nb) * get(b1, na) - get(a1, na) * get(b1, nb)) / w1
+            assert val.squared() == _string_square(rs, a, b)
+            insert_closure(a, b, val)
+    return table
+
+
+def reference_verify(rs, table):
+    """(counts, failures) of the per-entry Fraction verifier on a dict table."""
+    counts = dict.fromkeys(
+        ("antisymmetry", "negation_symmetry", "cyclic_rotation", "string_square",
+         "four_term_cocycle", "sign_flip_square"), 0)
+    failures = []
+    add, neg = rs.sum_index, rs.neg_index
+    coeffs = [r.coeffs for r in rs.all_roots()]
+    nroots = len(coeffs)
+    by_index = np.full((nroots, nroots), _ZERO, dtype=object)
+    entries = []
+    for (r, s), v in table.items():
+        i, j = rs.index_of(r), rs.index_of(s)
+        by_index[i, j] = v
+        entries.append((i, j, v))
+
+    def at(i, j):
+        return by_index[i, j]
+
+    for i, j, v in entries:
+        r, s = coeffs[i], coeffs[j]
+        counts["antisymmetry"] += 1
+        if at(j, i) != -v:
+            failures.append(f"antisymmetry at ({r}, {s})")
+        counts["negation_symmetry"] += 1
+        if at(neg[i], neg[j]) != -v:
+            failures.append(f"negation symmetry at ({r}, {s})")
+        counts["cyclic_rotation"] += 1
+        k = add[i, j]
+        if k < 0 or at(j, neg[k]) != v or at(neg[k], i) != v:
+            failures.append(f"cyclic rotation at ({r}, {s})")
+        counts["string_square"] += 1
+        if v.squared() != _string_square(rs, i, j):
+            failures.append(f"string square at ({r}, {s})")
+
+    def quad_holds(a, b, c, d):
+        acc = {}
+        for t, sgn in ((at(a, b) * at(c, d), 1), (at(a, c) * at(b, d), -1), (at(a, d) * at(b, c), 1)):
+            if not t.is_zero:
+                acc[t.core] = acc.get(t.core, Fraction(0)) + sgn * t.coeff
+        return all(val == 0 for val in acc.values())
+
+    for block in _triples(nroots, None, 0):
+        for a, b, c, d in zip(*(x.tolist() for x in _cocycle_quads(rs, *block))):
+            counts["four_term_cocycle"] += 1
+            if not quad_holds(a, b, c, d):
+                failures.append(
+                    f"four-term cocycle at ({coeffs[a]}, {coeffs[b]}, {coeffs[c]}, {coeffs[d]})"
+                )
+
+    pos = rs.positives
+    for i, j in zip(*np.triu_indices(len(pos), 1)):
+        counts["sign_flip_square"] += 1
+        lhs = at(i, neg[j]).squared()
+        rhs = at(i, j).squared() + rs.gram_scale * rs.inner_at(i, j)
+        if lhs != rhs:
+            failures.append(f"sign flip square at ({pos[i].label}, {pos[j].label})")
+    return counts, failures
+
+
+# ------------------------------------------------------------ tables
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("token", TABLE_TYPES)
+def test_tables_are_unchanged(token, norm):
+    rs = system(token, norm)
+    sc = constants(token, norm)
+    ref = reference_table(rs)
+    assert len(sc.table) == len(ref)
+    assert set(sc.table) == set(ref)
+    nroots = 2 * rs.npositive
+    want = np.zeros((nroots, nroots))
+    for (r, s), v in ref.items():
+        i, j = rs.index_of(r), rs.index_of(s)
+        got = sc.at(i, j)
+        assert got == v and sc.table[r, s] == v
+        assert (got.coeff, got.core) == (v.coeff, v.core)
+        assert sc.sign[i, j] == (1 if v.coeff > 0 else -1)
+        assert sc.squared(r, s) == v.squared()
+        want[i, j] = float(v)
+    assert np.count_nonzero(sc.sign) == len(ref)
+    hexes = [[x.hex() for x in row] for row in want.tolist()]
+    assert [[x.hex() for x in row] for row in sc.floats] == hexes
+    assert [[x.hex() for x in row] for row in sc.float_array.tolist()] == hexes
+    assert not sc.float_array.flags.writeable
+
+
+def test_mapping_constructor_round_trips():
+    rs = system("F4")
+    sc = constants("F4")
+    again = StructureConstants(system=rs, table=dict(sc.table))
+    assert again.unit == sc.unit
+    assert np.array_equal(again.sign, sc.sign) and np.array_equal(again.sq, sc.sq)
+    assert again.sq.dtype == np.int64
+
+
+def test_derived_value_that_breaks_the_string_formula_raises(monkeypatch):
+    rs = system("G2")
+    strings = structure._string_squares(rs)
+    bumped = strings.copy()
+    # the second decomposition of the highest root
+    n = rs.npositive
+    a, b = [(a, b) for a in range(n) for b in range(a + 1, n) if rs.sum_index[a, b] == n - 1][1]
+    bumped[a, b] += 1
+    monkeypatch.setattr(structure, "_string_squares", lambda _: bumped)
+    with pytest.raises(ConsistencyError, match="disagrees with the string formula"):
+        structure_constants(rs)
+
+
+# ------------------------------------------------------------ checks
+
+CORRUPT_TYPES = ["B2", "G2", "A3", "B3", "C3", "D4", "F4"]
+
+
+def _closure_keys(rs):
+    """The 12 keys one non-extraspecial positive pair (a, b) determines, or None."""
+    n = rs.npositive
+    for g in range(n):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rs.sum_index[a, b] == g]
+        if len(pairs) > 1:
+            a, b = pairs[1]
+            break
+    else:
+        return None
+    coeffs = [r.coeffs for r in rs.all_roots()]
+    neg, mxi = rs.neg_index, rs.neg_index[rs.sum_index[a, b]]
+    return [
+        (coeffs[u], coeffs[v])
+        for x, y in ((a, b), (b, mxi), (mxi, a))
+        for u, v in ((x, y), (y, x), (neg[x], neg[y]), (neg[y], neg[x]))
+    ]
+
+
+def _corrupt(rs, table, how):
+    table = dict(table)
+    keys = sorted(table)
+    key = keys[len(keys) // 3]
+    if how == "flip_one":
+        table[key] = -table[key]
+    elif how == "flip_closure":
+        for k in _closure_keys(rs):
+            table[k] = -table[k]
+    elif how == "times_two":
+        table[key] = table[key] * 2
+    elif how == "times_sqrt_3_2":
+        table[key] = table[key] * Surd(Fraction(1, 2), 6)
+    elif how == "zero":
+        table[key] = _ZERO
+    elif how == "extra_entry":
+        coeffs = [r.coeffs for r in rs.all_roots()]
+        i, j = next(
+            (i, j) for i in range(len(coeffs)) for j in range(len(coeffs))
+            if rs.sum_index[i, j] < 0 and j not in (i, rs.neg_index[i])
+        )
+        table[coeffs[i], coeffs[j]] = Surd.of(1)
+    elif how == "huge_denominator":
+        table[key] = table[key] * Surd.sqrt(Fraction(3, 2**80))
+    return table
+
+
+CORRUPTIONS = [
+    "flip_one", "flip_closure", "times_two", "times_sqrt_3_2", "zero", "extra_entry",
+    "huge_denominator",
+]
+CASES = [
+    (token, how)
+    for token in CORRUPT_TYPES
+    for how in CORRUPTIONS
+    if how != "flip_closure" or _closure_keys(system(token)) is not None
+]
+
+
+@pytest.mark.parametrize("token,how", CASES)
+def test_checks_still_catch_what_they_caught(token, how, monkeypatch):
+    rs = system(token)
+    broken = _corrupt(rs, reference_table(rs), how)
+    want_counts, want_failures = reference_verify(rs, broken)
+    sc = StructureConstants(system=rs, table=broken)
+    assert sc.sq.dtype == (object if how == "huge_denominator" else np.int64)
+    rep = verify_identities(rs, sc)
+    assert rep.counts == want_counts
+    assert rep.failure_count == len(want_failures) > 0
+    assert not rep.passed
+    assert len(rep.failures) == min(len(want_failures), structure._MAX_FAILURES)
+    assert not Counter(rep.failures) - Counter(want_failures)
+    monkeypatch.setattr(structure, "_MAX_FAILURES", 10**9)
+    assert Counter(verify_identities(rs, sc).failures) == Counter(want_failures)
+
+
+@pytest.mark.parametrize("token", ["A3", "B3", "G2", "D4", "F4", "E6"])
+def test_object_path_keeps_reports(token, monkeypatch):
+    rs = system(token)
+    sampled = {"cocycle_limit": 3000, "seed": 2} if token == "E6" else {}
+    want = verify_identities(rs, constants(token), **sampled)
+    broken = _corrupt(rs, constants(token).table, "flip_one")
+    want_broken = verify_identities(rs, StructureConstants(system=rs, table=broken), **sampled)
+    monkeypatch.setattr(structure, "_INT64_SAFE", 0)
+    sc = structure_constants(rs)
+    assert sc.sq.dtype == object
+    assert np.array_equal(sc.sign, constants(token).sign)
+    assert np.array_equal(sc.sq, constants(token).sq)
+    assert verify_identities(rs, sc, **sampled) == want
+    got_broken = verify_identities(rs, StructureConstants(system=rs, table=broken), **sampled)
+    assert got_broken == want_broken and not got_broken.passed
+
+
+def test_table_of_another_type_is_refused():
+    a2, b3 = system("A2"), system("B3")
+    with pytest.raises(ValueError, match="B3.*A2"):
+        verify_identities(a2, constants("B3"))
+    with pytest.raises(ValueError, match="A2.*B3"):
+        verify_identities(b3, constants("A2"))
+
+
+def test_normalization_mismatch_is_reported():
+    rep = verify_identities(system("G2", "killing"), constants("G2", "long2"))
+    want_counts, want_failures = reference_verify(
+        system("G2", "killing"), reference_table(system("G2", "long2"))
+    )
+    assert rep.counts == want_counts
+    assert rep.failure_count == len(want_failures) == 72
+    assert Counter(rep.failures) == Counter(want_failures)
+
+
+def test_failure_messages_are_capped_and_counted():
+    rs = system("F4")
+    broken = {k: v * 2 for k, v in constants("F4").table.items()}
+    _, want_failures = reference_verify(rs, broken)
+    rep = verify_identities(rs, StructureConstants(system=rs, table=broken))
+    assert rep.failure_count == len(want_failures) > 100
+    assert len(rep.failures) == 100
+    assert rep.failures == [f for f in want_failures if f.startswith("string square")][:100]
+    assert rep.elapsed_s > 0
+    again = verify_identities(rs, StructureConstants(system=rs, table=broken))
+    assert again == rep  # elapsed_s is not compared
