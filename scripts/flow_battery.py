@@ -19,6 +19,7 @@ from sktflow import (
     build_root_system,
     integrate,
 )
+from sktflow.flow import F_RISE_TOL
 
 
 def parse_args(argv):
@@ -45,7 +46,8 @@ def main(argv=None):
     norm = Normalization.parse(args.norm)
     failures = 0
     print(f"{'type':<6} {'integrator':<10} {'start':<28} {'termination':<22} "
-          f"{'steps':>6} {'evals':>6} {'t_final':>9} {'dist_to_1':>10} {'wall_s':>7}")
+          f"{'steps':>6} {'evals':>6} {'halvings':>8} {'f_rises':>7} {'t_final':>9} "
+          f"{'dist_to_1':>10} {'wall_s':>7}")
     for token in args.types.split(","):
         token = token.strip()
         rs = build_root_system(SimpleType(token[0].upper(), int(token[1:])), norm)
@@ -60,18 +62,22 @@ def main(argv=None):
                     failures += 1
                     continue
                 dist = np.abs(traj.states[-1] - 1).max()
-                if traj.termination != "converged":
+                rise = np.diff(traj.f_values).max(initial=0.0)
+                if traj.termination != "converged" or rise > F_RISE_TOL:
                     failures += 1
                 start_s = ",".join(f"{v:.3f}" for v in x0)
+                st = traj.stats
                 print(f"{token:<6} {integrator:<10} {start_s:<28} {traj.termination:<22} "
-                      f"{traj.stats.accepted:>6} {traj.stats.evaluations:>6} "
-                      f"{traj.times[-1]:>9.3f} {dist:>10.2e} {traj.stats.wall_s:>7.3f}")
+                      f"{st.accepted:>6} {st.evaluations:>6} {st.halvings:>8} {st.f_rises:>7} "
+                      f"{traj.times[-1]:>9.3f} {dist:>10.2e} {st.wall_s:>7.3f}")
+                if rise > F_RISE_TOL:
+                    print(f"{token:<6} {integrator:<10} F rose by {rise:.3g}")
                 if outdir:
                     traj.to_csv(outdir / f"{token}_{integrator}_{i}.csv")
     if failures:
-        print(f"{failures} run(s) did not converge")
+        print(f"{failures} run(s) did not converge or raised F")
         return 1
-    print("all runs converged")
+    print("all runs converged without raising F")
     return 0
 
 

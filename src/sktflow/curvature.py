@@ -8,13 +8,14 @@ bi-invariant point.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, PositivityError
 from .forms import ChevalleyBasis, InvariantForm
-from .hermitian import HermitianStructure, family_values, induced_value_error, sigma_form
+from .hermitian import HermitianStructure, _simple_array, induced_value_error, sigma_form
 from .roots import RootSystem
 
 
@@ -90,52 +91,67 @@ def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
     return CytReport(verdict=res < tol, vector=rep.vector.components, residual=res, tol=tol)
 
 
-def _family_checked(rs: RootSystem, simple_values) -> np.ndarray:
-    vals = family_values(rs, simple_values)
-    bad = np.nonzero(~(vals > 0))[0]
-    if bad.size:
-        raise induced_value_error(rs, rs.positives[bad[0]], vals[bad[0]])
-    return vals
+class _Violation(Exception):
+    """Internal: some induced value is at or below a positive guard eps."""
+
+
+def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0):
+    """v = 1 + K(s - 1) and the gradient g = Kᵀ(1 - 1/v) of F at simple values s, a float array.
+
+    With eps > 0 this raises _Violation when some v is at or below eps; it
+    raises PositivityError, naming the root, when some v is not finite and positive.
+    """
+    k = rs.coefficient_matrix
+    v = 1.0 + k @ (s - 1.0)
+    if not (v.min() > eps and v.max() < np.inf):
+        if eps > 0 and (v <= eps).any():
+            raise _Violation
+        t = np.flatnonzero(~((v > 0) & (v < np.inf)))[0]
+        raise induced_value_error(rs, rs.positives[t], v[t])
+    return v, (1.0 - 1.0 / v) @ k
+
+
+def potential(v: np.ndarray) -> float:
+    """F = sum(v - log v) over induced values v."""
+    return float(np.sum(v - np.log(v)))
+
+
+def _hessian(rs: RootSystem, v: np.ndarray) -> np.ndarray:
+    k = rs.coefficient_matrix
+    return (k / v[:, None] ** 2).T @ k
 
 
 def functional_F(rs: RootSystem, simple_values) -> float:
     """Strictly convex potential whose only critical point is all ones."""
-    vals = _family_checked(rs, simple_values)
-    return float(np.sum(vals - np.log(vals)))
+    return potential(family_gradient(rs, _simple_array(rs, simple_values))[0])
 
 
 def grad_F(rs: RootSystem, simple_values) -> np.ndarray:
-    vals = _family_checked(rs, simple_values)
-    return rs.coefficient_matrix.T @ (1.0 - 1.0 / vals)
+    return family_gradient(rs, _simple_array(rs, simple_values))[1]
 
 
 def hessian_F(rs: RootSystem, simple_values) -> np.ndarray:
-    vals = _family_checked(rs, simple_values)
-    k = rs.coefficient_matrix
-    return (k / vals[:, None] ** 2).T @ k
+    return _hessian(rs, family_gradient(rs, _simple_array(rs, simple_values))[0])
 
 
-def critical_point(
-    rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 200
-) -> np.ndarray:
+def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Damped Newton minimizer of the potential over the positive family domain."""
-    x = np.ones(rs.rank) if x0 is None else np.asarray(x0, dtype=float).copy()
-    _family_checked(rs, x)
+    x = np.ones(rs.rank) if x0 is None else _simple_array(rs, x0).copy()
+    v, g = family_gradient(rs, x)
     for _ in range(max_iter):
-        g = grad_F(rs, x)
         if np.abs(g).max() < tol:
             return x
-        step = np.linalg.solve(hessian_F(rs, x), -g)
-        f0 = functional_F(rs, x)
+        step = np.linalg.solve(_hessian(rs, v), -g)
+        f0 = potential(v)
         t = 1.0
         while t > 1e-14:
             cand = x + t * step
-            if (family_values(rs, cand) > 0).all() and functional_F(rs, cand) <= f0 + 1e-12 * (
-                1.0 + abs(f0)
-            ):
-                break
+            with suppress(PositivityError):  # cand is outside the domain
+                v_c, g_c = family_gradient(rs, cand)
+                if potential(v_c) <= f0 + 1e-12 * (1.0 + abs(f0)):
+                    break
             t /= 2
         else:
             raise ConsistencyError("backtracking line search stalled")
-        x = x + t * step
+        x, v, g = cand, v_c, g_c
     raise ConsistencyError(f"Newton did not reach tolerance {tol} in {max_iter} iterations")

@@ -16,38 +16,62 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .curvature import _family_checked, functional_F, grad_F
-from .errors import PositivityError
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
-from .hermitian import family_values, finite_positive, induced_value_error  # noqa: F401
+from .curvature import _Violation, family_gradient, grad_F, potential  # noqa: F401
+from .hermitian import family_values, finite_positive  # noqa: F401
 from .roots import FactorLayout
 
-_TERMINATIONS = ("converged", "t_end_reached", "positivity_violation", "step_underflow")
+F_RISE_TOL = 1e-10  # the most an accepted step may raise F; a larger rise halves it
+
+
+def _state(layout: FactorLayout, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (layout.size,):
+        raise ValueError(f"state must have length {layout.size}, got shape {x.shape}")
+    return x
+
+
+class _Evaluator:
+    """The rhs and each factor's family_gradient (v, g) at (x, eps), with -Q fetched once."""
+
+    def __init__(self, systems):
+        self.layout = FactorLayout.of(systems)
+        self.blocks = [
+            (rs, sl, -rs.gram_float) for rs, sl in zip(self.layout.systems, self.layout.slices)
+        ]
+        self.calls = 0
+
+    def __call__(self, x, eps):
+        self.calls += 1
+        out = np.empty(self.layout.size)
+        parts = []
+        for rs, sl, neg_q in self.blocks:
+            v, g = family_gradient(rs, x[sl], eps)
+            out[sl] = neg_q @ g
+            parts.append((v, g))
+        return out, parts
+
+
+def _evaluate(systems, x):
+    evaluate = _Evaluator(systems)
+    return evaluate(_state(evaluate.layout, x), 0.0)
+
+
+def _total_F(parts) -> float:
+    return sum(potential(v) for v, _ in parts)
 
 
 def total_functional(systems, x) -> float:
-    layout = FactorLayout.of(systems)
-    x = np.asarray(x, dtype=float)
-    return sum(functional_F(rs, x[sl]) for rs, sl in zip(layout.systems, layout.slices))
+    return _total_F(_evaluate(systems, x)[1])
 
 
 def total_gradient(systems, x) -> np.ndarray:
-    layout = FactorLayout.of(systems)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for rs, sl in zip(layout.systems, layout.slices):
-        out[sl] = grad_F(rs, x[sl])
-    return out
+    return np.concatenate([g for _, g in _evaluate(systems, x)[1]])
 
 
 def rhs(systems, x) -> np.ndarray:
     """Flow velocity: minus the gram matrix applied to the gradient, per factor."""
-    layout = FactorLayout.of(systems)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for rs, sl in zip(layout.systems, layout.slices):
-        out[sl] = -rs.gram_float @ grad_F(rs, x[sl])
-    return out
+    return _evaluate(systems, x)[0]
 
 
 def per_root_rhs(systems, x, factor: int, root) -> float:
@@ -57,9 +81,9 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     cross-check of the rearrangement used there.
     """
     layout = FactorLayout.of(systems)
-    x = np.asarray(x, dtype=float)
+    x = _state(layout, x)
     rs = layout.systems[factor]
-    vals = _family_checked(rs, x[layout.slices[factor]])
+    vals, _ = family_gradient(rs, x[layout.slices[factor]])
     j = rs.index_of(root)
     total = 0.0
     for t in range(rs.npositive):
@@ -87,24 +111,21 @@ class FlowConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-class _Violation(Exception):
-    """Internal: a stage left the admissible region."""
-
-
 @dataclass
 class FlowStats:
     """The work one integrate call did.
 
     evaluations counts guarded flow evaluations (stages and new points);
     rejected counts rkf45 steps refused by error control; halvings counts
-    steps halved because a stage or the new point failed the positivity
-    guard; h_min and h_max span the steps tried (0 when none was).
+    steps halved by the positivity guard, f_rises those halved because F
+    rose by more than F_RISE_TOL; h_min, h_max span the steps tried (or 0).
     """
 
     evaluations: int = 0
     accepted: int = 0
     rejected: int = 0
     halvings: int = 0
+    f_rises: int = 0
     h_min: float = 0.0
     h_max: float = 0.0
     wall_s: float = 0.0
@@ -220,56 +241,6 @@ class Trajectory:
         return out.getvalue()
 
 
-def _check_start(layout: FactorLayout, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float).copy()
-    if x0.shape != (layout.size,):
-        raise ValueError(f"state must have length {layout.size}, got shape {x0.shape}")
-    if not finite_positive(x0).all():
-        raise PositivityError(f"start values must be finite and positive, got {x0.tolist()}")
-    for rs, sl in zip(layout.systems, layout.slices):
-        _family_checked(rs, x0[sl])
-    return x0
-
-
-class _Evaluator:
-    """The guarded flow evaluation, with each factor's arrays fetched once.
-
-    Calling it at x returns the rhs and, per factor, the induced values v and
-    the gradient g; it raises _Violation when some v is at or below eps, and
-    PositivityError when some v is NaN or infinite. The arithmetic is that of
-    rhs(), factor by factor, so the result is bit-identical to it.
-    """
-
-    def __init__(self, systems):
-        layout = FactorLayout.of(systems)
-        self.blocks = [
-            (rs, sl, rs.coefficient_matrix, rs.coefficient_matrix.T, -rs.gram_float)
-            for rs, sl in zip(layout.systems, layout.slices)
-        ]
-        self.n = layout.size
-        self.calls = 0
-
-    def __call__(self, x, eps):
-        self.calls += 1
-        out = np.empty(self.n)
-        parts = []
-        for rs, sl, k, kt, neg_q in self.blocks:
-            v = 1.0 + k @ (x[sl] - 1.0)
-            if not (v.min() > eps and v.max() < math.inf):
-                _refuse(rs, v, eps)
-            g = kt @ (1.0 - 1.0 / v)
-            out[sl] = neg_q @ g
-            parts.append((v, g))
-        return out, parts
-
-
-def _refuse(rs, v, eps):
-    if (v <= eps).any():
-        raise _Violation
-    t = np.nonzero(~np.isfinite(v))[0][0]
-    raise induced_value_error(rs, rs.positives[t], v[t])
-
-
 def _rk4(f, x, h, k1):
     """One classical RK4 step of x' = f(x), given k1 = f(x)."""
     k2 = f(x + 0.5 * h * k1)
@@ -300,24 +271,27 @@ def _rkf45(f, x, h, k1):
     return x5, float(np.abs(x5 - x4).max())
 
 
+# A non-finite value raises PositivityError, so numpy need not warn of it as well.
+@np.errstate(invalid="ignore", over="ignore")
 def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     """Run the flow from x0 until convergence, t_end, or loss of positivity.
 
-    Loss of positivity, and an adaptive step driven below min_step by error
-    control, are recorded as the termination reason rather than raised; a
-    start outside the domain, or a stage value that is NaN or infinite,
-    raises PositivityError.
+    Loss of positivity, and a step driven below min_step by error control or
+    by the descent guard, are recorded as the termination reason rather than
+    raised; a start outside the domain, or a stage value that is NaN or
+    infinite, raises PositivityError.
 
     Every stage and every new point is evaluated once, guarded. The
     evaluation at an accepted point is its recorded F and gradient norm, the
     convergence test's rhs and the first stage of the next step; a step that
-    is halved or rejected keeps it.
+    is halved or rejected keeps it. The flow never raises F, so a step that
+    raises it by more than F_RISE_TOL is halved like a guard failure.
     """
     wall_start = time.perf_counter()
-    layout = FactorLayout.of(systems)
     cfg = config or FlowConfig()
-    x = _check_start(layout, x0)
-    evaluate = _Evaluator(layout)
+    evaluate = _Evaluator(systems)
+    layout = evaluate.layout
+    x = _state(layout, x0)
     eps = cfg.eps_pos
 
     def stage(s):
@@ -325,10 +299,10 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
 
     rows_t, rows_x, rows_f, rows_g = [], [], [], []
 
-    def record(t, x, parts):
+    def record(t, x, f, parts):
         rows_t.append(t)
         rows_x.append(x)
-        rows_f.append(sum(float(np.sum(v - np.log(v))) for v, _ in parts))
+        rows_f.append(f)
         rows_g.append(max(float(np.abs(g).max()) for _, g in parts))
 
     try:
@@ -340,10 +314,10 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
         k, parts = evaluate(x, 0.0)
         admissible = False
     t = 0.0
-    record(t, x, parts)
+    record(t, x, _total_F(parts), parts)
     h = cfg.h
     stop = None  # set once h has fallen below min_step, with the reason
-    rejected = halvings = 0
+    rejected = halvings = f_rises = 0
     h_min, h_max = math.inf, 0.0
     while True:
         if np.abs(x - 1.0).max() < cfg.tol and np.abs(k).max() < cfg.tol:
@@ -382,9 +356,15 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
             h = step * factor
             if h < cfg.min_step:
                 stop = "step_underflow"
-        if accept:
+        f_new = _total_F(parts)
+        if accept and f_new > rows_f[-1] + F_RISE_TOL:
+            f_rises += 1
+            h = step / 2.0
+            if h < cfg.min_step:
+                stop = "step_underflow"
+        elif accept:
             x, t, k = x_new, t + step, k_new
-            record(t, x, parts)
+            record(t, x, f_new, parts)
 
     meta = {
         "systems": " x ".join(f"{rs.stype}[{rs.normalization.value}]" for rs in layout.systems),
@@ -399,6 +379,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
         accepted=len(rows_t) - 1,
         rejected=rejected,
         halvings=halvings,
+        f_rises=f_rises,
         h_min=h_min if h_max > 0 else 0.0,
         h_max=h_max,
         wall_s=time.perf_counter() - wall_start,
@@ -414,6 +395,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     )
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> float:
     """Deviation between the flow and the conjugated plain gradient flow.
 
@@ -421,8 +403,10 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     is the largest pointwise distance along the grid, which is bounded by the
     integrator error when the flow really is gradient-like.
     """
-    layout = FactorLayout.of(systems)
-    x0 = _check_start(layout, x0)
+    FlowConfig(t_end=t_end, h=h)  # refuses a t_end or h that is not finite and positive
+    evaluate = _Evaluator(systems)
+    layout = evaluate.layout
+    x0 = _state(layout, x0)
     q = layout.blockdiag(rs.gram_float for rs in layout.systems)
     w, v = np.linalg.eigh(q)
     s = v @ np.diag(np.sqrt(w)) @ v.T
@@ -432,10 +416,10 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     dt = t_end / nsteps
 
     def f_x(state):
-        return rhs(layout, state)
+        return evaluate(state, 0.0)[0]
 
     def f_y(state):
-        return -(s @ total_gradient(layout, s @ state))
+        return -(s @ np.concatenate([g for _, g in evaluate(s @ state, 0.0)[1]]))
 
     x = x0.copy()
     y = s_inv @ x0
