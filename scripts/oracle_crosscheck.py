@@ -49,7 +49,7 @@ def main(argv=None):
         stype = SimpleType(token[0].upper(), int(token[1:]))
         t0 = time.perf_counter()
         rs = build_root_system(stype, norm)
-        rep = verify_identities(rs, structure_constants(rs), cocycle_limit=5000, seed=args.seed)
+        rep = verify_identities(rs, structure_constants(rs))
         ident = "ok" if rep.passed else "FAILED"
         g = GroupSpec([FactorSpec(stype, norm)])
         worst = 0.0

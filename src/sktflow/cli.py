@@ -132,8 +132,7 @@ def cmd_roots(family: str, rank: int, norm: str):
     pos = rs.positives
     for i, j, _ in zip(*(v.tolist() for v in rs.positive_sums())):
         click.echo(f"  N({pos[i].label}, {pos[j].label})^2 = {sc.unit * int(sc.sq[i, j])}")
-    limit = None if rs.npositive <= 40 else 20000
-    rep = verify_identities(rs, sc, cocycle_limit=limit)
+    rep = verify_identities(rs, sc)
     verdict = "PASS" if rep.passed else "FAIL"
     click.echo(f"identities {verdict} ({sum(rep.counts.values())} checks) in {_ms(rep.elapsed_s)}")
     _echo_failures(rep)
@@ -244,7 +243,7 @@ def cmd_flow(family, rank, x0_text, norm, t_end, step, integrator, tol, eps_pos,
     "--cocycle-limit",
     type=int,
     default=None,
-    help="Sample at most this many cocycle quadruples per type.",
+    help="Check at most this many cocycle quads per type, drawn without replacement.",
 )
 @click.option("--seed", type=int, default=0, help="Sampling seed for --cocycle-limit.")
 @_guarded

@@ -285,7 +285,8 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     evaluation at an accepted point is its recorded F and gradient norm, the
     convergence test's rhs and the first stage of the next step; a step that
     is halved or rejected keeps it. The flow never raises F, so a step that
-    raises it by more than F_RISE_TOL is halved like a guard failure.
+    raises it by more than F_RISE_TOL is halved like a guard failure, and
+    rkf45 error control never grows a later step past that halved one.
     """
     wall_start = time.perf_counter()
     cfg = config or FlowConfig()
@@ -316,6 +317,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     t = 0.0
     record(t, x, _total_F(parts), parts)
     h = cfg.h
+    ceiling = math.inf  # rkf45 steps never regrow past a descent-guard halving
     stop = None  # set once h has fallen below min_step, with the reason
     rejected = halvings = f_rises = 0
     h_min, h_max = math.inf, 0.0
@@ -353,13 +355,13 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
             accept = err <= scale
             rejected += not accept
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
-            h = step * factor
+            h = min(step * factor, ceiling)
             if h < cfg.min_step:
                 stop = "step_underflow"
         f_new = _total_F(parts)
         if accept and f_new > rows_f[-1] + F_RISE_TOL:
             f_rises += 1
-            h = step / 2.0
+            ceiling = h = step / 2.0
             if h < cfg.min_step:
                 stop = "step_underflow"
         elif accept:

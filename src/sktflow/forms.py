@@ -73,6 +73,7 @@ class ChevalleyBasis:
         for f, (rs, sc) in enumerate(self.factors):
             torus = self.layout.slices[f].start
             elem = [self.element_index(f, r) for r in range(2 * rs.npositive)]
+            fl = sc.float_array.tolist()
             for a, simple in enumerate(rs.simples):
                 ia = rs.index_of(simple)
                 for r, e in enumerate(elem):
@@ -85,7 +86,7 @@ class ChevalleyBasis:
                 )
             for r, s in np.argwhere(rs.sum_index >= 0).tolist():
                 if elem[r] < elem[s]:
-                    table[(elem[r], elem[s])] = ((elem[rs.sum_index[r, s]], sc.floats[r][s]),)
+                    table[(elem[r], elem[s])] = ((elem[rs.sum_index[r, s]], fl[r][s]),)
         return dict(sorted(table.items()))
 
     def bracket(self, i: int, j: int) -> BracketTerms:

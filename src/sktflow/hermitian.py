@@ -281,7 +281,7 @@ def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:
     i1, i2, i3 = (rs.index_of(r) for r in (r1, r2, r3))
     if rs.sum_index[i1, i2] != rs.neg_index[i3]:
         return 0j
-    n = h.group.constants[f1].floats[i1][i2]
+    n = float(h.group.constants[f1].float_array[i1, i2])
     x, npos = h._x[f1], rs.npositive
     y1, y2, y3 = (-1j * r.sign * x[i % npos] for r, i in ((r1, i1), (r2, i2), (r3, i3)))
     ys = y1 + y2 + y3
@@ -367,7 +367,7 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
             for a in range(h.group.total_rank):
                 if gk[a]:
                     comps[(a, e, e + 1)] = complex(-gk[a])
-        n, fl, x = rs.npositive, h.group.constants[f].floats, h._x[f]
+        n, fl, x = rs.npositive, h.group.constants[f].float_array.tolist(), h._x[f]
         for eta, theta, xi in zip(*(v.tolist() for v in rs.positive_sums())):
             for triple in ((eta, theta, n + xi), (n + eta, n + theta, xi)):
                 idx = sorted((basis.element_index(f, r), r) for r in triple)

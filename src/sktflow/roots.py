@@ -231,6 +231,17 @@ def _coeffs(x) -> tuple[int, ...]:
     return x.coeffs if isinstance(x, Root) else tuple(x)
 
 
+def _key_matches(keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p, q) listing, for each p in turn, every q with keys[q] ==
+    targets[p], in increasing q."""
+    order = np.argsort(keys, kind="stable")
+    lo = np.searchsorted(keys[order], targets, "left")
+    size = np.searchsorted(keys[order], targets, "right") - lo
+    p = np.repeat(np.arange(len(targets)), size)
+    q = order[np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - lo, size)]
+    return p, q
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Root data plus its combinatorics, compiled once at construction.
@@ -328,14 +339,28 @@ class RootSystem:
         {i, j} != {m, l}, sorted by (i, j, m)."""
         i, j = np.triu_indices(self.npositive, 1)
         pair_keys = self._keys[i] + self._keys[j]
-        # pairs sharing a sum are disjoint, and a stable sort keeps them by i
-        order = np.argsort(pair_keys, kind="stable")
-        lo = np.searchsorted(pair_keys[order], pair_keys, "left")
-        size = np.searchsorted(pair_keys[order], pair_keys, "right") - lo
-        p = np.repeat(np.arange(len(pair_keys)), size)
-        q = order[np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - lo, size)]
+        # pairs sharing a sum are disjoint
+        p, q = _key_matches(pair_keys, pair_keys)
         p, q = p[p != q], q[p != q]
         return np.stack([i[p], j[p], i[q], j[q]], axis=1)
+
+    def zero_sum_quads(self) -> np.ndarray:
+        """Rows (a, b, c, d) of root indices, a < b < c < d, whose roots sum to
+        zero with no opposite pair among them, sorted by (c, b, a)."""
+        i, j = np.triu_indices(2 * self.npositive, 1)
+        pair_keys = self._keys[i] + self._keys[j]
+        # each 4-set is found once per pairing whose first pair has a positive
+        # key; keep the pairing of its two lower and its two upper indices.
+        # Pairs with nonzero keys hold no opposite pair, and if i[p] is
+        # opposite to neither of i[q], j[q], neither is j[p].
+        first = np.nonzero(pair_keys > 0)[0]
+        p, q = _key_matches(pair_keys, -pair_keys[first])
+        p = first[p]
+        neg = self.neg_index[i[p]]
+        keep = ((j[p] < i[q]) | (j[q] < i[p])) & (neg != i[q]) & (neg != j[q])
+        p, q = p[keep], q[keep]
+        rows = np.sort(np.stack([i[p], j[p], i[q], j[q]], axis=1), axis=1)
+        return rows[np.lexsort(rows[:, :3].T)]
 
     def is_root(self, coeffs: Sequence[int]) -> bool:
         return tuple(coeffs) in self._index

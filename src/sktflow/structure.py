@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .roots import RootSystem, _coeffs
 from .surd import Surd, squarefree_split
 
 _ZERO = Surd.of(0)
-_DRAW_CHUNK = 1 << 16  # cocycle triples unranked per numpy block
 _INT64_SAFE = 1 << 31  # int64 holds the product of two magnitudes below this
 _MAX_FAILURES = 100  # failure messages an IdentityReport keeps
 
@@ -42,8 +41,8 @@ class StructureConstants:
     By root index (see RootSystem): sign[i, j] in {-1, 0, 1} and the integer
     sq[i, j] with N(i, j)^2 = sq[i, j] * unit, where unit is gram_scale / 2
     over the least common denominator of the squares. table reads the values
-    as Surds keyed by coefficient tuples; at(i, j) by index; floats and
-    float_array hold them as floats.
+    as Surds keyed by coefficient tuples; at(i, j) by index; float_array
+    holds them as floats.
     """
 
     def __init__(self, system: RootSystem, table: Mapping):
@@ -106,11 +105,6 @@ class StructureConstants:
     def table(self) -> Mapping:
         """Read-only view {(coeffs a, coeffs b): N(a, b)} over the held pairs."""
         return _TableView(self)
-
-    @cached_property
-    def floats(self) -> list[list[float]]:
-        """float(N(i, j)) by root index as nested lists, 0.0 off the table."""
-        return self.float_array.tolist()
 
     @cached_property
     def float_array(self) -> np.ndarray:
@@ -233,45 +227,6 @@ class IdentityReport:
         return self.failure_count == 0
 
 
-def _triples(nroots: int, cocycle_limit: int | None, seed: int):
-    """Blocks (a, b, c), a < b < c, of root-index triples for the cocycle check.
-
-    Triples are unranked from the combinatorial number system, rank =
-    C(c, 3) + C(b, 2) + a: every rank below C(nroots, 3) in turn, or
-    cocycle_limit ranks drawn uniformly and independently when that is fewer.
-    """
-    total = comb(nroots, 3)
-    sampled = cocycle_limit is not None and cocycle_limit < total
-    if sampled and cocycle_limit < 0:
-        raise ValueError(f"cocycle_limit must be nonnegative, got {cocycle_limit}")
-    rng = np.random.default_rng(seed) if sampled else None  # numpy.random loads lazily
-    k = np.arange(nroots)
-    choose3, choose2 = k * (k - 1) * (k - 2) // 6, k * (k - 1) // 2
-    count = cocycle_limit if sampled else total
-    for start in range(0, count, _DRAW_CHUNK):
-        size = min(_DRAW_CHUNK, count - start)
-        ranks = rng.integers(0, total, size=size) if sampled else np.arange(start, start + size)
-        c = np.searchsorted(choose3, ranks, "right") - 1
-        ranks = ranks - choose3[c]
-        b = np.searchsorted(choose2, ranks, "right") - 1
-        yield ranks - choose2[b], b, c
-
-
-def _cocycle_quads(rs: RootSystem, a, b, c):
-    """The (a, b, c, d) among the triples with d = -(a+b+c) a root of index
-    above c and no opposite pair among a, b, c."""
-    add, neg = rs.sum_index, rs.neg_index
-    # a+b+c = e a root has <e, x> > 0 for some x in {a, b, c}, so e - x is a
-    # root (or zero, an opposite pair): e is reached through one pair sum
-    e = np.full(len(a), -1)
-    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-        xy = add[x, y]
-        e = np.maximum(e, np.where(xy >= 0, add[xy, z], -1))
-    d = np.where(e >= 0, neg[e], -1)
-    keep = (d > c) & (a != neg[b]) & (a != neg[c]) & (b != neg[c])
-    return a[keep], b[keep], c[keep], d[keep]
-
-
 def verify_identities(
     rs: RootSystem,
     sc: StructureConstants,
@@ -281,18 +236,18 @@ def verify_identities(
 ) -> IdentityReport:
     """Check the defining identities of the table, exactly.
 
-    The four-term cocycle check visits index triples of roots. Without
-    cocycle_limit it enumerates all C(n, 3) of them for n roots. With a
-    limit below C(n, 3) it checks cocycle_limit triples drawn uniformly and
-    independently from the 3-subsets, in one vectorised draw per block of
-    draws, deterministic for a given seed; a limit of C(n, 3) or more runs
-    the full enumeration. The triples a seed selects differ from those of
-    releases that drew one triple at a time.
+    The four-term cocycle check visits the quads of rs.zero_sum_quads().
+    Without cocycle_limit, or with a limit at or above their number, it
+    checks all of them. A smaller limit checks that many quads, drawn
+    uniformly without replacement by default_rng(seed) and kept in list
+    order.
     """
     if sc.system.stype != rs.stype:
         raise ValueError(
             f"structure constants of {sc.system.stype} cannot be checked against {rs.stype}"
         )
+    if cocycle_limit is not None and cocycle_limit < 0:
+        raise ValueError(f"cocycle_limit must be nonnegative, got {cocycle_limit}")
     start = time.perf_counter()
     counts: dict[str, int] = {}
     failures: list[str] = []
@@ -341,16 +296,18 @@ def verify_identities(
         g = np.gcd(c1, c2)
         return (c1 // g) * (c2 // g), sgn * sign[x, y] * sign[z, w] * mult[x, y] * mult[z, w] * g
 
-    counts["four_term_cocycle"] = 0
-    for block in _triples(len(coeffs), cocycle_limit, seed):
-        a, b, c, d = _cocycle_quads(rs, *block)
-        terms = [term(a, b, c, d, 1), term(a, c, b, d, -1), term(a, d, b, c, 1)]
-        # the quad holds when the coefficients sharing each core sum to zero
-        bad = np.zeros(len(a), dtype=bool)
-        for core_t, _ in terms:
-            bad |= sum(np.where(core_u == core_t, coef_u, 0) for core_u, coef_u in terms) != 0
-        record("four_term_cocycle", bad, lambda r: "four-term cocycle at ({}, {}, {}, {})".format(
-            *(coeffs[x[r]] for x in (a, b, c, d))))
+    quads = rs.zero_sum_quads()
+    if cocycle_limit is not None and cocycle_limit < len(quads):
+        draw = np.random.default_rng(seed).choice(len(quads), cocycle_limit, replace=False)
+        quads = quads[np.sort(draw)]
+    a, b, c, d = quads.T
+    terms = [term(a, b, c, d, 1), term(a, c, b, d, -1), term(a, d, b, c, 1)]
+    # a quad holds when the coefficients sharing each core sum to zero
+    bad = np.zeros(len(a), dtype=bool)
+    for core_t, _ in terms:
+        bad |= sum(np.where(core_u == core_t, coef_u, 0) for core_u, coef_u in terms) != 0
+    record("four_term_cocycle", bad, lambda r: "four-term cocycle at ({}, {}, {}, {})".format(
+        *(coeffs[x[r]] for x in (a, b, c, d))))
 
     i, j = np.triu_indices(n, 1)
     pos = rs.positives

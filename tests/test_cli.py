@@ -53,6 +53,15 @@ def test_roots_a2(runner):
     assert "3 positive roots" in res.output
 
 
+def test_roots_e7_runs_the_full_identity_check(runner):
+    res = invoke(runner, "roots", "E", "7")
+    assert res.exit_code == 0
+    rs = build_root_system(SimpleType("E", 7))
+    rep = verify_identities(rs, cli_module.structure_constants(rs))
+    assert rep.counts["four_term_cocycle"] == len(rs.zero_sum_quads()) == 7560
+    assert f"identities PASS ({sum(rep.counts.values())} checks)" in res.output
+
+
 def test_roots_invalid_rank(runner):
     res = invoke(runner, "roots", "D", "2")
     assert res.exit_code == 2

@@ -129,6 +129,30 @@ def test_rkf45_with_loose_error_control_never_raises_F():
     assert traj.stats.f_rises > 0
 
 
+def _loose_starts():
+    # the recipe U(0.9, 3.0) from default_rng(1), 5 starts per type in this order
+    rng = np.random.default_rng(1)
+    starts = {
+        t: [rng.uniform(0.9, 3.0, int(t[1])) for _ in range(5)] for t in ("A2", "B2", "G2", "A3")
+    }
+    return [
+        pytest.param(token, starts[token][i], rel_tol, id=f"{token}#{i}-rel{rel_tol:g}")
+        for token, i, rel_tol in (("A2", 1, 1e-2), ("G2", 0, 1e-2), ("G2", 3, 0.1), ("B2", 0, 1.0))
+    ]
+
+
+@pytest.mark.parametrize("token,x0,rel_tol", _loose_starts())
+def test_rkf45_does_not_regrow_past_a_descent_halving(token, x0, rel_tol):
+    # error control used to grow h by up to 5x after every halving, so these
+    # runs cycled near the fixed point, halving hundreds of times, to t_end
+    cfg = FlowConfig(integrator="rkf45", rel_tol=rel_tol, t_end=400.0, tol=1e-7)
+    traj = integrate(system(token), x0, cfg)
+    assert traj.termination == "converged"
+    assert np.diff(traj.f_values).max(initial=0.0) <= MONOTONE_SLACK
+    assert 0 < traj.stats.f_rises <= 2
+    assert traj.stats.evaluations < 500
+
+
 def test_descent_guard_below_min_step_is_step_underflow():
     rs = system("G2")
     x0 = next(p.values[1] for p in _rising_starts() if p.id == "G2#0")

@@ -97,7 +97,7 @@ def _reference_pair_level_value(h, fa, i, fb, j):
 
 
 def _reference_quad_level_value(h, f, a, b, c, d):
-    rs, fl, x = h.group.systems[f], h.group.constants[f].floats, h._x[f]
+    rs, fl, x = h.group.systems[f], h.group.constants[f].float_array.tolist(), h._x[f]
     n, add = rs.npositive, rs.sum_index
     xa, xb, xc, xd = x[a], x[b], x[c - n], x[d - n]
     val = 0.0

@@ -1,8 +1,10 @@
-"""The index-native structure constants against the Surd recursion and the
-per-entry Fraction verifier they replaced, kept here as references."""
+"""The index-native structure constants against the Surd recursion, the
+per-entry Fraction verifier and the triple enumeration of cocycle quads they
+replaced, kept here as references."""
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from sktflow import (
     structure_constants,
     verify_identities,
 )
-from sktflow.structure import _cocycle_quads, _triples
 
 _ZERO = Surd.of(0)
+_DRAW_CHUNK = 1 << 16  # cocycle triples unranked per numpy block
 
 TABLE_TYPES = (
     [f"A{k}" for k in range(1, 9)]
@@ -29,6 +31,52 @@ TABLE_TYPES = (
     + ["E6", "E7", "E8", "F4", "G2"]
 )
 NORMS = ["long2", "short2", "killing"]
+
+
+def _triples(nroots: int, cocycle_limit: int | None, seed: int):
+    """Blocks (a, b, c), a < b < c, of root-index triples for the cocycle check.
+
+    Triples are unranked from the combinatorial number system, rank =
+    C(c, 3) + C(b, 2) + a: every rank below C(nroots, 3) in turn, or
+    cocycle_limit ranks drawn uniformly and independently when that is fewer.
+    """
+    total = comb(nroots, 3)
+    sampled = cocycle_limit is not None and cocycle_limit < total
+    if sampled and cocycle_limit < 0:
+        raise ValueError(f"cocycle_limit must be nonnegative, got {cocycle_limit}")
+    rng = np.random.default_rng(seed) if sampled else None  # numpy.random loads lazily
+    k = np.arange(nroots)
+    choose3, choose2 = k * (k - 1) * (k - 2) // 6, k * (k - 1) // 2
+    count = cocycle_limit if sampled else total
+    for start in range(0, count, _DRAW_CHUNK):
+        size = min(_DRAW_CHUNK, count - start)
+        ranks = rng.integers(0, total, size=size) if sampled else np.arange(start, start + size)
+        c = np.searchsorted(choose3, ranks, "right") - 1
+        ranks = ranks - choose3[c]
+        b = np.searchsorted(choose2, ranks, "right") - 1
+        yield ranks - choose2[b], b, c
+
+
+def _cocycle_quads(rs, a, b, c):
+    """The (a, b, c, d) among the triples with d = -(a+b+c) a root of index
+    above c and no opposite pair among a, b, c."""
+    add, neg = rs.sum_index, rs.neg_index
+    # a+b+c = e a root has <e, x> > 0 for some x in {a, b, c}, so e - x is a
+    # root (or zero, an opposite pair): e is reached through one pair sum
+    e = np.full(len(a), -1)
+    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+        xy = add[x, y]
+        e = np.maximum(e, np.where(xy >= 0, add[xy, z], -1))
+    d = np.where(e >= 0, neg[e], -1)
+    keep = (d > c) & (a != neg[b]) & (a != neg[c]) & (b != neg[c])
+    return a[keep], b[keep], c[keep], d[keep]
+
+
+def reference_quads(rs):
+    """The cocycle quads by unranking every root-index triple, in rank order."""
+    blocks = [np.stack(_cocycle_quads(rs, *block), axis=1)
+              for block in _triples(2 * rs.npositive, None, 0)]
+    return np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.intp)
 
 
 def _string_square(rs, i, j):
@@ -153,9 +201,14 @@ def test_tables_are_unchanged(token, norm):
         want[i, j] = float(v)
     assert np.count_nonzero(sc.sign) == len(ref)
     hexes = [[x.hex() for x in row] for row in want.tolist()]
-    assert [[x.hex() for x in row] for row in sc.floats] == hexes
     assert [[x.hex() for x in row] for row in sc.float_array.tolist()] == hexes
     assert not sc.float_array.flags.writeable
+
+
+@pytest.mark.parametrize("token", TABLE_TYPES)
+def test_zero_sum_quads_match_the_triple_enumeration(token):
+    rs = system(token)
+    assert np.array_equal(rs.zero_sum_quads(), reference_quads(rs))
 
 
 def test_mapping_constructor_round_trips():
@@ -306,3 +359,48 @@ def test_failure_messages_are_capped_and_counted():
     assert rep.elapsed_s > 0
     again = verify_identities(rs, StructureConstants(system=rs, table=broken))
     assert again == rep  # elapsed_s is not compared
+
+
+# ------------------------------------------------------------ sampled cocycle
+
+
+def _randomly_signed(token):
+    """The table with each entry's sign flipped by a fair coin, so that about
+    half of the cocycle quads fail."""
+    rs = system(token)
+    rng = np.random.default_rng(0)
+    table = {k: -v if rng.random() < 0.5 else v for k, v in sorted(constants(token).table.items())}
+    return rs, StructureConstants(system=rs, table=table)
+
+
+def _cocycle_failures(rep):
+    return [f for f in rep.failures if f.startswith("four-term cocycle")]
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(x in rest for x in part)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 40, 299, 300, 301, 10**6])
+def test_sampled_cocycle_checks_distinct_quads_of_the_full_list(limit, monkeypatch):
+    monkeypatch.setattr(structure, "_MAX_FAILURES", 10**9)
+    rs, sc = _randomly_signed("D5")
+    nquads = len(rs.zero_sum_quads())
+    assert nquads == 300
+    full = verify_identities(rs, sc)
+    failing = _cocycle_failures(full)
+    assert len(set(failing)) == len(failing) > nquads // 3
+    rep = verify_identities(rs, sc, cocycle_limit=limit, seed=3)
+    assert rep.counts["four_term_cocycle"] == min(limit, nquads)
+    # the quads checked are distinct and kept in list order
+    assert _is_subsequence(_cocycle_failures(rep), failing)
+    assert rep == verify_identities(rs, sc, cocycle_limit=limit, seed=3)
+    if limit >= nquads:
+        assert rep == full
+    elif limit > 1:
+        other = verify_identities(rs, sc, cocycle_limit=limit, seed=4)
+        assert _cocycle_failures(other) != _cocycle_failures(rep)
+    assert [f for f in rep.failures if f not in failing] == [
+        f for f in full.failures if f not in failing
+    ]
