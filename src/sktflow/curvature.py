@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import ConsistencyError, PositivityError
 from .forms import ChevalleyBasis, InvariantForm
-from .hermitian import HermitianStructure, _simple_array, induced_value_error, sigma_form
+from .hermitian import (
+    HermitianStructure,
+    _check_tol,
+    _simple_array,
+    induced_value_error,
+    sigma_form,
+)
 from .roots import RootSystem
 
 
@@ -86,6 +92,7 @@ class CytReport:
 
 def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
     """Whether the Bismut Ricci vector vanishes to within tol."""
+    _check_tol(tol)
     rep = bismut_ricci(h)
     res = rep.vector.sup_norm
     return CytReport(verdict=res < tol, vector=rep.vector.components, residual=res, tol=tol)
@@ -95,11 +102,12 @@ class _Violation(Exception):
     """Internal: some induced value is at or below a positive guard eps."""
 
 
-def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0):
+def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0, factor=None):
     """v = 1 + K(s - 1) and the gradient g = Kᵀ(1 - 1/v) of F at simple values s, a float array.
 
     With eps > 0 this raises _Violation when some v is at or below eps; it
-    raises PositivityError, naming the root, when some v is not finite and positive.
+    raises PositivityError, naming the root (and the factor, if one is given),
+    when some v is not finite and positive.
     """
     k = rs.coefficient_matrix
     v = 1.0 + k @ (s - 1.0)
@@ -107,7 +115,7 @@ def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0):
         if eps > 0 and (v <= eps).any():
             raise _Violation
         t = np.flatnonzero(~((v > 0) & (v < np.inf)))[0]
-        raise induced_value_error(rs, rs.positives[t], v[t])
+        raise induced_value_error(rs, rs.positives[t], v[t], factor)
     return v, (1.0 - 1.0 / v) @ k
 
 
@@ -136,6 +144,7 @@ def hessian_F(rs: RootSystem, simple_values) -> np.ndarray:
 
 def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Damped Newton minimizer of the potential over the positive family domain."""
+    _check_tol(tol)
     x = np.ones(rs.rank) if x0 is None else _simple_array(rs, x0).copy()
     v, g = family_gradient(rs, x)
     for _ in range(max_iter):

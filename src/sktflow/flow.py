@@ -31,13 +31,19 @@ def _state(layout: FactorLayout, x) -> np.ndarray:
     return x
 
 
+def _factor_name(layout: FactorLayout, factor: int):
+    """The factor index an error names: None for a single system, whose messages omit it."""
+    return factor if len(layout.systems) > 1 else None
+
+
 class _Evaluator:
     """The rhs and each factor's family_gradient (v, g) at (x, eps), with -Q fetched once."""
 
     def __init__(self, systems):
         self.layout = FactorLayout.of(systems)
         self.blocks = [
-            (rs, sl, -rs.gram_float) for rs, sl in zip(self.layout.systems, self.layout.slices)
+            (rs, sl, -rs.gram_float, _factor_name(self.layout, f))
+            for f, (rs, sl) in enumerate(zip(self.layout.systems, self.layout.slices))
         ]
         self.calls = 0
 
@@ -45,8 +51,8 @@ class _Evaluator:
         self.calls += 1
         out = np.empty(self.layout.size)
         parts = []
-        for rs, sl, neg_q in self.blocks:
-            v, g = family_gradient(rs, x[sl], eps)
+        for rs, sl, neg_q, factor in self.blocks:
+            v, g = family_gradient(rs, x[sl], eps, factor)
             out[sl] = neg_q @ g
             parts.append((v, g))
         return out, parts
@@ -59,6 +65,10 @@ def _evaluate(systems, x):
 
 def _total_F(parts) -> float:
     return sum(potential(v) for v, _ in parts)
+
+
+def _grad_sup(parts) -> float:
+    return max(float(np.abs(g).max()) for _, g in parts)
 
 
 def total_functional(systems, x) -> float:
@@ -82,8 +92,10 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     """
     layout = FactorLayout.of(systems)
     x = _state(layout, x)
+    if not 0 <= factor < len(layout.systems):
+        raise ValueError(f"factor index {factor} out of range")
     rs = layout.systems[factor]
-    vals, _ = family_gradient(rs, x[layout.slices[factor]])
+    vals, _ = family_gradient(rs, x[layout.slices[factor]], 0.0, _factor_name(layout, factor))
     j = rs.index_of(root)
     total = 0.0
     for t in range(rs.npositive):
@@ -291,20 +303,12 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     wall_start = time.perf_counter()
     cfg = config or FlowConfig()
     evaluate = _Evaluator(systems)
-    layout = evaluate.layout
-    x = _state(layout, x0)
+    x = _state(evaluate.layout, x0)
     eps = cfg.eps_pos
+    fixed = cfg.integrator == "rk4_fixed"
 
     def stage(s):
         return evaluate(s, eps)[0]
-
-    rows_t, rows_x, rows_f, rows_g = [], [], [], []
-
-    def record(t, x, f, parts):
-        rows_t.append(t)
-        rows_x.append(x)
-        rows_f.append(f)
-        rows_g.append(max(float(np.abs(g).max()) for _, g in parts))
 
     try:
         k, parts = evaluate(x, eps)
@@ -314,13 +318,12 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
         # step from it fails the guard until h falls below min_step
         k, parts = evaluate(x, 0.0)
         admissible = False
-    t = 0.0
-    record(t, x, _total_F(parts), parts)
+    t, f = 0.0, _total_F(parts)
+    rows = [(t, x, f, _grad_sup(parts))]  # the accepted points: t, x, F, grad sup
+    stats = FlowStats(h_min=math.inf)
     h = cfg.h
     ceiling = math.inf  # rkf45 steps never regrow past a descent-guard halving
     stop = None  # set once h has fallen below min_step, with the reason
-    rejected = halvings = f_rises = 0
-    h_min, h_max = math.inf, 0.0
     while True:
         if np.abs(x - 1.0).max() < cfg.tol and np.abs(k).max() < cfg.tol:
             termination = "converged"
@@ -332,69 +335,59 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
             termination = stop
             break
         step = min(h, cfg.t_end - t)
-        h_min, h_max = min(h_min, step), max(h_max, step)
+        stats.h_min, stats.h_max = min(stats.h_min, step), max(stats.h_max, step)
         try:
             if not admissible:
                 raise _Violation
-            if cfg.integrator == "rk4_fixed":
+            if fixed:
                 x_new = _rk4(stage, x, step, k)
             else:
                 x_new, err = _rkf45(stage, x, step, k)
             k_new, parts = evaluate(x_new, eps)
         except _Violation:
-            halvings += 1
+            stats.halvings += 1
             h = step / 2.0
             if h < cfg.min_step:
                 stop = "positivity_violation"
             continue
-        if cfg.integrator == "rk4_fixed":
+        if fixed:
             accept = True
             h = cfg.h
         else:
             scale = cfg.rel_tol * max(1.0, float(np.abs(x).max()))
             accept = err <= scale
-            rejected += not accept
+            stats.rejected += not accept
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
             h = min(step * factor, ceiling)
             if h < cfg.min_step:
                 stop = "step_underflow"
         f_new = _total_F(parts)
-        if accept and f_new > rows_f[-1] + F_RISE_TOL:
-            f_rises += 1
+        if accept and f_new > f + F_RISE_TOL:
+            stats.f_rises += 1
             ceiling = h = step / 2.0
             if h < cfg.min_step:
                 stop = "step_underflow"
         elif accept:
-            x, t, k = x_new, t + step, k_new
-            record(t, x, f_new, parts)
+            x, t, k, f = x_new, t + step, k_new, f_new
+            rows.append((t, x, f, _grad_sup(parts)))
 
+    stats.evaluations = evaluate.calls
+    stats.accepted = len(rows) - 1
+    if stats.h_max == 0.0:  # no step was tried
+        stats.h_min = 0.0
     meta = {
-        "systems": " x ".join(f"{rs.stype}[{rs.normalization.value}]" for rs in layout.systems),
+        "systems": " x ".join(
+            f"{rs.stype}[{rs.normalization.value}]" for rs in evaluate.layout.systems
+        ),
         "integrator": cfg.integrator,
         "h": repr(cfg.h),
         "t_end": repr(cfg.t_end),
         "tol": repr(cfg.tol),
         "eps_pos": repr(cfg.eps_pos),
     }
-    stats = FlowStats(
-        evaluations=evaluate.calls,
-        accepted=len(rows_t) - 1,
-        rejected=rejected,
-        halvings=halvings,
-        f_rises=f_rises,
-        h_min=h_min if h_max > 0 else 0.0,
-        h_max=h_max,
-        wall_s=time.perf_counter() - wall_start,
-    )
-    return Trajectory(
-        times=np.array(rows_t),
-        states=np.array(rows_x),
-        f_values=np.array(rows_f),
-        grad_inf=np.array(rows_g),
-        termination=termination,
-        metadata=meta,
-        stats=stats,
-    )
+    times, states, f_values, grad_inf = (np.array(column) for column in zip(*rows))
+    stats.wall_s = time.perf_counter() - wall_start
+    return Trajectory(times, states, f_values, grad_inf, termination, meta, stats)
 
 
 @np.errstate(invalid="ignore", over="ignore")

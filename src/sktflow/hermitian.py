@@ -160,6 +160,12 @@ def finite_positive(values) -> np.ndarray:
     return np.isfinite(v) & (v > 0)
 
 
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not finite and positive."""
+    if not finite_positive(tol):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def induced_value_error(rs: RootSystem, root, value, factor=None) -> PositivityError:
     """The error for an induced fiber value of root that is not finite and positive."""
     bound = family_bound(rs)
@@ -367,16 +373,26 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
             for a in range(h.group.total_rank):
                 if gk[a]:
                     comps[(a, e, e + 1)] = complex(-gk[a])
-        n, fl, x = rs.npositive, h.group.constants[f].float_array.tolist(), h._x[f]
-        for eta, theta, xi in zip(*(v.tolist() for v in rs.positive_sums())):
-            for triple in ((eta, theta, n + xi), (n + eta, n + theta, xi)):
-                idx = sorted((basis.element_index(f, r), r) for r in triple)
-                rts = [r for _, r in idx]
-                signs = [1 if r < n else -1 for r in rts]
-                eps = signs[0] * signs[1] * signs[2]
-                total_y = sum(-1j * sg * x[r % n] for sg, r in zip(signs, rts))
-                comps[tuple(k for k, _ in idx)] = 1j * eps * fl[rts[0]][rts[1]] * total_y
+        comps.update(_dc_triples(h, basis, f))
     return InvariantForm(basis=basis, degree=3, components=comps)
+
+
+def _dc_triples(h: HermitianStructure, basis: ChevalleyBasis, f: int) -> dict:
+    """d^c omega on the root triples (eta, theta, -xi) and (-eta, -theta, xi) with
+    eta + theta = xi, interleaved per sum; each key sorted by basis element."""
+    rs = h.group.systems[f]
+    n = rs.npositive
+    eta, theta, xi = rs.positive_sums()
+    rts = np.stack([eta, theta, n + xi, n + eta, n + theta, xi], axis=1).reshape(-1, 3)
+    elems = basis.fiber_offsets[f] + 2 * (rts % n) + (rts >= n)
+    order = np.argsort(elems, axis=1)
+    elems = np.take_along_axis(elems, order, axis=1)
+    rts = np.take_along_axis(rts, order, axis=1)
+    signs = np.where(rts < n, 1, -1)
+    y = -1j * signs * h.xhat[f][rts % n]
+    n_val = h.group.constants[f].float_array[rts[:, 0], rts[:, 1]]
+    vals = 1j * signs.prod(axis=1) * n_val * ((y[:, 0] + y[:, 1]) + y[:, 2])
+    return dict(zip(map(tuple, elems.tolist()), vals.tolist()))
 
 
 def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) -> InvariantForm:
@@ -474,6 +490,7 @@ def is_pluriclosed(
     scans = {"closed_form": closed_form_scan, "brute_force": _brute_force_scan}
     if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}; expected closed_form or brute_force")
+    _check_tol(tol)
     start = time.perf_counter()
     max_res, witness, skt1_max, skt2_max, checked = scans[mode](h)
     return PluriclosedReport(
@@ -562,6 +579,7 @@ def _jt_matrix(group: GroupSpec, jt) -> np.ndarray:
 
 def biinvariant_compatible(group: GroupSpec, jt, tol: float = 1e-10) -> CompatibilityCone:
     """Which block scalings of the torus metric the given jt preserves."""
+    _check_tol(tol)
     j = _jt_matrix(group, jt)
     layout = group.layout
     nfac = len(group.factors)
@@ -601,6 +619,7 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
     Such a set exists exactly when the coupling graph, a -> b when jt maps
     factor a's torus partly into factor b's, is not strongly connected.
     """
+    _check_tol(tol)
     j = _jt_matrix(group, jt)
     slices = group.layout.slices
     reach = np.array([[np.abs(j[sb, sa]).max() > tol for sb in slices] for sa in slices])

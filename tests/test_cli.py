@@ -165,6 +165,16 @@ def test_check_refuses_non_finite_numbers(runner, tmp_path, text):
     assert "finite" in res.output
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_check_refuses_a_tol_that_is_not_finite_and_positive(runner, tmp_path, tol):
+    p = tmp_path / "off.json"
+    save_structure(GroupSpec([FactorSpec(SimpleType("A", 2))]).build(x=[(2.0, 2.0, 4.0)]), p)
+    res = invoke(runner, "check", str(p), "--tol", tol)
+    assert res.exit_code == 2
+    assert res.output.startswith("error:")
+    assert "tol must be finite and positive" in res.output
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_requires_jt(runner, tmp_path):
@@ -200,6 +210,17 @@ def test_classify_blockdiag_reducible(runner, tmp_path):
     assert res.exit_code == 0
     assert "cone dimension: 2" in res.output
     assert "irreducible: false" in res.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_classify_refuses_a_tol_that_is_not_finite_and_positive(runner, tmp_path, tol):
+    g = GroupSpec([FactorSpec(SimpleType("A", 1), z=4.0), FactorSpec(SimpleType("A", 1))])
+    p = tmp_path / "pair.json"
+    save_structure(g.build(jt=np.array([[0.0, -0.5], [2.0, 0.0]])), p)
+    res = invoke(runner, "classify", str(p), "--tol", tol)
+    assert res.exit_code == 2
+    assert res.output.startswith("error:")
+    assert "tol must be finite and positive" in res.output
 
 
 # ---------------------------------------------------------------- flow

@@ -166,6 +166,22 @@ def test_non_finite_start_is_refused(bad):
         integrate([system("A2"), system("G2")], (1.5, 1.5, 1.5, bad))
 
 
+def test_non_finite_start_on_a_product_names_the_factor():
+    # A2 and G2 share root labels; only the factor index tells them apart
+    with pytest.raises(PositivityError, match=r"root \w+ in factor 1 is nan"):
+        integrate([system("A2"), system("G2")], (1.5, 1.5, np.nan, 1.5))
+    with pytest.raises(PositivityError, match=r"root a2 is nan, not finite"):
+        integrate(system("A2"), (1.5, np.nan))
+
+
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_per_root_rhs_refuses_a_factor_index_out_of_range(factor):
+    systems = [system("A2"), system("G2")]
+    root = systems[1].positives[0]
+    with pytest.raises(ValueError, match=f"factor index {factor} out of range"):
+        per_root_rhs(systems, (1.5, 1.5, 1.5, 1.5), factor, root)
+
+
 def test_positivity_violation_termination():
     traj = integrate(system("A2"), (2.0, 2.0), FlowConfig(eps_pos=1.5))
     assert traj.termination == "positivity_violation"

@@ -20,6 +20,7 @@ from sktflow import (
     TorusMetric,
     biinvariant_compatible,
     canonical_jt,
+    critical_point,
     d_omega,
     d_star_omega,
     dc_form,
@@ -28,6 +29,7 @@ from sktflow import (
     exterior_derivative,
     family_bound,
     family_values,
+    is_cyt,
     is_irreducible,
     is_pluriclosed,
     kahler_flag_residual,
@@ -522,3 +524,61 @@ def test_save_refuses_cross_factor_coupling(tmp_path):
     h = g.build(torus=gt)
     with pytest.raises(ValueError, match="couples different factors"):
         save_structure(h, tmp_path / "bad.json")
+
+
+_OFF_A2 = A2.build(x=[(2.0, 2.0, 4.0)])
+_JT_A2 = canonical_jt(_OFF_A2.gt)
+TOL_CALLS = {
+    "is_pluriclosed": lambda tol: is_pluriclosed(_OFF_A2, tol=tol),
+    "is_pluriclosed_brute_force": lambda tol: is_pluriclosed(_OFF_A2, "brute_force", tol),
+    "is_cyt": lambda tol: is_cyt(_OFF_A2, tol=tol),
+    "biinvariant_compatible": lambda tol: biinvariant_compatible(A2, _JT_A2, tol=tol),
+    "is_irreducible": lambda tol: is_irreducible(A2, _JT_A2, tol=tol),
+    "critical_point": lambda tol: critical_point(A2.systems[0], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(TOL_CALLS))
+def test_tolerances_must_be_finite_and_positive(name, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        TOL_CALLS[name](tol)
+
+
+# The paper's count: on each simple factor the solutions of dd^c omega = 0
+# form a family of rank + 1 parameters, the simple values and the factor
+# scale. dd^c omega is linear and homogeneous in the fiber values and the
+# torus metric, so the family is the kernel of one matrix, built here column
+# by column through the cochain oracle exterior_derivative(dc_form).
+@pytest.mark.parametrize(
+    "tokens",
+    [("A2",), ("B2",), ("G2",), ("A3",), ("B3",), ("C3",), ("F4",), ("A2", "G2")],
+    ids="x".join,
+)
+def test_pluriclosed_kernel_has_dimension_rank_plus_one_per_factor(tokens):
+    g = _group(*tokens)
+    r = g.total_rank
+    x0 = [np.full(rs.npositive, 1.5) for rs in g.systems]
+    gt0 = g.q_full.astype(float)
+
+    def ddc(x, gt):
+        return exterior_derivative(dc_form(g.build(x=x, torus=gt))).components
+
+    base = ddc(x0, gt0)
+    moved = []
+    for f, rs in enumerate(g.systems):
+        for t in range(rs.npositive):
+            x = [row.copy() for row in x0]
+            x[f][t] += 0.25
+            moved.append(ddc(x, gt0))
+    for p, q in itertools.combinations_with_replacement(range(r), 2):
+        gt = gt0.copy()
+        gt[p, q] += 0.05
+        gt[q, p] = gt[p, q]
+        moved.append(ddc(x0, gt))
+    keys = sorted(set(base).union(*moved))
+    m = np.array([[c.get(k, 0j) - base.get(k, 0j) for k in keys] for c in moved]).T
+    svals = np.linalg.svd(np.vstack([m.real, m.imag]), compute_uv=False)
+    rank = int((svals > 1e-8).sum())
+    assert len(moved) - rank == sum(rs.rank + 1 for rs in g.systems)
+    assert svals[:rank].min() > 1e-2 and svals[rank:].max() < 1e-12
