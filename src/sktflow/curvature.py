@@ -19,6 +19,7 @@ from .hermitian import (
     HermitianStructure,
     _check_tol,
     _simple_array,
+    finite_positive,
     induced_value_error,
     sigma_form,
 )
@@ -114,6 +115,9 @@ def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0, factor=None
     if not (v.min() > eps and v.max() < np.inf):
         if eps > 0 and (v <= eps).any():
             raise _Violation
+        bad = np.flatnonzero(~finite_positive(s))  # name a bad simple value, not its NaN
+        if bad.size:
+            raise induced_value_error(rs, rs.simples[bad[0]], s[bad[0]], factor)
         t = np.flatnonzero(~((v > 0) & (v < np.inf)))[0]
         raise induced_value_error(rs, rs.positives[t], v[t], factor)
     return v, (1.0 - 1.0 / v) @ k

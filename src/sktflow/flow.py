@@ -18,7 +18,7 @@ import numpy as np
 
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
 from .curvature import _Violation, family_gradient, grad_F, potential  # noqa: F401
-from .hermitian import family_values, finite_positive  # noqa: F401
+from .hermitian import _sqrt_and_inverse, family_values, finite_positive  # noqa: F401
 from .roots import FactorLayout
 
 F_RISE_TOL = 1e-10  # the most an accepted step may raise F; a larger rise halves it
@@ -403,9 +403,7 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     layout = evaluate.layout
     x0 = _state(layout, x0)
     q = layout.blockdiag(rs.gram_float for rs in layout.systems)
-    w, v = np.linalg.eigh(q)
-    s = v @ np.diag(np.sqrt(w)) @ v.T
-    s_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+    s, s_inv = _sqrt_and_inverse(q)
 
     nsteps = max(1, int(np.ceil(t_end / h)))
     dt = t_end / nsteps

@@ -24,7 +24,8 @@ from .errors import (
 )
 from .forms import ChevalleyBasis, InvariantForm, exterior_derivative, sort_sign
 from .residuals import (
-    ResidualTables,
+    PairRows,
+    QuadRows,
     build_residual_tables,
     closed_form_scan,
     pair_rows,
@@ -53,8 +54,9 @@ class FactorSpec:
 class GroupSpec:
     """Product of simple factors with cached root data.
 
-    Structure constants, the basis and the residual tables are built lazily;
-    closed-form metric computations on large types never pay for the basis.
+    roots[f] is factor f's positive roots embedded in torus coordinates, one
+    per row. Structure constants, the basis and the residual tables are built
+    lazily; closed-form metric computations on large types never pay for the basis.
     """
 
     def __init__(self, factors: Sequence[FactorSpec]):
@@ -66,12 +68,17 @@ class GroupSpec:
         )
         self.layout = FactorLayout(self.systems)
         self.total_rank = self.layout.size
-        # block-diagonal gram matrix, shared read-only by every structure on the group
+        # block-diagonal gram matrix and embedded roots, shared read-only by
+        # every structure on the group
         self.q_full = self.layout.blockdiag(rs.gram_float for rs in self.systems)
-        self.q_full.flags.writeable = False
+        self.roots = tuple(
+            self.layout.embed(f, rs.coefficient_matrix) for f, rs in enumerate(self.systems)
+        )
+        for m in (self.q_full, *self.roots):
+            m.flags.writeable = False
         self._constants: tuple[StructureConstants, ...] | None = None
         self._basis: ChevalleyBasis | None = None
-        self._tables: ResidualTables | None = None
+        self._tables: tuple[PairRows | QuadRows, ...] | None = None
 
     @property
     def constants(self) -> tuple[StructureConstants, ...]:
@@ -86,7 +93,7 @@ class GroupSpec:
         return self._basis
 
     @property
-    def residual_tables(self) -> ResidualTables:
+    def residual_tables(self) -> tuple[PairRows | QuadRows, ...]:
         if self._tables is None:
             self._tables = build_residual_tables(self)
         return self._tables
@@ -205,14 +212,14 @@ class HermitianStructure:
         elif isinstance(torus, str) and torus == "killing":
             self.torus = TorusMetric.killing(group)
         else:
-            self.torus = TorusMetric(_as_matrix(torus))
+            self.torus = TorusMetric(torus)
         if self.torus.matrix.shape[0] != group.total_rank:
             raise ValueError("torus metric size does not match the total rank")
 
         if jt is None or isinstance(jt, TorusComplexStructure):
             self.jt = jt
         else:
-            self.jt = TorusComplexStructure(_as_matrix(jt))
+            self.jt = TorusComplexStructure(jt)
         if self.jt is not None:
             j, g = self.jt.matrix, self.torus.matrix
             if j.shape != g.shape:
@@ -328,10 +335,7 @@ def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
                     return 0.0
                 dst = [(fi, ia), (fi, ia + na), (fb, ib), (fb, ib + nb)]
                 sign = sort_sign([dst.index(k) for k in keys])
-                ka, kb = (h.group.layout.embed(g, h.group.systems[g].positives[k].coeffs)
-                          for g, k in ((fi, ia), (fb, ib)))
-                row = pair_rows(h.group, fi, [ia], fb, [ib])
-                return sign * float(pair_values(h, row, {ia: ka @ h.gt}, {ib: kb})[0])
+                return sign * float(pair_values(h, pair_rows(h.group, fi, [ia], fb, [ib]))[0])
 
     f, n = keys[0][0], h.group.systems[keys[0][0]].npositive
     pos = sorted(i for _, i in keys if i < n)
@@ -366,9 +370,9 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
     """The 3-form d^c of the fundamental form, assembled componentwise."""
     basis = basis or h.group.basis
     comps: dict[tuple[int, ...], complex] = {}
-    for f, rs in enumerate(h.group.systems):
-        for t, root in enumerate(rs.positives):
-            gk = h.gt @ h.group.layout.embed(f, root.coeffs)
+    for f, roots in enumerate(h.group.roots):
+        for t, k in enumerate(roots):
+            gk = h.gt @ k
             e = basis.element_index(f, t)
             for a in range(h.group.total_rank):
                 if gk[a]:
@@ -432,9 +436,9 @@ def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
 def d_star_omega(h: HermitianStructure) -> np.ndarray:
     """Codifferential of the fundamental form as the torus vector it is dual to."""
     out = np.zeros(h.group.total_rank)
-    for f, rs in enumerate(h.group.systems):
-        for t, root in enumerate(rs.positives):
-            out -= h.group.layout.embed(f, root.coeffs) / h.xhat[f][t]
+    for f, roots in enumerate(h.group.roots):
+        for t, k in enumerate(roots):
+            out -= k / h.xhat[f][t]
     return out
 
 
@@ -629,17 +633,21 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
     return bool(reach.all())
 
 
+def _sqrt_and_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric square root of a positive-definite g, and its inverse."""
+    w, v = np.linalg.eigh(g)
+    if w.min() <= 0:
+        raise ValueError("torus metric must be positive definite")
+    return v @ np.diag(np.sqrt(w)) @ v.T, v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+
+
 def canonical_jt(gt: np.ndarray) -> np.ndarray:
     """A complex structure compatible with the given torus metric."""
     g = _as_matrix(gt)
     r = g.shape[0]
     if r % 2:
         raise ValueError(f"torus complex structures need even rank, got {r}")
-    w, v = np.linalg.eigh(g)
-    if w.min() <= 0:
-        raise ValueError("torus metric must be positive definite")
-    half = v @ np.diag(np.sqrt(w)) @ v.T
-    inv_half = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+    half, inv_half = _sqrt_and_inverse(g)
     j0 = np.zeros((r, r))
     for a in range(0, r, 2):
         j0[a, a + 1] = -1.0

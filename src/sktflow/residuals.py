@@ -79,11 +79,11 @@ def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
     return PairRows(fa, fb, i, j, up, down)
 
 
-def pair_values(h: HermitianStructure, t: PairRows, kg, kb) -> np.ndarray:
-    """The rows' dd^c values; kg[i] is k_a @ g_T for root i of factor fa, and kb[j]
-    the embedded root j of factor fb."""
-    torus = np.array([float(kg[a] @ kb[b]) for a, b in zip(t.i.tolist(), t.j.tolist())])
-    val = 2.0 * torus
+def pair_values(h: HermitianStructure, t: PairRows) -> np.ndarray:
+    """The rows' dd^c values; the torus term k_a g_T k_b is one product per segment."""
+    roots = h.group.roots
+    kg = np.array([k @ h.gt for k in roots[t.fa]])
+    val = 2.0 * (kg @ roots[t.fb].T)[t.i, t.j]
     x = h.xhat[t.fa]
     r, at = t.up.rows, t.up.at
     val[r] -= t.up.coef * (x[at] - x[t.i[r]] - x[t.j[r]])
@@ -139,29 +139,18 @@ def quad_values(h: HermitianStructure, t: QuadRows) -> np.ndarray:
     return val
 
 
-class ResidualTables(NamedTuple):
-    """What the closed-form scan reads, per group: the embedded positive roots
-    of each factor, and the residual rows in scan order: per factor its pairs
-    (i < j) then its quads, then the pairs across factors."""
-
-    roots: tuple[list[np.ndarray], ...]
-    segments: tuple[PairRows | QuadRows, ...]
-
-
-def build_residual_tables(group: GroupSpec) -> ResidualTables:
-    roots = tuple(
-        [group.layout.embed(f, root.coeffs) for root in rs.positives]
-        for f, rs in enumerate(group.systems)
-    )
+def build_residual_tables(group: GroupSpec) -> tuple[PairRows | QuadRows, ...]:
+    """The residual rows in scan order: per factor its pairs (i < j) then its
+    quads, then the pairs across factors."""
     segments = []
     for f, rs in enumerate(group.systems):
         i, j = np.triu_indices(rs.npositive, 1)
         segments.append(pair_rows(group, f, i, f, j))
         segments.append(quad_rows(group, f, *rs.positive_quads().T))
     for fa, fb in itertools.combinations(range(len(group.systems)), 2):
-        ia, ib = np.indices((len(roots[fa]), len(roots[fb]))).reshape(2, -1)
+        ia, ib = np.indices((len(group.roots[fa]), len(group.roots[fb]))).reshape(2, -1)
         segments.append(pair_rows(group, fa, ia, fb, ib))
-    return ResidualTables(roots, tuple(segments))
+    return tuple(segments)
 
 
 def worst_row(r: np.ndarray) -> tuple[float, int]:
@@ -174,14 +163,12 @@ def worst_row(r: np.ndarray) -> tuple[float, int]:
 
 def closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     """(max residual, witness, skt1 max, skt2 max, rows checked) over every row."""
-    tables = h.group.residual_tables
-    kg = [[k @ h.gt for k in roots] for roots in tables.roots]
     best, witness = 0.0, None
     skt1 = skt2 = 0.0
     checked = 0
-    for seg in tables.segments:
+    for seg in h.group.residual_tables:
         quad = isinstance(seg, QuadRows)
-        val = quad_values(h, seg) if quad else pair_values(h, seg, kg[seg.fa], tables.roots[seg.fb])
+        val = quad_values(h, seg) if quad else pair_values(h, seg)
         top, row = worst_row(np.abs(val) / 2.0)
         checked += len(val)
         if quad:

@@ -404,9 +404,10 @@ class FactorLayout:
         return cls(arg)
 
     def embed(self, factor: int, coeffs) -> np.ndarray:
-        """A torus vector that is coeffs on the factor's block and zero elsewhere."""
-        v = np.zeros(self.size)
-        v[self.slices[factor]] = coeffs
+        """A torus vector that is coeffs on the factor's block and zero elsewhere;
+        a matrix of coeffs embeds row by row."""
+        v = np.zeros(np.shape(coeffs)[:-1] + (self.size,))
+        v[..., self.slices[factor]] = coeffs
         return v
 
     def blockdiag(self, blocks) -> np.ndarray:

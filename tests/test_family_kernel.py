@@ -61,6 +61,21 @@ def test_infinite_induced_value_is_refused_everywhere(fn):
     assert exc.value.value == np.inf
 
 
+# -- a non-finite simple value is named, not a root its NaN spreads to -----
+
+NAMED = (integrate, rhs, functional_F, critical_point)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("fn", NAMED, ids=_ids(NAMED))
+def test_non_finite_simple_value_is_named(fn, bad):
+    with np.errstate(invalid="ignore"), pytest.raises(PositivityError) as exc:
+        fn(system("A2"), (bad, 1.5))
+    assert str(exc.value).startswith(f"induced value for root a1 is {bad}, not finite")
+    assert exc.value.root_label == "a1"
+    assert np.array_equal(exc.value.value, bad, equal_nan=True)
+
+
 @pytest.mark.parametrize("fn", PER_LAYOUT, ids=_ids(PER_LAYOUT))
 def test_state_of_the_wrong_length_is_refused(fn):
     with pytest.raises(ValueError, match="state must have length 2, got shape \\(3,\\)"):

@@ -43,6 +43,7 @@ from sktflow import (
     theta_form,
 )
 import sktflow.hermitian as hermitian_module
+from sktflow.residuals import PairRows, pair_values
 
 
 def _group(*tokens, **kw):
@@ -237,6 +238,37 @@ def test_closed_form_matches_brute_on_random_metrics():
                 assert abs(oracle.imag) < 1e-10
                 worst = max(worst, abs(closed - oracle.real))
             assert worst < 1e-10, (tokens, worst)
+
+
+def _per_row_pair_values(h, t):
+    """pair_values with the torus term as one dot per row, (k_a @ g_T) @ k_b."""
+    ka, kb = (
+        [h.group.layout.embed(f, root.coeffs) for root in h.group.systems[f].positives]
+        for f in (t.fa, t.fb)
+    )
+    val = 2.0 * np.array([float((ka[a] @ h.gt) @ kb[b]) for a, b in zip(t.i, t.j)])
+    x = h.xhat[t.fa]
+    r, at = t.up.rows, t.up.at
+    val[r] -= t.up.coef * (x[at] - x[t.i[r]] - x[t.j[r]])
+    r, at, eps = t.down.rows, t.down.at, t.down.eps
+    val[r] -= t.down.coef * (eps * x[at] - x[t.i[r]] + x[t.j[r]])
+    return val
+
+
+@pytest.mark.parametrize(
+    "tokens", [("E7",), ("E8",), ("A3", "C3"), ("F4", "A2")], ids="x".join
+)
+def test_pair_torus_product_equals_per_row_dots_bit_for_bit(tokens):
+    # the types where a matrix product and per-row dots may use different BLAS kernels
+    g = _group(*tokens)
+    rng = np.random.default_rng(3)
+    on = pluriclosed_family(g, [rng.uniform(1.0, 2.0, rs.rank).tolist() for rs in g.systems])
+    coupled = g.build(on.fiber, torus=_rand_spd(rng, g.total_rank))
+    segments = [t for t in g.residual_tables if isinstance(t, PairRows)]
+    assert len(segments) == len(tokens) + len(tokens) * (len(tokens) - 1) // 2
+    for h in (on, coupled):
+        for t in segments:
+            assert pair_values(h, t).tobytes() == _per_row_pair_values(h, t).tobytes()
 
 
 def test_d_omega_matches_exterior_derivative_of_omega():
