@@ -39,6 +39,11 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    try:
+        stypes = [SimpleType.parse(token) for token in args.types.split(",")]
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     rng = np.random.default_rng(args.seed)
     outdir = Path(args.outdir) if args.outdir else None
     if outdir:
@@ -48,9 +53,9 @@ def main(argv=None):
     print(f"{'type':<6} {'integrator':<10} {'start':<28} {'termination':<22} "
           f"{'steps':>6} {'evals':>6} {'halvings':>8} {'f_rises':>7} {'t_final':>9} "
           f"{'dist_to_1':>10} {'wall_s':>7}")
-    for token in args.types.split(","):
-        token = token.strip()
-        rs = build_root_system(SimpleType(token[0].upper(), int(token[1:])), norm)
+    for stype in stypes:
+        token = str(stype)
+        rs = build_root_system(stype, norm)
         starts = [rng.uniform(args.low, args.high, rs.rank) for _ in range(args.starts)]
         for integrator in args.integrators.split(","):
             cfg = FlowConfig(integrator=integrator.strip(), t_end=args.t_end, tol=args.tol)

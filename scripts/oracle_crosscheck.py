@@ -43,12 +43,17 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    groups = []
+    for token in args.types.split(","):
+        try:
+            groups.append((token.strip(), [SimpleType.parse(t) for t in token.split("x")]))
+        except ValueError as exc:
+            print(f"error: in {token.strip()!r}: {exc}")
+            return 2
     rng = np.random.default_rng(args.seed)
     norm = Normalization.parse(args.norm)
     bad = 0
-    for token in args.types.split(","):
-        token = token.strip()
-        stypes = [SimpleType(t[0].upper(), int(t[1:])) for t in token.split("x")]
+    for token, stypes in groups:
         t0 = time.perf_counter()
         g = GroupSpec([FactorSpec(stype, norm) for stype in stypes])
         passed = all(verify_identities(rs, structure_constants(rs)).passed for rs in g.systems)

@@ -77,13 +77,6 @@ def _parse_type(family: str, rank: int) -> SimpleType:
     return SimpleType(family.strip().upper(), rank)
 
 
-def _parse_type_token(token: str) -> SimpleType:
-    token = token.strip()
-    if len(token) < 2 or not token[1:].isdigit():
-        raise ValueError(f"cannot parse type token {token!r}; expected e.g. A2, D4")
-    return SimpleType(token[0].upper(), int(token[1:]))
-
-
 def _parse_vector(text: str, rank: int) -> np.ndarray:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -254,7 +247,7 @@ def cmd_verify(types: str, cocycle_limit, seed: int):
         token = token.strip()
         if not token:
             continue
-        rs = build_root_system(_parse_type_token(token))
+        rs = build_root_system(SimpleType.parse(token))
         sc = structure_constants(rs)
         rep = verify_identities(rs, sc, cocycle_limit=cocycle_limit, seed=seed)
         verdict = "PASS" if rep.passed else "FAIL"

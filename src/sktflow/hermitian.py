@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DynkinTypeError,
     MissingComplexStructureError,
     PositivityError,
 )
@@ -161,6 +162,23 @@ class FiberMetric:
                     )
 
 
+def _factor_rows(group: GroupSpec, rows, what: str):
+    """rows as one row per factor; a single factor may give its row bare.
+
+    Refuses a scalar or an empty sequence. Only the first row is inspected, as
+    a product's rows may differ in length.
+    """
+    try:
+        empty = len(rows) == 0
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {rows!r}") from None
+    if empty:
+        raise ValueError(f"{what} must not be empty")
+    if len(group.factors) == 1 and np.ndim(rows[0]) == 0:
+        return [rows]
+    return rows
+
+
 def finite_positive(values) -> np.ndarray:
     """Elementwise test that values are finite and strictly positive; NaN fails."""
     v = np.asarray(values, dtype=float)
@@ -194,9 +212,7 @@ class HermitianStructure:
         if fiber is None:
             fiber = FiberMetric(tuple(tuple(1.0 for _ in rs.positives) for rs in group.systems))
         elif not isinstance(fiber, FiberMetric):
-            rows = fiber
-            if len(group.factors) == 1 and np.ndim(rows[0]) == 0:
-                rows = [rows]
+            rows = _factor_rows(group, fiber, "fiber values")
             fiber = FiberMetric(tuple(tuple(float(v) for v in row) for row in rows))
         self.fiber = fiber
         if len(fiber.values) != len(group.factors):
@@ -227,11 +243,22 @@ class HermitianStructure:
             if np.abs(j.T @ g @ j - g).max() > 1e-8 * max(1.0, np.abs(g).max()):
                 raise ValueError("jt is not compatible with the torus metric")
 
-        # effective fiber values: factor scale applied once, here
-        self.xhat = tuple(
-            spec.z * np.asarray(row, dtype=float)
-            for spec, row in zip(group.factors, fiber.values)
-        )
+        # effective fiber values: factor scale applied once, here; a product
+        # that overflows or underflows is refused below, not warned about
+        with np.errstate(over="ignore", under="ignore"):
+            self.xhat = tuple(
+                spec.z * np.asarray(row, dtype=float)
+                for spec, row in zip(group.factors, fiber.values)
+            )
+        for f, row in enumerate(self.xhat):
+            bad = np.nonzero(~finite_positive(row))[0]
+            if bad.size:
+                t, v = int(bad[0]), float(row[bad[0]])
+                raise PositivityError(
+                    f"effective fiber value z*x = {v:.6g} at factor {f}, root position {t}"
+                    " is not finite and positive",
+                    value=v,
+                )
         self._x = tuple(row.tolist() for row in self.xhat)
         self.gt = self.torus.matrix
         self.q_full = group.q_full
@@ -532,9 +559,7 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
 
     Raises PositivityError naming the first root whose induced value fails.
     """
-    rows = simple_values
-    if len(group.factors) == 1 and np.ndim(rows[0]) == 0:
-        rows = [rows]
+    rows = _factor_rows(group, simple_values, "simple values")
     if len(rows) != len(group.factors):
         raise ValueError("need one tuple of simple values per factor")
     xs = []
@@ -687,8 +712,11 @@ def structure_from_dict(data: dict) -> HermitianStructure:
         rows = data["factors"]
         specs = []
         xs = []
-        for row in rows:
-            stype = SimpleType(str(row["family"]).upper(), int(row["rank"]))
+        for f, row in enumerate(rows):
+            try:
+                stype = SimpleType(str(row["family"]).upper(), row["rank"])
+            except DynkinTypeError as exc:
+                raise DynkinTypeError(f"factor {f}: {exc}") from None
             norm = Normalization.parse(str(row.get("normalization", "long2")))
             specs.append(FactorSpec(stype, norm, float(row.get("z", 1.0))))
             xs.append(row.get("x"))

@@ -5,7 +5,8 @@ fixed by its roots: a pair (E_a, E_-a, E_b, E_-b) or a quad (E_a, E_b, E_-c,
 E_-d) with a + b = c + d. Its value is linear in the fiber values and the
 torus metric, with coefficients from the root tables and the structure
 constants. Those coefficients are built once per group, as arrays with one
-row per component, and a scan evaluates every row with elementwise numpy in
+row per component; each term spans every row, with coefficient 0 where its
+roots have no root sum. A scan evaluates every row with elementwise numpy in
 the order of the scalar formula.
 """
 
@@ -23,35 +24,32 @@ if TYPE_CHECKING:
 
 
 class Term(NamedTuple):
-    """The rows of a residual whose roots have a root sum, and what they read there."""
+    """What each row of a residual table reads where its roots have a root sum."""
 
-    rows: np.ndarray  # row numbers
     at: np.ndarray  # positive index of the sum's root
     eps: np.ndarray  # 1 when the sum is positive, -1 when negative
-    coef: np.ndarray  # the N factor, multiplied in the scalar formula's order
+    coef: np.ndarray  # the N factor, multiplied in the scalar formula's order; 0 with no sum
 
 
-def _term(rs: RootSystem, sums: np.ndarray, coef) -> Term:
-    """Rows where sums, root indices or -1, is a root; coef(rows, eps) gives their N factors."""
-    rows = np.nonzero(sums >= 0)[0].astype(np.int32)
+def _term(rs: RootSystem, sums: np.ndarray, coef: np.ndarray) -> Term:
+    """The term of sums, root indices or -1; coef holds the N factors where sums is a root."""
     n = rs.npositive
-    eps = np.where(sums[rows] < n, 1, -1).astype(np.int8)
-    at = (sums[rows] % n).astype(np.int32)
-    return Term(rows, at, eps, np.array(coef(rows, eps), dtype=float))
+    eps = np.where(sums < n, 1, -1).astype(np.int8)
+    return Term((sums % n).astype(np.int32), eps, np.where(sums >= 0, eps * coef, 0.0))
 
 
 class PairRows(NamedTuple):
     """dd^c on (E_a, E_-a, E_b, E_-b), per row: a = positives[i] of factor fa,
-    b = positives[j] of factor fb, a != b. Within one factor, up holds the rows
-    with a + b a root, coef 2 N(a, b)^2, and down those with a - b a root,
-    coef 2 eps N(a, -b)^2; both are empty across factors."""
+    b = positives[j] of factor fb, a != b. Within one factor, up is the term of
+    a + b, coef 2 N(a, b)^2, and down the term of a - b, coef 2 eps N(a, -b)^2;
+    across factors both are None and only the torus term remains."""
 
     fa: int
     fb: int
     i: np.ndarray
     j: np.ndarray
-    up: Term
-    down: Term
+    up: Term | None
+    down: Term | None
 
     def witness(self, group: GroupSpec, row: int) -> str:
         pa, pb = group.systems[self.fa].positives, group.systems[self.fb].positives
@@ -63,20 +61,16 @@ class PairRows(NamedTuple):
 
 def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
     i, j = np.asarray(i, dtype=np.int32), np.asarray(j, dtype=np.int32)
-    rs, sc = group.systems[fa], group.constants[fa]
     if fa != fb:
-        up = down = _term(rs, np.full(len(i), -1), lambda rows, eps: [])
-        return PairRows(fa, fb, i, j, up, down)
-    n = rs.npositive
-
-    def squares(rows, eps, shift):
-        values, inverse = np.unique(sc.sq[i[rows], shift + j[rows]], return_inverse=True)
-        floats = np.array([float(sc.unit * v) for v in values.tolist()])
-        return 2.0 * eps * floats[inverse]
-
-    up = _term(rs, rs.sum_index[i, j], lambda rows, eps: squares(rows, eps, 0))
-    down = _term(rs, rs.diff_index[i, j], lambda rows, eps: squares(rows, eps, n))
-    return PairRows(fa, fb, i, j, up, down)
+        return PairRows(fa, fb, i, j, None, None)
+    rs, sc = group.systems[fa], group.constants[fa]
+    # N(a, b)^2 and N(a, -b)^2 as floats, converted once per distinct square
+    values, inverse = np.unique(sc.sq[i, np.stack([j, rs.npositive + j])], return_inverse=True)
+    floats = np.array([float(sc.unit * v) for v in values.tolist()])
+    up, down = 2.0 * floats[inverse].reshape(2, -1)
+    return PairRows(
+        fa, fb, i, j, _term(rs, rs.sum_index[i, j], up), _term(rs, rs.diff_index[i, j], down)
+    )
 
 
 def pair_values(h: HermitianStructure, t: PairRows) -> np.ndarray:
@@ -84,19 +78,20 @@ def pair_values(h: HermitianStructure, t: PairRows) -> np.ndarray:
     roots = h.group.roots
     kg = np.array([k @ h.gt for k in roots[t.fa]])
     val = 2.0 * (kg @ roots[t.fb].T)[t.i, t.j]
+    if t.up is None:
+        return val
     x = h.xhat[t.fa]
-    r, at = t.up.rows, t.up.at
-    val[r] -= t.up.coef * (x[at] - x[t.i[r]] - x[t.j[r]])
-    r, at, eps = t.down.rows, t.down.at, t.down.eps
-    val[r] -= t.down.coef * (eps * x[at] - x[t.i[r]] + x[t.j[r]])
+    xi, xj = x[t.i], x[t.j]
+    val -= t.up.coef * (x[t.up.at] - xi - xj)
+    val -= t.down.coef * (t.down.eps * x[t.down.at] - xi + xj)
     return val
 
 
 class QuadRows(NamedTuple):
     """dd^c on (E_a, E_b, E_-c, E_-d), per row: a, b, c, d = positives[i, j, m, l]
-    of factor f, with a + b = c + d and no opposite pair. ab holds the rows with
-    a + b a root, coef N(a, b) N(-c, -d); ac those with a - c a root, coef
-    eps N(a, -c) N(b, -d); ad those with a - d a root, coef eps N(a, -d) N(b, -c)."""
+    of factor f, with a + b = c + d and no opposite pair. ab is the term of
+    a + b, coef N(a, b) N(-c, -d); ac that of a - c, coef eps N(a, -c) N(b, -d);
+    ad that of a - d, coef eps N(a, -d) N(b, -c)."""
 
     f: int
     i: np.ndarray
@@ -120,22 +115,18 @@ def quad_rows(group: GroupSpec, f: int, i, j, m, l) -> QuadRows:
     a, b, c, d = i, j, n + m, n + l
     return QuadRows(
         f, i, j, m, l,
-        _term(rs, add[a, b], lambda rows, eps: fl[a[rows], b[rows]] * fl[c[rows], d[rows]]),
-        _term(rs, add[a, c], lambda rows, eps: eps * fl[a[rows], c[rows]] * fl[b[rows], d[rows]]),
-        _term(rs, add[a, d], lambda rows, eps: eps * fl[a[rows], d[rows]] * fl[b[rows], c[rows]]),
+        _term(rs, add[a, b], fl[a, b] * fl[c, d]),
+        _term(rs, add[a, c], fl[a, c] * fl[b, d]),
+        _term(rs, add[a, d], fl[a, d] * fl[b, c]),
     )
 
 
 def quad_values(h: HermitianStructure, t: QuadRows) -> np.ndarray:
     x = h.xhat[t.f]
     xa, xb, xc, xd = x[t.i], x[t.j], x[t.m], x[t.l]
-    val = np.zeros(len(t.i))
-    r = t.ab.rows
-    val[r] += t.ab.coef * (xa[r] + xb[r] + xc[r] + xd[r] - 2.0 * x[t.ab.at])
-    r = t.ac.rows
-    val[r] -= t.ac.coef * (-xa[r] + xb[r] + xc[r] - xd[r] + 2.0 * t.ac.eps * x[t.ac.at])
-    r = t.ad.rows
-    val[r] += t.ad.coef * (-xa[r] + xb[r] - xc[r] + xd[r] + 2.0 * t.ad.eps * x[t.ad.at])
+    val = t.ab.coef * (xa + xb + xc + xd - 2.0 * x[t.ab.at])
+    val -= t.ac.coef * (-xa + xb + xc - xd + 2.0 * t.ac.eps * x[t.ac.at])
+    val += t.ad.coef * (-xa + xb - xc + xd + 2.0 * t.ad.eps * x[t.ad.at])
     return val
 
 

@@ -34,7 +34,7 @@ class SimpleType:
         fam = self.family
         if not (isinstance(fam, str) and len(fam) == 1 and fam in "ABCDEFG"):
             raise DynkinTypeError(f"unknown family {fam!r}; expected one of A..G")
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
             raise DynkinTypeError(f"rank must be a positive integer, got {self.rank!r}")
         if fam == "E":
             if self.rank not in (6, 7, 8):
@@ -47,6 +47,15 @@ class SimpleType:
 
     def __str__(self):
         return f"{self.family}{self.rank}"
+
+    @classmethod
+    def parse(cls, token: str) -> "SimpleType":
+        """A type token such as A2 or d4, surrounding spaces ignored."""
+        text = token.strip()
+        digits = text[1:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise DynkinTypeError(f"cannot parse type token {text!r}; expected e.g. A2, D4")
+        return cls(text[0].upper(), int(digits))
 
 
 class Normalization(str, enum.Enum):

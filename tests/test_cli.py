@@ -165,6 +165,25 @@ def test_check_refuses_non_finite_numbers(runner, tmp_path, text):
     assert "finite" in res.output
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"factors": [{"family": "A", "rank": 2, "z": 1e200, "x": [1e200, 1e200, 1e200]}]}',
+         "factor 0, root position 0"),
+        ('{"factors": [{"family": "A", "rank": 2.5}]}', "factor 0: rank must be"),
+        ('{"factors": [{"family": "A", "rank": true}]}', "factor 0: rank must be"),
+    ],
+    ids=["overflow", "rank_2.5", "rank_true"],
+)
+def test_check_refuses_overflow_and_non_integer_rank(runner, tmp_path, text, message):
+    p = tmp_path / "s.json"
+    p.write_text(text)
+    res = invoke(runner, "check", str(p))
+    assert res.exit_code == 2
+    assert res.output.startswith("error:")
+    assert message in res.output
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_check_refuses_a_tol_that_is_not_finite_and_positive(runner, tmp_path, tol):
     p = tmp_path / "off.json"

@@ -43,7 +43,7 @@ from sktflow import (
     theta_form,
 )
 import sktflow.hermitian as hermitian_module
-from sktflow.residuals import PairRows, pair_values
+from sktflow.residuals import PairRows, QuadRows, pair_values
 
 
 def _group(*tokens, **kw):
@@ -247,11 +247,12 @@ def _per_row_pair_values(h, t):
         for f in (t.fa, t.fb)
     )
     val = 2.0 * np.array([float((ka[a] @ h.gt) @ kb[b]) for a, b in zip(t.i, t.j)])
+    if t.up is None:
+        return val
     x = h.xhat[t.fa]
-    r, at = t.up.rows, t.up.at
-    val[r] -= t.up.coef * (x[at] - x[t.i[r]] - x[t.j[r]])
-    r, at, eps = t.down.rows, t.down.at, t.down.eps
-    val[r] -= t.down.coef * (eps * x[at] - x[t.i[r]] + x[t.j[r]])
+    xi, xj = x[t.i], x[t.j]
+    val -= t.up.coef * (x[t.up.at] - xi - xj)
+    val -= t.down.coef * (t.down.eps * x[t.down.at] - xi + xj)
     return val
 
 
@@ -269,6 +270,42 @@ def test_pair_torus_product_equals_per_row_dots_bit_for_bit(tokens):
     for h in (on, coupled):
         for t in segments:
             assert pair_values(h, t).tobytes() == _per_row_pair_values(h, t).tobytes()
+
+
+TERM_GROUPS = (
+    [f"A{k}" for k in range(1, 9)]
+    + [f"B{k}" for k in range(2, 7)]
+    + [f"C{k}" for k in range(2, 7)]
+    + [f"D{k}" for k in range(3, 8)]
+    + ["E6", "E7", "E8", "F4", "G2", "A1xB2", "B3xG2", "A3xC3"]
+)
+
+
+def _check_term(rs, term, sums):
+    """term spans every row; its coef is nonzero exactly where sums is a root,
+    and there at and eps name the sum's positive root and its sign."""
+    n, has = rs.npositive, sums >= 0
+    assert len(term.coef) == len(sums)
+    assert np.array_equal(term.coef != 0, has)
+    assert np.array_equal(term.at[has], sums[has] % n)
+    assert np.array_equal(term.eps[has], np.where(sums[has] < n, 1, -1))
+
+
+@pytest.mark.parametrize("token", TERM_GROUPS)
+def test_every_term_spans_its_table(token):
+    g = _group(*token.split("x"))
+    for seg in g.residual_tables:
+        if isinstance(seg, QuadRows):
+            rs = g.systems[seg.f]
+            _check_term(rs, seg.ab, rs.sum_index[seg.i, seg.j])
+            _check_term(rs, seg.ac, rs.diff_index[seg.i, seg.m])
+            _check_term(rs, seg.ad, rs.diff_index[seg.i, seg.l])
+        elif seg.fa == seg.fb:
+            rs = g.systems[seg.fa]
+            _check_term(rs, seg.up, rs.sum_index[seg.i, seg.j])
+            _check_term(rs, seg.down, rs.diff_index[seg.i, seg.j])
+        else:
+            assert seg.up is None and seg.down is None
 
 
 def test_d_omega_matches_exterior_derivative_of_omega():
@@ -368,6 +405,43 @@ def test_factor_spec_validation():
         FactorSpec(SimpleType("A", 2), z=-1.0)
     with pytest.raises(ValueError):
         A2.build(x=[(1.0, 1.0)])  # wrong length
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_effective_fiber_values_must_be_finite_and_positive(value):
+    g = GroupSpec([FactorSpec(SimpleType("A", 1)), FactorSpec(SimpleType("A", 2), z=value)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not warned about
+        with pytest.raises(PositivityError, match="factor 1, root position 0") as exc:
+            g.build(x=[(1.0,), (value, value, value)])
+    assert exc.value.value == value * value
+    data = {"factors": [{"family": "A", "rank": 2, "z": value, "x": [value] * 3}]}
+    with pytest.raises(PositivityError, match="factor 0, root position 0"):
+        structure_from_dict(data)
+
+
+def test_one_row_per_factor_is_refused_when_empty_or_scalar():
+    product = _group("A1", "A2")
+    for g in (A2, product):
+        for bad in ([], 1.5):
+            with pytest.raises(ValueError, match="simple values"):
+                pluriclosed_family(g, bad)
+            with pytest.raises(ValueError, match="fiber values"):
+                g.build(bad)
+    # the factor-count messages are unchanged, and ragged rows still load
+    with pytest.raises(ValueError, match="one tuple of simple values per factor"):
+        pluriclosed_family(product, [(1.5,)])
+    with pytest.raises(ValueError, match="factor count does not match"):
+        product.build([(1.0,)])
+    assert product.build([(2.0,), (1.0, 1.0, 1.0)]).xhat[0].tolist() == [2.0]
+    assert A2.build((1.0, 2.0, 3.0)).xhat[0].tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("rank", [2.5, 2.0, True, "2", None])
+def test_load_accepts_only_an_integer_rank(rank):
+    data = {"factors": [{"family": "A", "rank": 1}, {"family": "A", "rank": rank}]}
+    with pytest.raises(ValueError, match="factor 1: rank must be a positive integer"):
+        structure_from_dict(data)
 
 
 # ---------------------------------------------------------------- cone

@@ -58,6 +58,24 @@ def test_invalid_types():
         SimpleType("A", 0)
 
 
+@pytest.mark.parametrize("rank", [True, 2.0, "2"])
+def test_rank_must_be_an_int(rank):
+    with pytest.raises(DynkinTypeError, match="rank must be a positive integer"):
+        SimpleType("A", rank)
+
+
+def test_parse_type_token():
+    assert SimpleType.parse("A2") == SimpleType("A", 2)
+    assert SimpleType.parse(" d4 ") == SimpleType("D", 4)
+    assert SimpleType.parse("E8") == SimpleType("E", 8)
+    for bad in ("A2x", "A", "", "2", "A-2", "A²", "AA2"):
+        with pytest.raises(DynkinTypeError, match="cannot parse type token"):
+            SimpleType.parse(bad)
+    for bad, message in (("Q2", "unknown family"), ("E5", "E requires rank")):
+        with pytest.raises(DynkinTypeError, match=message):
+            SimpleType.parse(bad)
+
+
 def test_gram_oracles():
     assert system("A2").gram == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2)))
     assert system("B2").gram == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(1)))
@@ -130,6 +148,28 @@ DUAL_COXETER = {
 def test_killing_constant(token, hv):
     rs = system(token)
     assert killing_normalization_constant(rs) == Fraction(1, 2 * hv)
+
+
+CATALOG = (
+    [f"A{k}" for k in range(1, 9)]
+    + [f"B{k}" for k in range(2, 7)]
+    + [f"C{k}" for k in range(2, 7)]
+    + [f"D{k}" for k in range(3, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("norm", ["long2", "short2", "killing"])
+def test_gram_times_positive_root_square_sum_is_scalar(norm):
+    # Q K^T K = c I with c = 1 / (2 killing constant), Q = gram_scale * gram_int:
+    # so gram_int K^T K is an integer multiple d of I, and d * gram_scale = c
+    for token in CATALOG:
+        rs = system(token, norm)
+        k = rs.coefficient_matrix.astype(np.int64)
+        m = rs.gram_int @ (k.T @ k)
+        d = int(m[0, 0])
+        assert np.array_equal(m, d * np.eye(rs.rank, dtype=np.int64)), (token, m)
+        assert d * rs.gram_scale == 1 / (2 * killing_normalization_constant(rs)), token
 
 
 def test_killing_idempotent():

@@ -25,3 +25,10 @@ def _load(name):
 def test_script_runs(name, argv, capsys):
     assert _load(name).main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("name", ["flow_battery", "oracle_crosscheck"])
+@pytest.mark.parametrize("token", ["A2x", "Q2", "A", "A2,,B2"])
+def test_script_refuses_a_bad_type_token(name, token, capsys):
+    assert _load(name).main(["--types", token]) == 2
+    assert capsys.readouterr().out.startswith("error: ")
