@@ -19,9 +19,10 @@ from .hermitian import (
     HermitianStructure,
     _check_tol,
     _simple_array,
-    finite_positive,
-    induced_value_error,
+    d_star_omega,
+    family_gradient,
     sigma_form,
+    z_vector,
 )
 from .roots import RootSystem
 
@@ -43,23 +44,6 @@ class TorusVector:
         return float(np.abs(self.components).max(initial=0.0))
 
 
-def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
-    """Sum of positive-root coefficient vectors, optionally divided per root."""
-    k = rs.coefficient_matrix
-    if weights is None:
-        return k.sum(axis=0)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (rs.npositive,):
-        raise ValueError(f"{rs.stype} needs {rs.npositive} weights, got shape {w.shape}")
-    return (k / w[:, None]).sum(axis=0)
-
-
-def _concat_z(h: HermitianStructure, weighted: bool) -> np.ndarray:
-    return np.concatenate(
-        [z_vector(rs, h.xhat[f] if weighted else None) for f, rs in enumerate(h.group.systems)]
-    )
-
-
 @dataclass(frozen=True)
 class RicciRep:
     """First Ricci class of a canonical connection, as its torus vector."""
@@ -73,13 +57,13 @@ class RicciRep:
 
 
 def chern_ricci(h: HermitianStructure) -> RicciRep:
-    return RicciRep(kind="chern", vector=TorusVector(-_concat_z(h, weighted=False)), structure=h)
+    z = np.concatenate([z_vector(rs) for rs in h.group.systems])
+    return RicciRep(kind="chern", vector=TorusVector(-z), structure=h)
 
 
 def bismut_ricci(h: HermitianStructure) -> RicciRep:
-    zw = _concat_z(h, weighted=True)
-    correction = np.linalg.solve(h.q_full, h.gt @ zw)
-    vec = -_concat_z(h, weighted=False) + correction
+    correction = np.linalg.solve(h.q_full, h.gt @ -d_star_omega(h))
+    vec = chern_ricci(h).vector.components + correction
     return RicciRep(kind="bismut", vector=TorusVector(vec), structure=h)
 
 
@@ -97,30 +81,6 @@ def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
     rep = bismut_ricci(h)
     res = rep.vector.sup_norm
     return CytReport(verdict=res < tol, vector=rep.vector.components, residual=res, tol=tol)
-
-
-class _Violation(Exception):
-    """Internal: some induced value is at or below a positive guard eps."""
-
-
-def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0, factor=None):
-    """v = 1 + K(s - 1) and the gradient g = Kᵀ(1 - 1/v) of F at simple values s, a float array.
-
-    With eps > 0 this raises _Violation when some v is at or below eps; it
-    raises PositivityError, naming the root (and the factor, if one is given),
-    when some v is not finite and positive.
-    """
-    k = rs.coefficient_matrix
-    v = 1.0 + k @ (s - 1.0)
-    if not (v.min() > eps and v.max() < np.inf):
-        if eps > 0 and (v <= eps).any():
-            raise _Violation
-        bad = np.flatnonzero(~finite_positive(s))  # name a bad simple value, not its NaN
-        if bad.size:
-            raise induced_value_error(rs, rs.simples[bad[0]], s[bad[0]], factor)
-        t = np.flatnonzero(~((v > 0) & (v < np.inf)))[0]
-        raise induced_value_error(rs, rs.positives[t], v[t], factor)
-    return v, (1.0 - 1.0 / v) @ k
 
 
 def potential(v: np.ndarray) -> float:

@@ -17,8 +17,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
-from .curvature import _Violation, family_gradient, grad_F, potential  # noqa: F401
-from .hermitian import _sqrt_and_inverse, family_values, finite_positive  # noqa: F401
+from .curvature import grad_F, potential  # noqa: F401
+from .hermitian import (  # noqa: F401
+    _Violation, _sqrt_and_inverse, family_gradient, family_values, finite_positive,
+)
 from .roots import FactorLayout
 
 F_RISE_TOL = 1e-10  # the most an accepted step may raise F; a larger rise halves it

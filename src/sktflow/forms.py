@@ -63,7 +63,7 @@ class ChevalleyBasis:
     def element_index(self, factor: int, i: int) -> int:
         """Basis position of E for the root with index i in the factor's all_roots()."""
         n = self.factors[factor][0].npositive
-        return self.fiber_offsets[factor] + 2 * (i % n) + (1 if i >= n else 0)
+        return self.fiber_offsets[factor] + 2 * (i % n) + (i >= n)
 
     def _build_brackets(self):
         """The nonzero [X_i, X_j], i < j, sorted by (i, j), from the root tables:

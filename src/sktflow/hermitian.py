@@ -13,6 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,27 +78,18 @@ class GroupSpec:
         )
         for m in (self.q_full, *self.roots):
             m.flags.writeable = False
-        self._constants: tuple[StructureConstants, ...] | None = None
-        self._basis: ChevalleyBasis | None = None
-        self._tables: tuple[PairRows | QuadRows, ...] | None = None
 
-    @property
+    @cached_property
     def constants(self) -> tuple[StructureConstants, ...]:
-        if self._constants is None:
-            self._constants = tuple(structure_constants(rs) for rs in self.systems)
-        return self._constants
+        return tuple(structure_constants(rs) for rs in self.systems)
 
-    @property
+    @cached_property
     def basis(self) -> ChevalleyBasis:
-        if self._basis is None:
-            self._basis = ChevalleyBasis(list(zip(self.systems, self.constants)))
-        return self._basis
+        return ChevalleyBasis(list(zip(self.systems, self.constants)))
 
-    @property
+    @cached_property
     def residual_tables(self) -> tuple[PairRows | QuadRows, ...]:
-        if self._tables is None:
-            self._tables = build_residual_tables(self)
-        return self._tables
+        return build_residual_tables(self)
 
     def build(self, x=None, torus="killing", jt=None) -> "HermitianStructure":
         return HermitianStructure(self, fiber=x, torus=torus, jt=jt)
@@ -263,39 +255,39 @@ class HermitianStructure:
         self.gt = self.torus.matrix
         self.q_full = group.q_full
 
-    def xhat_of(self, factor: int, root: Root) -> float:
-        return self._x[factor][self.group.systems[factor].positive_index(root)]
-
     def parse_argument(self, arg):
-        """Root (single factor), (factor, Root), or a torus vector over H_a."""
+        """Root (single factor) or (factor, Root) as (factor, index in all_roots()),
+        or a torus vector over H_a as a complex array."""
         if isinstance(arg, Root):
             if len(self.group.factors) != 1:
                 raise ValueError("bare Root argument is ambiguous on a product; pass (factor, Root)")
-            return ("t0", 0, arg)
-        if (
-            isinstance(arg, tuple)
-            and len(arg) == 2
-            and isinstance(arg[0], int)
-            and isinstance(arg[1], Root)
-        ):
+            return 0, self.group.systems[0].index_of(arg)
+        if isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], Root):
             f, root = arg
+            if isinstance(f, bool) or not isinstance(f, (int, np.integer)):
+                raise ValueError(f"factor index must be an integer, got {f!r}")
             if not 0 <= f < len(self.group.factors):
                 raise ValueError(f"factor index {f} out of range")
-            return ("t0", f, root)
+            return int(f), self.group.systems[f].index_of(root)
         v = np.asarray(arg, dtype=complex)
         if v.shape != (self.group.total_rank,):
             raise ValueError(
                 f"torus vector must have length {self.group.total_rank}, got shape {v.shape}"
             )
-        return ("torus", v)
+        return v
 
 
 def _split_args(h: HermitianStructure, args):
     parsed = [h.parse_argument(a) for a in args]
-    torus = [p[1] for p in parsed if p[0] == "torus"]
-    roots = [(p[1], p[2]) for p in parsed if p[0] == "t0"]
-    positions = [i for i, p in enumerate(parsed) if p[0] == "torus"]
-    return torus, roots, positions
+    positions = [i for i, p in enumerate(parsed) if isinstance(p, np.ndarray)]
+    roots = [p for p in parsed if isinstance(p, tuple)]
+    return [parsed[i] for i in positions], roots, positions
+
+
+def _signed_root(group: GroupSpec, f: int, i: int) -> np.ndarray:
+    """Root i of factor f in torus coordinates, with +0.0 in every zero entry."""
+    n = group.systems[f].npositive
+    return group.roots[f][i] if i < n else 0.0 - group.roots[f][i - n]
 
 
 def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:
@@ -307,25 +299,24 @@ def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:
             raise MissingComplexStructureError(
                 "d_omega with a torus argument needs a torus complex structure"
             )
-        (f1, r1), (f2, r2) = roots
-        if f1 != f2 or r1.coeffs != (-r2).coeffs:
+        (f1, i1), (f2, i2) = roots
+        if f1 != f2 or i2 != h.group.systems[f1].neg_index[i1]:
             return 0j
         sign = -1.0 if tpos[0] % 2 else 1.0
-        k = h.group.layout.embed(f1, r1.coeffs)
         t = torus[0] if conjugate else h.jt.matrix @ torus[0]
-        return sign * -(t @ h.gt @ k)
-    (f1, r1), (f2, r2), (f3, r3) = roots
+        return sign * -(t @ h.gt @ _signed_root(h.group, f1, i1))
+    (f1, i1), (f2, i2), (f3, i3) = roots
     if not (f1 == f2 == f3):
         return 0j
     rs = h.group.systems[f1]
-    i1, i2, i3 = (rs.index_of(r) for r in (r1, r2, r3))
     if rs.sum_index[i1, i2] != rs.neg_index[i3]:
         return 0j
     n = float(h.group.constants[f1].float_array[i1, i2])
     x, npos = h._x[f1], rs.npositive
-    y1, y2, y3 = (-1j * r.sign * x[i % npos] for r, i in ((r1, i1), (r2, i2), (r3, i3)))
+    s1, s2, s3 = (1 if i < npos else -1 for i in (i1, i2, i3))
+    y1, y2, y3 = (-1j * s * x[i % npos] for s, i in ((s1, i1), (s2, i2), (s3, i3)))
     ys = y1 + y2 + y3
-    return 1j * (r1.sign * r2.sign * r3.sign) * n * ys if conjugate else n * ys
+    return 1j * (s1 * s2 * s3) * n * ys if conjugate else n * ys
 
 
 def d_omega(h: HermitianStructure, a, b, c) -> complex:
@@ -340,29 +331,22 @@ def dc_omega(h: HermitianStructure, a, b, c) -> complex:
 
 def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
     """dd^c of the fundamental form on four arguments; real-valued."""
-    torus, roots, _ = _split_args(h, (a, b, c, d))
-    if torus:
+    torus, keys, _ = _split_args(h, (a, b, c, d))
+    if torus or len(set(keys)) != 4 or np.any(sum(_signed_root(h.group, f, i) for f, i in keys)):
         return 0.0
-    keys = [(f, h.group.systems[f].index_of(r)) for f, r in roots]
-    if len(set(keys)) != 4:
-        return 0.0
-    for f in {f for f, _ in roots}:
-        if np.any(sum(np.array(r.coeffs) for g, r in roots if g == f)):
-            return 0.0
 
     # opposite pair present: pair-level branch
-    for i in range(4):
-        for j in range(i + 1, 4):
-            (fi, ri), (fj, rj) = keys[i], keys[j]
-            if fi == fj and rj == h.group.systems[fi].neg_index[ri]:
-                fb, rb = keys[next(m for m in range(4) if m not in (i, j))]
-                na, nb = h.group.systems[fi].npositive, h.group.systems[fb].npositive
-                ia, ib = ri % na, rb % nb
-                if (fi, ia) == (fb, ib):
-                    return 0.0
-                dst = [(fi, ia), (fi, ia + na), (fb, ib), (fb, ib + nb)]
-                sign = sort_sign([dst.index(k) for k in keys])
-                return sign * float(pair_values(h, pair_rows(h.group, fi, [ia], fb, [ib]))[0])
+    for i, j in itertools.combinations(range(4), 2):
+        (fi, ri), (fj, rj) = keys[i], keys[j]
+        if fi == fj and rj == h.group.systems[fi].neg_index[ri]:
+            fb, rb = keys[next(m for m in range(4) if m not in (i, j))]
+            na, nb = h.group.systems[fi].npositive, h.group.systems[fb].npositive
+            ia, ib = ri % na, rb % nb
+            if (fi, ia) == (fb, ib):
+                return 0.0
+            dst = [(fi, ia), (fi, ia + na), (fb, ib), (fb, ib + nb)]
+            sign = sort_sign([dst.index(k) for k in keys])
+            return sign * float(pair_values(h, pair_rows(h.group, fi, [ia], fb, [ib]))[0])
 
     f, n = keys[0][0], h.group.systems[keys[0][0]].npositive
     pos = sorted(i for _, i in keys if i < n)
@@ -415,7 +399,7 @@ def _dc_triples(h: HermitianStructure, basis: ChevalleyBasis, f: int) -> dict:
     n = rs.npositive
     eta, theta, xi = rs.positive_sums()
     rts = np.stack([eta, theta, n + xi, n + eta, n + theta, xi], axis=1).reshape(-1, 3)
-    elems = basis.fiber_offsets[f] + 2 * (rts % n) + (rts >= n)
+    elems = basis.element_index(f, rts)
     order = np.argsort(elems, axis=1)
     elems = np.take_along_axis(elems, order, axis=1)
     rts = np.take_along_axis(rts, order, axis=1)
@@ -431,14 +415,16 @@ def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     basis = basis or h.group.basis
     comps: dict[tuple[int, ...], complex] = {}
     parsed = h.parse_argument(x)
-    if parsed[0] == "torus":
-        gv = h.gt @ parsed[1]
+    if isinstance(parsed, np.ndarray):
+        gv = h.gt @ parsed
         for a in range(h.group.total_rank):
             if gv[a]:
                 comps[(a,)] = complex(-gv[a])
     else:
-        _, f, root = parsed
-        comps[(basis.root_index(f, -root),)] = complex(-h.xhat_of(f, root))
+        f, i = parsed
+        rs = h.group.systems[f]
+        e = int(basis.element_index(f, rs.neg_index[i]))
+        comps[(e,)] = complex(-h._x[f][i % rs.npositive])
     return InvariantForm(basis=basis, degree=1, components=comps)
 
 
@@ -448,10 +434,11 @@ def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     parsed = h.parse_argument(x)
     # pairing[m]: the invariant form of basis element m against x
     pairing = [0] * basis.dim
-    if parsed[0] == "torus":
-        pairing[: h.group.total_rank] = [row @ parsed[1] for row in h.q_full]
+    if isinstance(parsed, np.ndarray):
+        pairing[: h.group.total_rank] = [row @ parsed for row in h.q_full]
     else:
-        pairing[basis.root_index(parsed[1], -parsed[2])] = 1
+        f, i = parsed
+        pairing[int(basis.element_index(f, h.group.systems[f].neg_index[i]))] = 1
     comps: dict[tuple[int, ...], complex] = {}
     for (i, j), terms in basis.nonzero_brackets():
         val = sum((c * pairing[m] for m, c in terms), 0j)
@@ -460,13 +447,20 @@ def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     return InvariantForm(basis=basis, degree=2, components=comps)
 
 
+def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
+    """Sum of positive-root coefficient vectors, optionally divided per root."""
+    k = rs.coefficient_matrix
+    if weights is None:
+        return k.sum(axis=0)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (rs.npositive,):
+        raise ValueError(f"{rs.stype} needs {rs.npositive} weights, got shape {w.shape}")
+    return (k / w[:, None]).sum(axis=0)
+
+
 def d_star_omega(h: HermitianStructure) -> np.ndarray:
     """Codifferential of the fundamental form as the torus vector it is dual to."""
-    out = np.zeros(h.group.total_rank)
-    for f, roots in enumerate(h.group.roots):
-        for t, k in enumerate(roots):
-            out -= k / h.xhat[f][t]
-    return out
+    return -np.concatenate([z_vector(rs, x) for rs, x in zip(h.group.systems, h.xhat)])
 
 
 @dataclass
@@ -554,6 +548,30 @@ def family_values(rs: RootSystem, simple_values) -> np.ndarray:
     return 1.0 + rs.coefficient_matrix @ (_simple_array(rs, simple_values) - 1.0)
 
 
+class _Violation(Exception):
+    """Internal: some induced value is at or below a positive guard eps."""
+
+
+def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0, factor=None):
+    """v = 1 + K(s - 1) and the gradient g = Kᵀ(1 - 1/v) of F at simple values s, a float array.
+
+    With eps > 0 this raises _Violation when some v is at or below eps; it
+    raises PositivityError, naming the root (and the factor, if one is given),
+    when some v is not finite and positive.
+    """
+    k = rs.coefficient_matrix
+    v = 1.0 + k @ (s - 1.0)
+    if not (v.min() > eps and v.max() < np.inf):
+        if eps > 0 and (v <= eps).any():
+            raise _Violation
+        bad = np.flatnonzero(~finite_positive(s))  # name a bad simple value, not its NaN
+        if bad.size:
+            raise induced_value_error(rs, rs.simples[bad[0]], s[bad[0]], factor)
+        t = np.flatnonzero(~((v > 0) & (v < np.inf)))[0]
+        raise induced_value_error(rs, rs.positives[t], v[t], factor)
+    return v, (1.0 - 1.0 / v) @ k
+
+
 def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     """The pluriclosed structure determined by values on the simple roots.
 
@@ -564,16 +582,8 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
         raise ValueError("need one tuple of simple values per factor")
     xs = []
     for f, rs in enumerate(group.systems):
-        simple = _simple_array(rs, rows[f])
-        # A simple value is its root's induced value; refusing a bad one before
-        # the matmul keeps an infinite one from meeting the zero coefficients.
-        bad = np.nonzero(~finite_positive(simple))[0]
-        if bad.size:
-            raise induced_value_error(rs, rs.simples[bad[0]], simple[bad[0]], f)
-        vals = family_values(rs, simple)
-        bad = np.nonzero(~finite_positive(vals))[0]
-        if bad.size:
-            raise induced_value_error(rs, rs.positives[bad[0]], vals[bad[0]], f)
+        with np.errstate(invalid="ignore"):  # inf meets zero coefficients; the guard names it
+            vals = family_gradient(rs, _simple_array(rs, rows[f]), 0.0, f)[0]
         xs.append(tuple(float(v) for v in vals))
     return HermitianStructure(group, fiber=FiberMetric(tuple(xs)), torus="killing")
 
@@ -707,6 +717,11 @@ def structure_to_dict(h: HermitianStructure) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def structure_from_dict(data: dict) -> HermitianStructure:
     try:
         rows = data["factors"]
@@ -718,8 +733,13 @@ def structure_from_dict(data: dict) -> HermitianStructure:
             except DynkinTypeError as exc:
                 raise DynkinTypeError(f"factor {f}: {exc}") from None
             norm = Normalization.parse(str(row.get("normalization", "long2")))
-            specs.append(FactorSpec(stype, norm, float(row.get("z", 1.0))))
-            xs.append(row.get("x"))
+            z, x = row.get("z", 1.0), row.get("x")
+            if not _is_number(z):
+                raise ValueError(f"factor {f}: z must be a number, got {z!r}")
+            if x is not None and not (isinstance(x, list) and all(map(_is_number, x))):
+                raise ValueError(f"factor {f}: x must be a list of numbers, got {x!r}")
+            specs.append(FactorSpec(stype, norm, float(z)))
+            xs.append(x)
         group = GroupSpec(specs)
         fiber = tuple(
             tuple(float(v) for v in x) if x is not None else tuple(1.0 for _ in rs.positives)
@@ -734,7 +754,7 @@ def structure_from_dict(data: dict) -> HermitianStructure:
         if jt is not None:
             jt = TorusComplexStructure(np.asarray(jt, dtype=float))
         return HermitianStructure(group, fiber=FiberMetric(fiber), torus=torus, jt=jt)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # an int too large for a float
         raise ValueError(f"invalid structure data: {exc!r}") from exc
 
 

@@ -11,7 +11,7 @@ from sktflow import (
 
 
 def parse_token(token: str) -> SimpleType:
-    return SimpleType(token[0].upper(), int(token[1:]))
+    return SimpleType.parse(token)
 
 
 @lru_cache(maxsize=None)

@@ -406,3 +406,23 @@ def test_generated_structure_round_trips_through_check(runner, tmp_path):
         res = invoke(runner, "check", str(p), "--tol", "1e-10")
         assert res.exit_code == 0, res.output
         assert "pluriclosed: true" in res.output
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ('"x": "123"', "factor 0: x must be a list of numbers, got '123'"),
+        ('"x": [true, true, 2]', "factor 0: x must be a list of numbers"),
+        ('"z": true', "factor 0: z must be a number, got True"),
+        ('"z": "2"', "factor 0: z must be a number, got '2'"),
+        ('"z": 1%s' % ("0" * 400), "int too large to convert to float"),
+    ],
+    ids=["x_string", "x_bools", "z_true", "z_string", "z_huge_int"],
+)
+def test_check_refuses_z_and_x_that_are_not_numbers(runner, tmp_path, entry, message):
+    p = tmp_path / "s.json"
+    p.write_text('{"factors": [{"family": "A", "rank": 2, %s}]}' % entry)
+    res = invoke(runner, "check", str(p))
+    assert res.exit_code == 2
+    assert res.output.startswith("error:")
+    assert message in res.output

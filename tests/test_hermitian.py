@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import warnings
 from collections import Counter
 
@@ -688,3 +689,105 @@ def test_pluriclosed_kernel_has_dimension_rank_plus_one_per_factor(tokens):
     rank = int((svals > 1e-8).sum())
     assert len(moved) - rank == sum(rs.rank + 1 for rs in g.systems)
     assert svals[:rank].min() > 1e-2 and svals[rank:].max() < 1e-12
+
+
+# ---------------------------------------------------------------- argument and loader types
+
+A2G2 = _group("A2", "G2")
+
+
+def _g2_args():
+    rs = A2G2.systems[1]
+    b, c = rs.simples
+    return b, c, rs.root((1, 1))
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, "1"], ids=repr)
+def test_factor_index_must_be_an_integer(bad):
+    b, c, bc = _g2_args()
+    h = A2G2.build()
+    for call in (
+        lambda: theta_form(h, (bad, b)),
+        lambda: sigma_form(h, (bad, b)),
+        lambda: dc_omega(h, (bad, b), (1, c), (1, -bc)),
+        lambda: ddc_omega(h, (1, b), (1, -b), (bad, c), (1, -c)),
+    ):
+        with pytest.raises(ValueError, match="factor index must be an integer"):
+            call()
+
+
+def test_numpy_integer_factor_index_reads_as_the_int():
+    b, c, bc = _g2_args()
+    gt = _rand_spd(np.random.default_rng(3), A2G2.total_rank)
+    x = [(1.0, 2.0, 1.5), (0.7, 1.2, 2.4, 2.2, 0.9, 1.4)]
+    h = A2G2.build(x=x, torus=gt, jt=canonical_jt(gt))
+    one = np.int64(1)
+    assert theta_form(h, (one, b)).components == theta_form(h, (1, b)).components
+    assert sigma_form(h, (one, -c)).components == sigma_form(h, (1, -c)).components
+    for fn in (d_omega, dc_omega):
+        assert fn(h, (one, b), (1, c), (np.int32(1), -bc)) == fn(h, (1, b), (1, c), (1, -bc)) != 0
+        v = np.arange(1.0, 5.0)
+        assert fn(h, v, (one, b), (one, -b)) == fn(h, v, (1, b), (1, -b)) != 0
+    args = ((0, A2G2.systems[0].simples[0]), (0, -A2G2.systems[0].simples[0]), (1, b), (1, -b))
+    np_args = [(np.uint8(f), r) for f, r in args]
+    assert ddc_omega(h, *np_args) == ddc_omega(h, *args) != 0
+    with pytest.raises(ValueError, match="factor index 2 out of range"):
+        theta_form(h, (np.int64(2), b))
+    keys = [*theta_form(h, (one, b)).components, *theta_form(h, (1, -bc)).components]
+    assert keys and all(type(k) is int for key in keys for k in key)
+    keys = sigma_form(h, (one, b)).components
+    assert keys and all(type(k) is int for key in keys for k in key)
+
+
+LOADER_REFUSALS = {
+    "x_string": ({"x": "123"}, "factor 0: x must be a list of numbers, got '123'"),
+    "x_bools": ({"x": [True, True, 2]}, "factor 0: x must be a list of numbers"),
+    "x_number": ({"x": 1.5}, "factor 0: x must be a list of numbers"),
+    "x_nested": ({"x": [[1, 2, 3]]}, "factor 0: x must be a list of numbers"),
+    "x_dict": ({"x": {"0": 1.0}}, "factor 0: x must be a list of numbers"),
+    "z_true": ({"z": True}, "factor 0: z must be a number, got True"),
+    "z_string": ({"z": "2"}, "factor 0: z must be a number, got '2'"),
+    "z_null": ({"z": None}, "factor 0: z must be a number, got None"),
+    "z_list": ({"z": [2.0]}, "factor 0: z must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_REFUSALS))
+def test_load_accepts_only_numbers_for_z_and_x(case):
+    entry, message = LOADER_REFUSALS[case]
+    data = {"factors": [dict({"family": "A", "rank": 2}, **entry)]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        structure_from_dict(data)
+    # the factor named is the one holding the bad entry
+    data = {"factors": [{"family": "A", "rank": 1}, dict({"family": "A", "rank": 2}, **entry)]}
+    with pytest.raises(ValueError, match=re.escape(message.replace("factor 0", "factor 1"))):
+        structure_from_dict(data)
+
+
+@pytest.mark.parametrize("where", ["z", "x", "torus", "jt"])
+def test_load_refuses_an_integer_too_large_for_a_float(where):
+    big = 10**400
+    row = {"family": "A", "rank": 2}
+    data = {"factors": [row], "torus": "killing"}
+    if where == "z":
+        row["z"] = big
+    elif where == "x":
+        row["x"] = [1.0, big, 1.0]
+    elif where == "torus":
+        data["torus"] = {"blocks": [[[big, 0], [0, 2]]]}
+    else:
+        data["jt"] = [[0, -big], [1, 0]]
+    with pytest.raises(ValueError, match="int too large to convert to float"):
+        structure_from_dict(data)
+
+
+def test_load_still_takes_json_numbers_and_defaults(tmp_path):
+    data = {"factors": [{"family": "A", "rank": 2, "z": 2, "x": [1, 2.5, 3]}]}
+    data["factors"].append({"family": "G", "rank": 2})
+    h = structure_from_dict(data)
+    assert h.xhat[0].tolist() == [2.0, 5.0, 6.0]
+    assert h.xhat[1].tolist() == [1.0] * 6
+    assert type(h.group.factors[0].z) is float
+    path = tmp_path / "s.json"
+    save_structure(h, path)
+    assert structure_to_dict(load_structure(path)) == structure_to_dict(h)
