@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Batch flow runs across types and integrators, with trajectory dumps.
 
+A product is one token with its factors joined by x, such as A2xG2; its
+starts are drawn factor by factor.
+
 Example:
-    python3 scripts/flow_battery.py --types A2,B2,G2,A3 --starts 5 --outdir runs/
+    python3 scripts/flow_battery.py --types A2,B2,G2,A3,A2xG2 --starts 5 --outdir runs/
 """
 
 import argparse
@@ -24,7 +27,8 @@ from sktflow.flow import F_RISE_TOL
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--types", default="A2,B2,G2,A3", help="comma-separated type tokens")
+    ap.add_argument("--types", default="A2,B2,G2,A3",
+                    help="comma-separated type tokens, products joined by x (A2xG2)")
     ap.add_argument("--norm", default="long2", choices=["long2", "short2", "killing"])
     ap.add_argument("--starts", type=int, default=5, help="random starts per type")
     ap.add_argument("--low", type=float, default=0.9, help="lower bound of the start box")
@@ -39,11 +43,13 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    try:
-        stypes = [SimpleType.parse(token) for token in args.types.split(",")]
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    groups = []
+    for token in args.types.split(","):
+        try:
+            groups.append([SimpleType.parse(t) for t in token.split("x")])
+        except ValueError as exc:
+            print(f"error: in {token.strip()!r}: {exc}")
+            return 2
     rng = np.random.default_rng(args.seed)
     outdir = Path(args.outdir) if args.outdir else None
     if outdir:
@@ -53,15 +59,18 @@ def main(argv=None):
     print(f"{'type':<6} {'integrator':<10} {'start':<28} {'termination':<22} "
           f"{'steps':>6} {'evals':>6} {'halvings':>8} {'f_rises':>7} {'t_final':>9} "
           f"{'dist_to_1':>10} {'wall_s':>7}")
-    for stype in stypes:
-        token = str(stype)
-        rs = build_root_system(stype, norm)
-        starts = [rng.uniform(args.low, args.high, rs.rank) for _ in range(args.starts)]
+    for stypes in groups:
+        token = "x".join(str(stype) for stype in stypes)
+        systems = [build_root_system(stype, norm) for stype in stypes]
+        starts = [
+            np.concatenate([rng.uniform(args.low, args.high, rs.rank) for rs in systems])
+            for _ in range(args.starts)
+        ]
         for integrator in args.integrators.split(","):
             cfg = FlowConfig(integrator=integrator.strip(), t_end=args.t_end, tol=args.tol)
             for i, x0 in enumerate(starts):
                 try:
-                    traj = integrate(rs, x0, cfg)
+                    traj = integrate(systems, x0, cfg)
                 except PositivityError as exc:
                     print(f"{token:<6} {integrator:<10} start outside domain: {exc}")
                     failures += 1

@@ -1,7 +1,8 @@
 """Metric flow on the fiber family, driven by the gradient of the potential.
 
-State vectors are the simple-root values of every factor concatenated; each
-factor evolves under minus its gram matrix applied to the factor gradient,
+State vectors are the simple-root values of every factor concatenated; the
+state evolves under minus the block-diagonal gram matrix applied to the
+gradient, so each factor evolves under its own gram matrix and gradient,
 which is exactly the induced flow of the geometric evolution on this family.
 The factors are given as a RootSystem, a sequence of them, a GroupSpec or a
 FactorLayout; FactorLayout.of resolves all four.
@@ -33,31 +34,18 @@ def _state(layout: FactorLayout, x) -> np.ndarray:
     return x
 
 
-def _factor_name(layout: FactorLayout, factor: int):
-    """The factor index an error names: None for a single system, whose messages omit it."""
-    return factor if len(layout.systems) > 1 else None
-
-
 class _Evaluator:
-    """The rhs and each factor's family_gradient (v, g) at (x, eps), with -Q fetched once."""
+    """The rhs and the whole layout's family_gradient (v, g) at (x, eps), with -Q built once."""
 
     def __init__(self, systems):
         self.layout = FactorLayout.of(systems)
-        self.blocks = [
-            (rs, sl, -rs.gram_float, _factor_name(self.layout, f))
-            for f, (rs, sl) in enumerate(zip(self.layout.systems, self.layout.slices))
-        ]
+        self.neg_q = -self.layout.gram_float
         self.calls = 0
 
     def __call__(self, x, eps):
         self.calls += 1
-        out = np.empty(self.layout.size)
-        parts = []
-        for rs, sl, neg_q, factor in self.blocks:
-            v, g = family_gradient(rs, x[sl], eps, factor)
-            out[sl] = neg_q @ g
-            parts.append((v, g))
-        return out, parts
+        v, g = family_gradient(self.layout, x, eps)
+        return self.neg_q @ g, (v, g)
 
 
 def _evaluate(systems, x):
@@ -66,11 +54,11 @@ def _evaluate(systems, x):
 
 
 def _total_F(parts) -> float:
-    return sum(potential(v) for v, _ in parts)
+    return potential(parts[0])
 
 
 def _grad_sup(parts) -> float:
-    return max(float(np.abs(g).max()) for _, g in parts)
+    return float(np.abs(parts[1]).max())
 
 
 def total_functional(systems, x) -> float:
@@ -78,11 +66,11 @@ def total_functional(systems, x) -> float:
 
 
 def total_gradient(systems, x) -> np.ndarray:
-    return np.concatenate([g for _, g in _evaluate(systems, x)[1]])
+    return _evaluate(systems, x)[1][1]
 
 
 def rhs(systems, x) -> np.ndarray:
-    """Flow velocity: minus the gram matrix applied to the gradient, per factor."""
+    """Flow velocity: minus the block-diagonal gram matrix applied to the gradient."""
     return _evaluate(systems, x)[0]
 
 
@@ -94,10 +82,9 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     """
     layout = FactorLayout.of(systems)
     x = _state(layout, x)
-    if not 0 <= factor < len(layout.systems):
-        raise ValueError(f"factor index {factor} out of range")
+    factor = layout.factor_index(factor)
     rs = layout.systems[factor]
-    vals, _ = family_gradient(rs, x[layout.slices[factor]], 0.0, _factor_name(layout, factor))
+    vals = family_gradient(layout, x)[0][layout.row_slices[factor]]
     j = rs.index_of(root)
     total = 0.0
     for t in range(rs.npositive):
@@ -404,8 +391,7 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     evaluate = _Evaluator(systems)
     layout = evaluate.layout
     x0 = _state(layout, x0)
-    q = layout.blockdiag(rs.gram_float for rs in layout.systems)
-    s, s_inv = _sqrt_and_inverse(q)
+    s, s_inv = _sqrt_and_inverse(layout.gram_float)
 
     nsteps = max(1, int(np.ceil(t_end / h)))
     dt = t_end / nsteps
@@ -414,7 +400,7 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
         return evaluate(state, 0.0)[0]
 
     def f_y(state):
-        return -(s @ np.concatenate([g for _, g in evaluate(s @ state, 0.0)[1]]))
+        return -(s @ evaluate(s @ state, 0.0)[1][1])
 
     x = x0.copy()
     y = s_inv @ x0

@@ -70,14 +70,10 @@ class GroupSpec:
         )
         self.layout = FactorLayout(self.systems)
         self.total_rank = self.layout.size
-        # block-diagonal gram matrix and embedded roots, shared read-only by
-        # every structure on the group
-        self.q_full = self.layout.blockdiag(rs.gram_float for rs in self.systems)
-        self.roots = tuple(
-            self.layout.embed(f, rs.coefficient_matrix) for f, rs in enumerate(self.systems)
-        )
-        for m in (self.q_full, *self.roots):
-            m.flags.writeable = False
+        # the layout's block-diagonal gram matrix and embedded roots, shared
+        # read-only by every structure on the group
+        self.q_full = self.layout.gram_float
+        self.roots = tuple(self.layout.coefficient_matrix[rows] for rows in self.layout.row_slices)
 
     @cached_property
     def constants(self) -> tuple[StructureConstants, ...]:
@@ -263,12 +259,8 @@ class HermitianStructure:
                 raise ValueError("bare Root argument is ambiguous on a product; pass (factor, Root)")
             return 0, self.group.systems[0].index_of(arg)
         if isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], Root):
-            f, root = arg
-            if isinstance(f, bool) or not isinstance(f, (int, np.integer)):
-                raise ValueError(f"factor index must be an integer, got {f!r}")
-            if not 0 <= f < len(self.group.factors):
-                raise ValueError(f"factor index {f} out of range")
-            return int(f), self.group.systems[f].index_of(root)
+            f = self.group.layout.factor_index(arg[0])
+            return f, self.group.systems[f].index_of(arg[1])
         v = np.asarray(arg, dtype=complex)
         if v.shape != (self.group.total_rank,):
             raise ValueError(
@@ -552,24 +544,43 @@ class _Violation(Exception):
     """Internal: some induced value is at or below a positive guard eps."""
 
 
-def family_gradient(rs: RootSystem, s: np.ndarray, eps: float = 0.0, factor=None):
+def family_gradient(rs: RootSystem | FactorLayout, s: np.ndarray, eps: float = 0.0, factor=None):
     """v = 1 + K(s - 1) and the gradient g = Kᵀ(1 - 1/v) of F at simple values s, a float array.
 
-    With eps > 0 this raises _Violation when some v is at or below eps; it
-    raises PositivityError, naming the root (and the factor, if one is given),
-    when some v is not finite and positive.
+    rs is a RootSystem, or a FactorLayout read as one system whose K stacks
+    every factor's rows. With eps > 0 this raises _Violation when some v is
+    at or below eps; it raises PositivityError, naming the root (and the
+    factor, if one is given or rs is a product), when some v is not finite
+    and positive.
     """
     k = rs.coefficient_matrix
     v = 1.0 + k @ (s - 1.0)
     if not (v.min() > eps and v.max() < np.inf):
-        if eps > 0 and (v <= eps).any():
-            raise _Violation
-        bad = np.flatnonzero(~finite_positive(s))  # name a bad simple value, not its NaN
-        if bad.size:
-            raise induced_value_error(rs, rs.simples[bad[0]], s[bad[0]], factor)
-        t = np.flatnonzero(~((v > 0) & (v < np.inf)))[0]
-        raise induced_value_error(rs, rs.positives[t], v[t], factor)
+        _refuse(rs, s, v, eps, factor)
     return v, (1.0 - 1.0 / v) @ k
+
+
+def _refuse(rs, s: np.ndarray, v: np.ndarray, eps: float, factor=None):
+    """Raise for induced values v of s that fail the guard v > eps, v < inf.
+
+    _Violation when eps > 0 and some v is at or below it; otherwise
+    PositivityError naming the first bad simple value, else the first bad
+    induced value, located by the layout's offsets.
+    """
+    if eps > 0 and (v <= eps).any():
+        raise _Violation
+    layout = FactorLayout.of(rs)
+    bad = np.flatnonzero(~finite_positive(s))  # name a bad simple value, not its NaN
+    if bad.size:
+        f, i = layout.locate(bad[0])
+        root, value = layout.systems[f].simples[i], s[bad[0]]
+    else:
+        t = np.flatnonzero(~((v > eps) & (v < np.inf)))[0]  # the guard fails, so one exists
+        f, i = layout.locate(t, rows=True)
+        root, value = layout.systems[f].positives[i], v[t]
+    if rs is layout and len(layout.systems) > 1:
+        factor = f
+    raise induced_value_error(layout.systems[f], root, value, factor)
 
 
 def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:

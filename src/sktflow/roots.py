@@ -393,6 +393,11 @@ class FactorLayout:
     Factor f owns slices[f], its rank coordinates following those of the
     factors before it; size is the total rank. Torus vectors, block-diagonal
     torus matrices and flow states all use this layout.
+
+    The whole product reads like one root system: coefficient_matrix stacks
+    every factor's positive roots embedded in torus coordinates, factor f's
+    in rows row_slices[f], and gram_float is the block-diagonal gram matrix;
+    both are read-only.
     """
 
     def __init__(self, systems: Sequence[RootSystem]):
@@ -400,6 +405,14 @@ class FactorLayout:
         ends = list(accumulate((rs.rank for rs in self.systems), initial=0))
         self.slices = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
         self.size = ends[-1]
+        rows = list(accumulate((rs.npositive for rs in self.systems), initial=0))
+        self.row_slices = tuple(slice(a, b) for a, b in zip(rows, rows[1:]))
+        self.coefficient_matrix = np.concatenate(
+            [self.embed(f, rs.coefficient_matrix) for f, rs in enumerate(self.systems)]
+        )
+        self.gram_float = self.blockdiag(rs.gram_float for rs in self.systems)
+        for m in (self.coefficient_matrix, self.gram_float):
+            m.flags.writeable = False
 
     @classmethod
     def of(cls, arg) -> "FactorLayout":
@@ -411,6 +424,22 @@ class FactorLayout:
         if hasattr(arg, "layout"):  # a GroupSpec
             return arg.layout
         return cls(arg)
+
+    def factor_index(self, factor) -> int:
+        """factor as an int, refusing a bool, a non-integer or an index out of range."""
+        if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)):
+            raise ValueError(f"factor index must be an integer, got {factor!r}")
+        if not 0 <= factor < len(self.systems):
+            raise ValueError(f"factor index {factor} out of range")
+        return int(factor)
+
+    def locate(self, index: int, rows: bool = False) -> tuple[int, int]:
+        """The factor owning a torus coordinate, or with rows a row of
+        coefficient_matrix, and the index within that factor."""
+        for f, sl in enumerate(self.row_slices if rows else self.slices):
+            if index < sl.stop:
+                return f, index - sl.start
+        raise IndexError(f"index {index} is outside the layout")
 
     def embed(self, factor: int, coeffs) -> np.ndarray:
         """A torus vector that is coeffs on the factor's block and zero elsewhere;

@@ -183,6 +183,19 @@ def test_per_root_rhs_refuses_a_factor_index_out_of_range(factor):
         per_root_rhs(systems, (1.5, 1.5, 1.5, 1.5), factor, root)
 
 
+@pytest.mark.parametrize("factor", [True, False, 1.0, "1", None])
+def test_per_root_rhs_refuses_a_factor_index_that_is_not_an_integer(factor):
+    systems = [system("A2"), system("G2")]
+    with pytest.raises(ValueError, match="factor index must be an integer"):
+        per_root_rhs(systems, (1.5, 1.5, 1.2, 1.3), factor, systems[1].positives[0])
+
+
+def test_per_root_rhs_takes_a_numpy_integer_factor_index():
+    systems = [system("A2"), system("G2")]
+    x, root = (1.5, 1.5, 1.2, 1.3), systems[1].positives[-1]
+    assert per_root_rhs(systems, x, np.int64(1), root) == per_root_rhs(systems, x, 1, root)
+
+
 def test_positivity_violation_termination():
     traj = integrate(system("A2"), (2.0, 2.0), FlowConfig(eps_pos=1.5))
     assert traj.termination == "positivity_violation"

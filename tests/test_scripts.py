@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from sktflow import Trajectory
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -18,7 +20,7 @@ def _load(name):
 @pytest.mark.parametrize(
     "name,argv",
     [
-        ("flow_battery", ["--types", "A2", "--starts", "1", "--t-end", "50"]),
+        ("flow_battery", ["--types", "A2,A2xG2", "--starts", "1", "--t-end", "50"]),
         ("oracle_crosscheck", ["--types", "A2,B2,A2xG2", "--samples", "2"]),
     ],
 )
@@ -32,3 +34,13 @@ def test_script_runs(name, argv, capsys):
 def test_script_refuses_a_bad_type_token(name, token, capsys):
     assert _load(name).main(["--types", token]) == 2
     assert capsys.readouterr().out.startswith("error: ")
+
+
+def test_flow_battery_names_product_runs_by_their_token(tmp_path, capsys):
+    argv = ["--types", "a2xG2", "--starts", "1", "--integrators", "rk4_fixed",
+            "--outdir", str(tmp_path)]
+    assert _load("flow_battery").main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("A2xG2 ")
+    assert [p.name for p in tmp_path.iterdir()] == ["A2xG2_rk4_fixed_0.csv"]
+    traj = Trajectory.from_csv(tmp_path / "A2xG2_rk4_fixed_0.csv")
+    assert traj.converged and traj.states.shape[1] == 4
