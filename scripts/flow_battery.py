@@ -2,14 +2,19 @@
 """Batch flow runs across types and integrators, with trajectory dumps.
 
 A product is one token with its factors joined by x, such as A2xG2; its
-starts are drawn factor by factor.
+starts are drawn factor by factor. The last line is `digest <sha256>` over
+every run's times, states, F values and gradient norms, its termination and
+its FlowStats but wall_s (or its error), so two builds that give the same
+digest at one seed gave the same bits.
 
 Example:
     python3 scripts/flow_battery.py --types A2,B2,G2,A3,A2xG2 --starts 5 --outdir runs/
 """
 
 import argparse
+import hashlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +46,14 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
+def _feed(digest, traj):
+    """Add one run's arrays, termination and FlowStats but wall_s to digest."""
+    for column in (traj.times, traj.states, traj.f_values, traj.grad_inf):
+        digest.update(column.tobytes())
+    stats = {name: value for name, value in asdict(traj.stats).items() if name != "wall_s"}
+    digest.update(f"{traj.termination} {stats!r}".encode())
+
+
 def main(argv=None):
     args = parse_args(argv)
     groups = []
@@ -56,6 +69,7 @@ def main(argv=None):
         outdir.mkdir(parents=True, exist_ok=True)
     norm = Normalization.parse(args.norm)
     failures = 0
+    digest = hashlib.sha256()
     print(f"{'type':<6} {'integrator':<10} {'start':<28} {'termination':<22} "
           f"{'steps':>6} {'evals':>6} {'halvings':>8} {'f_rises':>7} {'t_final':>9} "
           f"{'dist_to_1':>10} {'wall_s':>7}")
@@ -73,8 +87,10 @@ def main(argv=None):
                     traj = integrate(systems, x0, cfg)
                 except PositivityError as exc:
                     print(f"{token:<6} {integrator:<10} start outside domain: {exc}")
+                    digest.update(f"error {exc}".encode())
                     failures += 1
                     continue
+                _feed(digest, traj)
                 dist = np.abs(traj.states[-1] - 1).max()
                 rise = np.diff(traj.f_values).max(initial=0.0)
                 if traj.termination != "converged" or rise > F_RISE_TOL:
@@ -90,9 +106,10 @@ def main(argv=None):
                     traj.to_csv(outdir / f"{token}_{integrator}_{i}.csv")
     if failures:
         print(f"{failures} run(s) did not converge or raised F")
-        return 1
-    print("all runs converged without raising F")
-    return 0
+    else:
+        print("all runs converged without raising F")
+    print(f"digest {digest.hexdigest()}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

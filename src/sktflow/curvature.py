@@ -85,7 +85,7 @@ def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
 
 def potential(v: np.ndarray) -> float:
     """F = sum(v - log v) over induced values v."""
-    return float(np.sum(v - np.log(v)))
+    return float((v - np.log(v)).sum())
 
 
 def _hessian(rs: RootSystem, v: np.ndarray) -> np.ndarray:

@@ -12,14 +12,12 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    ConsistencyError,
     DynkinTypeError,
     MissingComplexStructureError,
     PositivityError,
@@ -554,10 +552,10 @@ def family_gradient(rs: RootSystem | FactorLayout, s: np.ndarray, eps: float = 0
     and positive.
     """
     k = rs.coefficient_matrix
-    v = 1.0 + k @ (s - 1.0)
-    if not (v.min() > eps and v.max() < np.inf):
+    v = 1.0 + k.dot(s - 1.0)  # .dot: the bits of @ in about half its dispatch time
+    if not (np.minimum.reduce(v) > eps and np.maximum.reduce(v) < np.inf):
         _refuse(rs, s, v, eps, factor)
-    return v, (1.0 - 1.0 / v) @ k
+    return v, (1.0 - 1.0 / v).dot(k)
 
 
 def _refuse(rs, s: np.ndarray, v: np.ndarray, eps: float, factor=None):
@@ -592,9 +590,10 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     if len(rows) != len(group.factors):
         raise ValueError("need one tuple of simple values per factor")
     xs = []
+    product = len(group.factors) > 1  # a single system's errors name only the root
     for f, rs in enumerate(group.systems):
         with np.errstate(invalid="ignore"):  # inf meets zero coefficients; the guard names it
-            vals = family_gradient(rs, _simple_array(rs, rows[f]), 0.0, f)[0]
+            vals = family_gradient(rs, _simple_array(rs, rows[f]), 0.0, f if product else None)[0]
         xs.append(tuple(float(v) for v in vals))
     return HermitianStructure(group, fiber=FiberMetric(tuple(xs)), torus="killing")
 

@@ -63,14 +63,15 @@ def _reference_bismut_vector(h):
 def _reference_family_values(group, rows):
     xs = []
     for f, rs in enumerate(group.systems):
+        factor = f if len(group.systems) > 1 else None  # one system: name the root only
         simple = np.asarray(rows[f], dtype=float)
         bad = np.nonzero(~finite_positive(simple))[0]
         if bad.size:
-            raise induced_value_error(rs, rs.simples[bad[0]], simple[bad[0]], f)
+            raise induced_value_error(rs, rs.simples[bad[0]], simple[bad[0]], factor)
         vals = family_values(rs, simple)
         bad = np.nonzero(~finite_positive(vals))[0]
         if bad.size:
-            raise induced_value_error(rs, rs.positives[bad[0]], vals[bad[0]], f)
+            raise induced_value_error(rs, rs.positives[bad[0]], vals[bad[0]], factor)
         xs.append(tuple(float(v) for v in vals))
     return tuple(xs)
 

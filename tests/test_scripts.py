@@ -44,3 +44,16 @@ def test_flow_battery_names_product_runs_by_their_token(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["A2xG2_rk4_fixed_0.csv"]
     traj = Trajectory.from_csv(tmp_path / "A2xG2_rk4_fixed_0.csv")
     assert traj.converged and traj.states.shape[1] == 4
+
+
+def _digest(capsys, seed):
+    argv = ["--types", "A2,A2xG2", "--starts", "1", "--t-end", "5", "--seed", str(seed)]
+    _load("flow_battery").main(argv)
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("digest ") and len(last.split()[1]) == 64
+    return last
+
+
+def test_flow_battery_digest_follows_the_seed(capsys):
+    assert _digest(capsys, 3) == _digest(capsys, 3)
+    assert _digest(capsys, 3) != _digest(capsys, 4)
