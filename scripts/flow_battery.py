@@ -59,7 +59,7 @@ def main(argv=None):
     groups = []
     for token in args.types.split(","):
         try:
-            groups.append([SimpleType.parse(t) for t in token.split("x")])
+            groups.append(SimpleType.parse_product(token))
         except ValueError as exc:
             print(f"error: in {token.strip()!r}: {exc}")
             return 2

@@ -46,7 +46,7 @@ def main(argv=None):
     groups = []
     for token in args.types.split(","):
         try:
-            groups.append((token.strip(), [SimpleType.parse(t) for t in token.split("x")]))
+            groups.append((token.strip(), SimpleType.parse_product(token)))
         except ValueError as exc:
             print(f"error: in {token.strip()!r}: {exc}")
             return 2

@@ -242,11 +242,11 @@ def cmd_flow(family, rank, x0_text, norm, t_end, step, integrator, tol, eps_pos,
 @_guarded
 def cmd_verify(types: str, cocycle_limit, seed: int):
     """Run the structure-constant identity suite over a list of types."""
+    tokens = [token.strip() for token in types.split(",") if token.strip()]
+    if not tokens:
+        raise ValueError(f"--types names no type, got {types!r}; expected e.g. A2,B3,G2")
     any_failed = False
-    for token in types.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in tokens:
         rs = build_root_system(SimpleType.parse(token))
         sc = structure_constants(rs)
         rep = verify_identities(rs, sc, cocycle_limit=cocycle_limit, seed=seed)

@@ -106,6 +106,9 @@ class FlowConfig:
             value = getattr(self, name)
             if not finite_positive(value):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # rk4_fixed takes t_end / h steps, so an h below the step floor need never end
+        if self.h < self.min_step:
+            raise ValueError(f"h ({self.h!r}) must be at least min_step ({self.min_step!r})")
 
 
 @dataclass

@@ -7,8 +7,11 @@ oracle for every closed-form expression elsewhere in the package.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +32,11 @@ class ChevalleyBasis:
     factor. pair_of[m] is the global index of the positive-root pair
     {E_a, E_-a} holding element m, or -1 for a torus element. Brackets
     between different factors vanish.
+
+    The bracket table is held as read-only arrays, bracket_arrays, with
+    bracket_starts the first row of each key (i, j); the dict behind
+    bracket() and nonzero_brackets() and the descriptors are built from
+    them on first use.
     """
 
     def __init__(self, factors: list[tuple[RootSystem, StructureConstants]]):
@@ -40,19 +48,22 @@ class ChevalleyBasis:
             self.fiber_offsets.append(e)
             e += 2 * rs.npositive
         self.dim = e
-
-        self.descriptors: list[tuple] = []
-        for f, (rs, _) in enumerate(factors):
-            for j in range(rs.rank):
-                self.descriptors.append(("H", f, j))
-        for f, (rs, _) in enumerate(factors):
-            for root in rs.positives:
-                self.descriptors.append(("E", f, root))
-                self.descriptors.append(("E", f, -root))
         size = self.layout.size
         self.pair_of = [-1] * size + [(m - size) // 2 for m in range(size, self.dim)]
+        self.bracket_arrays = self._bracket_arrays()
+        i, j = self.bracket_arrays[:2]
+        new = np.ones(len(i), dtype=bool)
+        new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+        self.bracket_starts = np.flatnonzero(new)
 
-        self._brackets = self._build_brackets()
+    @cached_property
+    def descriptors(self) -> list[tuple]:
+        """("H", factor, j) per torus element, then ("E", factor, root) per fiber element."""
+        out = [("H", f, j) for f, (rs, _) in enumerate(self.factors) for j in range(rs.rank)]
+        for f, (rs, _) in enumerate(self.factors):
+            for root in rs.positives:
+                out += [("E", f, root), ("E", f, -root)]
+        return out
 
     def torus_index(self, factor: int, local: int) -> int:
         return self.layout.slices[factor].start + local
@@ -65,29 +76,39 @@ class ChevalleyBasis:
         n = self.factors[factor][0].npositive
         return self.fiber_offsets[factor] + 2 * (i % n) + (i >= n)
 
-    def _build_brackets(self):
-        """The nonzero [X_i, X_j], i < j, sorted by (i, j), from the root tables:
+    def _bracket_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero [X_i, X_j], i < j, one row per term [X_i, X_j] ∋ c X_m,
+        as arrays (i, j, m, c) sorted by (i, j, m), from the root tables:
         [H_a, E_r] = <r, a> E_r, [E_r, E_-r] = sum of r's coefficients times H,
         and [E_r, E_s] = N(r, s) E_(r+s)."""
-        table = {}
+        cols = []
         for f, (rs, sc) in enumerate(self.factors):
-            torus = self.layout.slices[f].start
-            elem = [self.element_index(f, r) for r in range(2 * rs.npositive)]
-            fl = sc.float_array.tolist()
-            for a, simple in enumerate(rs.simples):
-                ia = rs.index_of(simple)
-                for r, e in enumerate(elem):
-                    c = float(rs.gram_scale * rs.inner_at(r, ia))
-                    if c:
-                        table[(torus + a, e)] = ((e, c),)
-            for t, root in enumerate(rs.positives):
-                table[(elem[t], elem[rs.neg_index[t]])] = tuple(
-                    (torus + k, float(c)) for k, c in enumerate(root.coeffs) if c
-                )
-            for r, s in np.argwhere(rs.sum_index >= 0).tolist():
-                if elem[r] < elem[s]:
-                    table[(elem[r], elem[s])] = ((elem[rs.sum_index[r, s]], fl[r][s]),)
-        return dict(sorted(table.items()))
+            n, torus, scale = rs.npositive, self.layout.slices[f].start, rs.gram_scale
+            elem = self.element_index(f, np.arange(2 * n))
+            simple = [rs.index_of(s) for s in rs.simples]
+            inner = np.concatenate([rs.inner_int[:, simple], -rs.inner_int[:, simple]])
+            a, r = np.nonzero(inner.T)
+            # rounds like float(gram_scale * inner): both integers are exact floats
+            cols.append((torus + a, elem[r], elem[r],
+                         (scale.numerator * inner[r, a]) / scale.denominator))
+            t, k = np.nonzero(rs.coefficient_matrix)
+            cols.append((elem[t], elem[n + t], torus + k, rs.coefficient_matrix[t, k]))
+            r, s = np.nonzero(rs.sum_index >= 0)
+            keep = elem[r] < elem[s]
+            r, s = r[keep], s[keep]
+            cols.append((elem[r], elem[s], elem[rs.sum_index[r, s]], sc.float_array[r, s]))
+        i, j, m, c = (np.concatenate(col) for col in zip(*cols))
+        order = np.lexsort((m, j, i))
+        out = (*(v[order].astype(np.int32) for v in (i, j, m)), c[order])
+        for v in out:
+            v.flags.writeable = False
+        return out
+
+    @cached_property
+    def _brackets(self) -> dict[tuple[int, int], BracketTerms]:
+        i, j, m, c = (v.tolist() for v in self.bracket_arrays)
+        rows = zip(zip(i, j), zip(m, c))
+        return {key: tuple(t for _, t in terms) for key, terms in groupby(rows, itemgetter(0))}
 
     def bracket(self, i: int, j: int) -> BracketTerms:
         """[X_i, X_j] as basis coefficients; antisymmetric in (i, j)."""
@@ -97,17 +118,22 @@ class ChevalleyBasis:
             return self._brackets.get((i, j), ())
         return tuple((m, -c) for m, c in self._brackets.get((j, i), ()))
 
-    def nonzero_brackets(self):
-        return self._brackets.items()
+    def nonzero_brackets(self) -> "_BracketItems":
+        """The nonzero ((i, j), terms), i < j, in table order."""
+        return _BracketItems(self)
 
-    @cached_property
-    def bracket_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The bracket table flattened to one row per term [X_i, X_j] ∋ c X_m:
-        arrays (i, j, m, c) in table order, then term order."""
-        rows = [(i, j, m, c) for (i, j), terms in self._brackets.items() for m, c in terms]
-        i, j, m, c = zip(*rows) if rows else ((),) * 4
-        ints = (np.array(v, dtype=np.int32) for v in (i, j, m))
-        return (*ints, np.array(c, dtype=float))
+
+class _BracketItems:
+    """ChevalleyBasis.nonzero_brackets(): a read-only view whose len() builds no dict."""
+
+    def __init__(self, basis: ChevalleyBasis):
+        self._basis = basis
+
+    def __len__(self) -> int:
+        return len(self._basis.bracket_starts)
+
+    def __iter__(self):
+        return iter(self._basis._brackets.items())
 
 
 def sort_sign(seq) -> int:
@@ -120,13 +146,57 @@ def sort_sign(seq) -> int:
 
 @dataclass
 class InvariantForm:
-    """Alternating k-form stored by components on strictly increasing index tuples."""
+    """Alternating k-form stored by components on strictly increasing index tuples.
+
+    components is a dict, or for forms built by from_arrays a read-only
+    Mapping over arrays that builds its dict on first lookup; set() turns
+    either into a dict.
+    """
 
     basis: ChevalleyBasis
     degree: int
-    components: dict[tuple[int, ...], complex] = field(default_factory=dict)
+    components: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
+
+    @classmethod
+    def from_arrays(cls, basis: ChevalleyBasis, degree: int, keys, values) -> "InvariantForm":
+        """The form with keys, an (n, degree) int32 array, and complex values, in order."""
+        return cls(basis, degree, _ArrayComponents(keys, values))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys as an (n, degree) int32 array and the values as complex,
+        in insertion order. Raises ValueError on a key that is not a tuple of
+        `degree` strictly increasing basis indices, and on a value that is
+        not finite."""
+        deg, dim = self.degree, self.basis.dim
+        comps = self.components
+        if isinstance(comps, _ArrayComponents):
+            keys, vals = comps.arrays
+        else:
+            keys, vals = _index_array(comps), np.array(list(comps.values()), dtype=complex)
+        if not len(vals):
+            return np.zeros((0, deg), dtype=np.int32), vals
+        ok = keys is not None and keys.shape == (len(vals), deg)
+        if ok and keys.size:
+            ok = keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < dim
+            ok = ok and (np.diff(keys, axis=1) > 0).all()
+        if not ok:
+            bad = next((key for key in comps if not _is_key(key, deg, dim)), None)
+            if bad is not None:
+                raise ValueError(
+                    f"component key {bad!r} of a degree-{deg} form must be {deg} strictly"
+                    f" increasing indices in [0, {dim})"
+                )
+            # valid keys that numpy stacks as floats, such as int64 next to uint64
+            keys = np.array(list(comps), dtype=np.int32)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            bad = next(k for k, good in zip(comps, finite) if not good)
+            raise ValueError(f"component {bad!r} of a form must be finite, got {comps[bad]!r}")
+        return keys.astype(np.int32, copy=False), vals
 
     def set(self, indices: tuple[int, ...], value: complex):
+        if not isinstance(self.components, dict):
+            self.components = dict(self.components)
         self.components[indices] = value
 
     def value(self, *indices: int) -> complex:
@@ -139,43 +209,50 @@ class InvariantForm:
         return max((abs(v) for v in self.components.values()), default=0.0)
 
 
+class _ArrayComponents(Mapping):
+    """Components held as arrays (keys, values); len() reads the arrays, and
+    the dict of int-tuple keys and complex values is built on first lookup."""
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self.arrays = (keys, values)
+
+    def __len__(self) -> int:
+        return len(self.arrays[1])
+
+    @cached_property
+    def _dict(self) -> dict[tuple[int, ...], complex]:
+        keys, values = self.arrays
+        return dict(zip(map(tuple, keys.tolist()), values.tolist()))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+
 def _is_key(key, degree: int, dim: int) -> bool:
-    """True when key is `degree` strictly increasing basis indices."""
+    """True when key is a tuple of `degree` strictly increasing basis indices."""
     return (
-        len(key) == degree
-        and all(isinstance(e, (int, np.integer)) and 0 <= e < dim for e in key)
+        isinstance(key, tuple)
+        and len(key) == degree
+        and all(
+            isinstance(e, (int, np.integer)) and not isinstance(e, bool) and 0 <= e < dim
+            for e in key
+        )
         and all(a < b for a, b in zip(key, key[1:]))
     )
 
 
-def _component_arrays(form: InvariantForm) -> tuple[np.ndarray, np.ndarray]:
-    """The form's keys as an (n, degree) int array and its values as complex,
-    in insertion order. Raises ValueError on a key that is not `degree`
-    strictly increasing indices of the basis, and on a value that is not
-    finite."""
-    deg, dim = form.degree, form.basis.dim
-    keys = list(form.components)
+def _index_array(keys) -> np.ndarray | None:
+    """keys as one 2-d array, or None when they are not sequences of one
+    length or hold a bool, which numpy would read as 0 or 1."""
     try:
-        arr = np.array(keys, ndmin=2)
-        ok = arr.shape == (len(keys), deg) and arr.dtype.kind in "iu"
-    except ValueError:  # keys of different lengths
-        ok = False
-    if ok and arr.size:
-        ok = arr.min() >= 0 and arr.max() < dim and (np.diff(arr, axis=1) > 0).all()
-    if not ok and keys:
-        bad = next((key for key in keys if not _is_key(key, deg, dim)), None)
-        if bad is not None:
-            raise ValueError(
-                f"component key {bad!r} of a degree-{deg} form must be {deg} strictly"
-                f" increasing indices in [0, {dim})"
-            )
-    vals = np.array(list(form.components.values()), dtype=complex)
-    if not np.isfinite(vals).all():
-        bad = keys[int(np.argmin(np.isfinite(vals)))]
-        raise ValueError(
-            f"component {bad!r} of a form must be finite, got {form.components[bad]!r}"
-        )
-    return np.array(keys, dtype=np.int32).reshape(len(keys), deg), vals
+        types = set(map(type, chain.from_iterable(keys)))
+        arr = np.array(list(keys), ndmin=2)
+    except (TypeError, ValueError):  # a key that is not a sequence, or ragged keys
+        return None
+    return None if bool in types or np.bool_ in types else arr
 
 
 def exterior_derivative(form: InvariantForm) -> InvariantForm:
@@ -189,11 +266,11 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
     components are listed in the order of their first row: the same sums, in
     the same order, as a loop over terms and components.
     """
-    keys, vals = _component_arrays(form)
+    keys, vals = form.arrays()
     basis, deg = form.basis, form.degree
     nonzero = vals != 0
     keys, vals = keys[nonzero], vals[nonzero]
-    out = {}
+    out = np.zeros((0, deg + 1), dtype=np.int32), np.zeros(0, dtype=complex)
     if keys.size:
         # components by element, in insertion order: comp[at[e]:at[e + 1]]
         # hold element e at position pos
@@ -202,7 +279,7 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
         comp, pos = np.divmod(order, deg)
         at = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=basis.dim))])
         out = _scatter(basis, deg, keys, vals, comp, pos, at)
-    return InvariantForm(basis=basis, degree=deg + 1, components=out)
+    return InvariantForm.from_arrays(basis, deg + 1, *out)
 
 
 def _groups(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,9 +293,10 @@ def _groups(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[start], np.minimum.reduceat(order, start), inverse
 
 
-def _scatter(basis, deg, keys, vals, comp, pos, at) -> dict[tuple[int, ...], complex]:
+def _scatter(basis, deg, keys, vals, comp, pos, at) -> tuple[np.ndarray, np.ndarray]:
     """The rows of exterior_derivative, block by block, summed into one slot
-    per merged key; slots are numbered in first-touch order."""
+    per merged key; slots are numbered in first-touch order. Returns the
+    merged keys, an int32 array, and their nonzero sums."""
     bi, bj, bm, bc = basis.bracket_arrays
     nrows = at[bm + 1] - at[bm]
     first_row = np.cumsum(nrows) - nrows
@@ -287,5 +365,5 @@ def _scatter(basis, deg, keys, vals, comp, pos, at) -> dict[tuple[int, ...], com
     value = np.empty(len(code), dtype=complex)
     value.real, value.imag = re[live], im[live]
     del seen, seen_slot, codes, re, im
-    merged = zip(*((code // k % basis.dim).tolist() for k in place))
-    return dict(zip(merged, value.tolist()))
+    merged = np.stack([code // k % basis.dim for k in place], axis=1)
+    return merged.astype(np.int32), value

@@ -368,23 +368,27 @@ def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> In
 
 
 def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
-    """The 3-form d^c of the fundamental form, assembled componentwise."""
+    """The 3-form d^c of the fundamental form, assembled componentwise: per
+    factor the torus components of each root, root then torus coordinate,
+    then its triple components."""
     basis = basis or h.group.basis
-    comps: dict[tuple[int, ...], complex] = {}
+    keys, vals = [], []
     for f, roots in enumerate(h.group.roots):
-        for t, k in enumerate(roots):
-            gk = h.gt @ k
-            e = basis.element_index(f, t)
-            for a in range(h.group.total_rank):
-                if gk[a]:
-                    comps[(a, e, e + 1)] = complex(-gk[a])
-        comps.update(_dc_triples(h, basis, f))
-    return InvariantForm(basis=basis, degree=3, components=comps)
+        # one product per root: a stacked product differs in the last bit
+        gk = np.array([h.gt @ k for k in roots]).reshape(len(roots), h.group.total_rank)
+        t, a = np.nonzero(gk)
+        e = basis.element_index(f, t)
+        elems, triples = _dc_triples(h, basis, f)
+        keys += [np.stack([a, e, e + 1], axis=1), elems]
+        vals += [-gk[t, a], triples]
+    return InvariantForm.from_arrays(
+        basis, 3, np.concatenate(keys).astype(np.int32), np.concatenate(vals).astype(complex)
+    )
 
 
-def _dc_triples(h: HermitianStructure, basis: ChevalleyBasis, f: int) -> dict:
+def _dc_triples(h: HermitianStructure, basis: ChevalleyBasis, f: int) -> tuple:
     """d^c omega on the root triples (eta, theta, -xi) and (-eta, -theta, xi) with
-    eta + theta = xi, interleaved per sum; each key sorted by basis element."""
+    eta + theta = xi, interleaved per sum: keys sorted by basis element, and values."""
     rs = h.group.systems[f]
     n = rs.npositive
     eta, theta, xi = rs.positive_sums()
@@ -396,8 +400,7 @@ def _dc_triples(h: HermitianStructure, basis: ChevalleyBasis, f: int) -> dict:
     signs = np.where(rts < n, 1, -1)
     y = -1j * signs * h.xhat[f][rts % n]
     n_val = h.group.constants[f].float_array[rts[:, 0], rts[:, 1]]
-    vals = 1j * signs.prod(axis=1) * n_val * ((y[:, 0] + y[:, 1]) + y[:, 2])
-    return dict(zip(map(tuple, elems.tolist()), vals.tolist()))
+    return elems, 1j * signs.prod(axis=1) * n_val * ((y[:, 0] + y[:, 1]) + y[:, 2])
 
 
 def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) -> InvariantForm:
@@ -423,18 +426,23 @@ def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     basis = basis or h.group.basis
     parsed = h.parse_argument(x)
     # pairing[m]: the invariant form of basis element m against x
-    pairing = [0] * basis.dim
+    pairing = np.zeros(basis.dim, dtype=complex)
     if isinstance(parsed, np.ndarray):
         pairing[: h.group.total_rank] = [row @ parsed for row in h.q_full]
     else:
         f, i = parsed
-        pairing[int(basis.element_index(f, h.group.systems[f].neg_index[i]))] = 1
-    comps: dict[tuple[int, ...], complex] = {}
-    for (i, j), terms in basis.nonzero_brackets():
-        val = sum((c * pairing[m] for m, c in terms), 0j)
-        if val:
-            comps[(i, j)] = val
-    return InvariantForm(basis=basis, degree=2, components=comps)
+        pairing[basis.element_index(f, h.group.systems[f].neg_index[i])] = 1
+    i, j, m, c = basis.bracket_arrays
+    starts = basis.bracket_starts
+    # each key's terms summed in order from zero, real and imaginary parts apart
+    key = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(c)))
+    terms = c * pairing[m]
+    val = np.empty(len(starts), dtype=complex)
+    val.real = np.bincount(key, weights=terms.real, minlength=len(starts))
+    val.imag = np.bincount(key, weights=terms.imag, minlength=len(starts))
+    keep = val != 0
+    rows = starts[keep]
+    return InvariantForm.from_arrays(basis, 2, np.stack([i[rows], j[rows]], axis=1), val[keep])
 
 
 def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
@@ -479,23 +487,21 @@ def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
 
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     basis = h.group.basis
-    comps = exterior_derivative(dc_form(h, basis)).components
-    n = len(comps)
-    elems = np.fromiter(itertools.chain.from_iterable(comps), dtype=np.int32, count=4 * n)
-    pair = np.array(basis.pair_of, dtype=np.int32)[elems].reshape(n, 4)
-    r = np.abs(np.fromiter(comps.values(), dtype=complex, count=n)) / 2.0
+    keys, values = exterior_derivative(dc_form(h, basis)).arrays()
+    pair = np.array(basis.pair_of, dtype=np.int32)[keys]
+    r = np.abs(values) / 2.0
     skt1 = (pair[:, 0] >= 0) & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
     skt2 = (pair[:, 0] >= 0) & ~skt1
     best, row = worst_row(r)
     witness = None
     if row >= 0:
-        key = next(itertools.islice(comps, row, None))
+        key = tuple(keys[row].tolist())
         names = ", ".join(
             f"H_{dd[2] + 1}" if dd[0] == "H" else f"factor {dd[1]}: {dd[2].label}"
             for dd in (basis.descriptors[i] for i in key)
         )
         witness = f"{_bucket(basis, key)} ({names})"
-    return best, witness, worst_row(r[skt1])[0], worst_row(r[skt2])[0], n
+    return best, witness, worst_row(r[skt1])[0], worst_row(r[skt2])[0], len(values)
 
 
 def is_pluriclosed(

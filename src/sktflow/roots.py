@@ -57,6 +57,17 @@ class SimpleType:
             raise DynkinTypeError(f"cannot parse type token {text!r}; expected e.g. A2, D4")
         return cls(text[0].upper(), int(digits))
 
+    @classmethod
+    def parse_product(cls, token: str) -> tuple["SimpleType", ...]:
+        """The factor types of a product token such as A2xG2, in order; a
+        single type token such as A2 is a product of one factor."""
+        factors = token.split("x")
+        if not all(f.strip() for f in factors):
+            raise DynkinTypeError(
+                f"product token {token.strip()!r} has an empty factor; expected e.g. A2xG2"
+            )
+        return tuple(cls.parse(f) for f in factors)
+
 
 class Normalization(str, enum.Enum):
     """Scaling convention for the invariant inner product on roots.

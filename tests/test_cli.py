@@ -306,6 +306,12 @@ def test_flow_positivity_violation_exit(runner):
     assert "termination: positivity_violation" in res.output
 
 
+def test_flow_refuses_a_step_below_min_step(runner):
+    res = invoke(runner, "flow", "A", "2", "--x0", "1.5,1.5", "--h", "1e-300", "--t-end", "1")
+    assert res.exit_code == 2
+    assert res.output == "error: h (1e-300) must be at least min_step (1e-12)\n"
+
+
 def test_flow_step_underflow_exit(runner, monkeypatch):
     # The CLI keeps FlowConfig's rel_tol and min_step; tighten them behind it.
     monkeypatch.setattr(
@@ -369,6 +375,13 @@ def test_verify_counts_the_failures_it_does_not_print(runner, monkeypatch):
         assert rep.failure_count > 5
         assert all(line.startswith("  failure: ") for line in lines[at + 1:at + 6])
         assert lines[at + 6] == f"  ... and {rep.failure_count - 5} more failures"
+
+
+@pytest.mark.parametrize("types", [",", " , ,", ""])
+def test_verify_without_a_type_is_an_input_error(runner, types):
+    res = invoke(runner, "verify", "--types", types)
+    assert res.exit_code == 2
+    assert res.output.startswith("error: --types names no type")
 
 
 def test_verify_bad_token(runner):

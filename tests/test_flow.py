@@ -119,6 +119,14 @@ def test_flow_config_refuses_non_finite(name, value):
         FlowConfig(**{name: value})
 
 
+def test_flow_config_refuses_a_step_below_min_step():
+    with pytest.raises(ValueError, match=r"h \(1e-300\) must be at least min_step \(1e-12\)"):
+        FlowConfig(h=1e-300)
+    with pytest.raises(ValueError, match=r"h \(0\.001\) must be at least min_step \(0\.01\)"):
+        FlowConfig(integrator="rkf45", h=1e-3, min_step=1e-2)
+    assert FlowConfig(h=1e-12).h == FlowConfig().min_step
+
+
 def test_integrate_converges_and_f_monotone():
     traj = integrate(system("A2"), (2.0, 2.0))
     assert traj.termination == "converged"

@@ -63,6 +63,11 @@ def test_bracket_table_matches_pairwise_root_arithmetic(tokens, norm):
     assert all(type(c) is float for _, terms in got for _, c in terms)
 
 
+@pytest.mark.parametrize("tokens", [("E6",), ("E7",), ("E8",), ("A1", "B2", "G2")])
+def test_bracket_table_matches_pairwise_root_arithmetic_on_large_types(tokens):
+    test_bracket_table_matches_pairwise_root_arithmetic(tokens, Normalization.LONG2)
+
+
 def test_pair_of_follows_the_layout():
     basis = _basis("A1", "B2")
     assert basis.pair_of[: basis.layout.size] == [-1, -1, -1]
@@ -181,8 +186,9 @@ def test_exterior_derivative_of_killing_dual_is_closed():
 
 @pytest.mark.parametrize(
     "components",
-    [{(4, 2): -1.0}, {(2, 40): 1.0}, {(2, 4): 1.0, (3,): 0.5}, {(2, 2): 1.0}, {(-1, 3): 1.0}],
-    ids=["unsorted", "out_of_range", "short_key", "repeated", "negative"],
+    [{(4, 2): -1.0}, {(2, 40): 1.0}, {(2, 4): 1.0, (3,): 0.5}, {(2, 2): 1.0}, {(-1, 3): 1.0},
+     {(True, 2): 1.0}, {(0, 3): 1.0, (np.True_, 2): 1.0}],
+    ids=["unsorted", "out_of_range", "short_key", "repeated", "negative", "bool", "numpy_bool"],
 )
 def test_exterior_derivative_refuses_malformed_keys(components):
     basis = _basis("A2")  # dim 8
@@ -195,6 +201,9 @@ def test_exterior_derivative_takes_numpy_integer_keys():
     plain = InvariantForm(basis, 2, {(2, 4): 1.0, (0, 5): 0.5j})
     numpy_keys = InvariantForm(basis, 2, {(np.int64(2), np.int64(4)): 1.0, (0, np.int32(5)): 0.5j})
     assert exterior_derivative(numpy_keys).components == exterior_derivative(plain).components
+    # numpy stacks int64 next to uint64 as float64; the keys are still valid
+    mixed = InvariantForm(basis, 2, {(np.uint64(2), np.int64(4)): 1.0, (0, np.uint64(5)): 0.5j})
+    assert exterior_derivative(mixed).components == exterior_derivative(plain).components
     assert exterior_derivative(InvariantForm(basis, 2, {})).components == {}
 
 

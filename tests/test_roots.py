@@ -76,6 +76,19 @@ def test_parse_type_token():
             SimpleType.parse(bad)
 
 
+def test_parse_product_token():
+    g2 = SimpleType("G", 2)
+    assert SimpleType.parse_product("A2xG2") == (SimpleType("A", 2), g2)
+    assert SimpleType.parse_product(" a1 x b3xg2 ") == (SimpleType("A", 1), SimpleType("B", 3), g2)
+    assert SimpleType.parse_product("E8") == (SimpleType("E", 8),)
+    for bad in ("A2x", "xA2", "A2xxG2", "A2x ", "", " "):
+        with pytest.raises(DynkinTypeError, match="has an empty factor"):
+            SimpleType.parse_product(bad)
+    for bad, message in (("A2xQ2", "unknown family"), ("A2xG", "cannot parse type token")):
+        with pytest.raises(DynkinTypeError, match=message):
+            SimpleType.parse_product(bad)
+
+
 def test_gram_oracles():
     assert system("A2").gram == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2)))
     assert system("B2").gram == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(1)))
