@@ -6,13 +6,17 @@ torus metrics, then compares the two pluriclosed scans component by
 component. Also re-verifies the structure-constant identities per type.
 A token such as A2xG2 is a product: its identities are checked per factor,
 family points are drawn per factor, and off-family points get a torus
-metric of the total rank that couples the factors.
+metric of the total rank that couples the factors. The last line is
+`digest <sha256>` over every scan report's verdict, residuals (as float hex),
+witness and check count, but not its elapsed time, so two builds that give
+the same digest at one seed gave the same reports.
 
 Example:
     python3 scripts/oracle_crosscheck.py --types A2,B2,C3,A2xG2 --samples 20
 """
 
 import argparse
+import hashlib
 import sys
 import time
 
@@ -41,6 +45,15 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
+def _feed(digest, report):
+    """Add one report but its elapsed time to digest."""
+    residuals = (report.max_residual, report.skt1_max, report.skt2_max)
+    digest.update(
+        f"{report.verdict} {' '.join(v.hex() for v in residuals)} {report.witness!r}"
+        f" {report.checked}".encode()
+    )
+
+
 def main(argv=None):
     args = parse_args(argv)
     groups = []
@@ -53,6 +66,7 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     norm = Normalization.parse(args.norm)
     bad = 0
+    digest = hashlib.sha256()
     for token, stypes in groups:
         t0 = time.perf_counter()
         g = GroupSpec([FactorSpec(stype, norm) for stype in stypes])
@@ -70,6 +84,8 @@ def main(argv=None):
                 h = g.build(x=x, torus=a @ a.T + r * np.eye(r))
             closed = is_pluriclosed(h)
             brute = is_pluriclosed(h, mode="brute_force")
+            _feed(digest, closed)
+            _feed(digest, brute)
             worst = max(
                 worst,
                 abs(closed.max_residual - brute.max_residual),
@@ -85,11 +101,9 @@ def main(argv=None):
             f"{token:<6} identities {ident:<7} scan agreement {worst:.3e} {status:<9} "
             f"({time.perf_counter() - t0:.2f}s)"
         )
-    if bad:
-        print(f"{bad} type(s) failed")
-        return 1
-    print("all types agree")
-    return 0
+    print(f"{bad} type(s) failed" if bad else "all types agree")
+    print(f"digest {digest.hexdigest()}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

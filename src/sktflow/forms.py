@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +21,43 @@ from .structure import StructureConstants
 
 BracketTerms = tuple[tuple[int, complex], ...]
 
-# Rows of the exterior derivative's scatter held at once. A block holds whole
-# bracket terms, so a term with more rows than this gets a block of its own.
+# Rows of an exterior-derivative plan built, or replayed, at once. A block of
+# the build holds whole bracket terms, so a term with more rows than this gets
+# a block of its own.
 _BLOCK_ROWS = 1 << 12
+# exterior-derivative plans kept per basis and degree, the oldest dropped first
+_PLANS_PER_DEGREE = 2
+
+
+class DerivativePlan(NamedTuple):
+    """exterior_derivative on one key set: per row, in row order, the
+    component it reads (src), its signed bracket coefficient as an index into
+    values (coef) and its output slot (slot), and the merged key of each
+    slot, in first-touch order. The row arrays hold the smallest unsigned
+    integers that fit: on E7's d^c omega, 5 bytes per row."""
+
+    src: np.ndarray
+    coef: np.ndarray
+    slot: np.ndarray
+    keys: np.ndarray  # int32, (slots, degree + 1)
+    values: np.ndarray  # float64, the basis' signed_coefficients
+
+
+def _index_type(n: int) -> np.dtype:
+    """The smallest unsigned integer type that holds the indices of n items."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+class TripleTable(NamedTuple):
+    """The metric-free part of d^c omega on one factor's root triples
+    (eta, theta, -xi) and (-eta, -theta, xi), eta + theta = xi, interleaved
+    per sum and each sorted by basis element: the keys, then triple_terms'
+    fiber positions, -1j * sign factors and d^c coefficients."""
+
+    elems: np.ndarray
+    fiber: np.ndarray
+    ysign: np.ndarray
+    dc_coef: np.ndarray
 
 
 class ChevalleyBasis:
@@ -36,7 +71,9 @@ class ChevalleyBasis:
     The bracket table is held as read-only arrays, bracket_arrays, with
     bracket_starts the first row of each key (i, j); the dict behind
     bracket() and nonzero_brackets() and the descriptors are built from
-    them on first use.
+    them on first use. The basis also keeps what depends on it alone:
+    exterior_derivative's plans, at most _PLANS_PER_DEGREE per degree, and
+    dc_form's triple tables.
     """
 
     def __init__(self, factors: list[tuple[RootSystem, StructureConstants]]):
@@ -55,6 +92,50 @@ class ChevalleyBasis:
         new = np.ones(len(i), dtype=bool)
         new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
         self.bracket_starts = np.flatnonzero(new)
+        self._plans: dict[int, dict[bytes, DerivativePlan]] = {}
+
+    @cached_property
+    def pair_array(self) -> np.ndarray:
+        """pair_of as an int32 array."""
+        return np.array(self.pair_of, dtype=np.int32)
+
+    @cached_property
+    def signed_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct values of +-c over the bracket table, sorted, and per
+        row of bracket_arrays the index of +c and of -c among them."""
+        c = self.bracket_arrays[3]
+        values, index = np.unique(np.concatenate([c, -c]), return_inverse=True)
+        index = index.astype(_index_type(len(values)))
+        return values, index[: len(c)], index[len(c) :]
+
+    @cached_property
+    def triple_tables(self) -> tuple[TripleTable, ...]:
+        """dc_form's triple table of each factor."""
+        out = []
+        for f, (rs, sc) in enumerate(self.factors):
+            n = rs.npositive
+            eta, theta, xi = rs.positive_sums()
+            rts = np.stack([eta, theta, n + xi, n + eta, n + theta, xi], axis=1).reshape(-1, 3)
+            elems = self.element_index(f, rts)
+            order = np.argsort(elems, axis=1)
+            rts = np.take_along_axis(rts, order, axis=1)
+            fiber, ysign, _, dc_coef = triple_terms(rs, sc, rts)
+            out.append(TripleTable(np.take_along_axis(elems, order, axis=1), fiber, ysign, dc_coef))
+        return tuple(out)
+
+    def derivative_plan(self, keys: np.ndarray) -> DerivativePlan:
+        """exterior_derivative's plan for keys, the (n, degree) int32 keys of
+        the nonzero components in order: cached by degree and key bytes, and
+        built on a miss, dropping the oldest plan of the degree if full."""
+        plans = self._plans.setdefault(keys.shape[1], {})
+        tag = keys.tobytes()
+        plan = plans.get(tag)
+        if plan is None:
+            plan = _build_plan(self, keys)
+            if len(plans) >= _PLANS_PER_DEGREE:
+                del plans[next(iter(plans))]
+            plans[tag] = plan
+        return plan
 
     @cached_property
     def descriptors(self) -> list[tuple]:
@@ -134,6 +215,25 @@ class _BracketItems:
 
     def __iter__(self):
         return iter(self._basis._brackets.items())
+
+
+def triple_terms(rs: RootSystem, sc: StructureConstants, rts: np.ndarray) -> tuple:
+    """The one row formula of d omega and d^c omega on root triples rts, a
+    (k, 3) array of indices in all_roots() that sum to zero: per row, the
+    fiber position of each root, -1j * sign per root, N(rts[:, 0], rts[:, 1])
+    and the d^c coefficient 1j * prod(sign) * N, with sign +1 on a positive
+    root and -1 on a negative one. With ys = triple_sums(fiber, ysign, x),
+    d omega is N * ys and d^c omega is the d^c coefficient times ys."""
+    n = rs.npositive
+    signs = np.where(rts < n, 1, -1)
+    n_val = sc.float_array[rts[:, 0], rts[:, 1]]
+    return rts % n, -1j * signs, n_val, 1j * signs.prod(axis=1) * n_val
+
+
+def triple_sums(fiber: np.ndarray, ysign: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(y0 + y1) + y2 per row, with y = -1j * sign * x at each root's fiber position."""
+    y = ysign * x[fiber]
+    return (y[:, 0] + y[:, 1]) + y[:, 2]
 
 
 def sort_sign(seq) -> int:
@@ -264,22 +364,28 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
     m), by term and then by the components' insertion order. Each output
     component is summed over its rows in that order, starting from zero, and
     components are listed in the order of their first row: the same sums, in
-    the same order, as a loop over terms and components.
+    the same order, as a loop over terms and components. The rows depend on
+    the keys alone, so they are the basis' cached plan for the key set; the
+    real and imaginary parts of each row's product are summed apart.
     """
     keys, vals = form.arrays()
     basis, deg = form.basis, form.degree
     nonzero = vals != 0
     keys, vals = keys[nonzero], vals[nonzero]
-    out = np.zeros((0, deg + 1), dtype=np.int32), np.zeros(0, dtype=complex)
-    if keys.size:
-        # components by element, in insertion order: comp[at[e]:at[e + 1]]
-        # hold element e at position pos
-        flat = keys.ravel()
-        order = np.argsort(flat, kind="stable")
-        comp, pos = np.divmod(order, deg)
-        at = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=basis.dim))])
-        out = _scatter(basis, deg, keys, vals, comp, pos, at)
-    return InvariantForm.from_arrays(basis, deg + 1, *out)
+    src, coef, slot, merged, values = basis.derivative_plan(keys)
+    re, im = np.zeros(len(merged)), np.zeros(len(merged))
+    # add.at adds in index order: each slot sums its rows in row order; a
+    # block at a time keeps the products' buffer small
+    for start in range(0, len(src), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        for part, total in ((vals.real, re), (vals.imag, im)):
+            prod = np.take(part, src[rows])
+            prod *= np.take(values, coef[rows])
+            np.add.at(total, slot[rows], prod)
+    live = (re != 0) | (im != 0)
+    value = np.empty(np.count_nonzero(live), dtype=complex)
+    value.real, value.imag = re[live], im[live]
+    return InvariantForm.from_arrays(basis, deg + 1, merged[live], value)
 
 
 def _groups(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,11 +399,23 @@ def _groups(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[start], np.minimum.reduceat(order, start), inverse
 
 
-def _scatter(basis, deg, keys, vals, comp, pos, at) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of exterior_derivative, block by block, summed into one slot
-    per merged key; slots are numbered in first-touch order. Returns the
-    merged keys, an int32 array, and their nonzero sums."""
-    bi, bj, bm, bc = basis.bracket_arrays
+def _build_plan(basis: ChevalleyBasis, keys: np.ndarray) -> DerivativePlan:
+    """exterior_derivative's rows for keys, block by block, each given one
+    slot per merged key; slots are numbered in first-touch order. The row
+    arrays are filled in place, so they may hold room for the rows the
+    filter dropped past their end."""
+    deg = keys.shape[1]
+    values, plus, minus = basis.signed_coefficients
+    if not keys.size:
+        empty = np.zeros(0, dtype=np.uint8)
+        return DerivativePlan(empty, empty, empty, np.zeros((0, deg + 1), dtype=np.int32), values)
+    # components by element, in insertion order: comp[at[e]:at[e + 1]]
+    # hold element e at position pos
+    flat = keys.ravel()
+    order = np.argsort(flat, kind="stable")
+    comp, pos = np.divmod(order, deg)
+    at = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=basis.dim))])
+    bi, bj, bm, _ = basis.bracket_arrays
     nrows = at[bm + 1] - at[bm]
     first_row = np.cumsum(nrows) - nrows
     cols_of = np.ascontiguousarray(keys.T)
@@ -305,41 +423,49 @@ def _scatter(basis, deg, keys, vals, comp, pos, at) -> tuple[np.ndarray, np.ndar
     dtype = np.int64 if basis.dim ** (deg + 1) < 2**62 else object
     place = np.array([basis.dim**k for k in range(deg, -1, -1)], dtype=dtype)
 
+    # shift[c, s]: the place in rest of column c of a key without column s,
+    # or deg + 1 for column s, which then reads a zero place
+    shift = np.array([[c - (c > s) if c != s else deg + 1 for s in range(deg)]
+                      for c in range(deg)], dtype=np.min_scalar_type(-(deg + 3)))
+    place_ext = np.concatenate([place, np.zeros(3, dtype=dtype)])
+
     def block(t0, t1):
-        """Codes and signed products c * f(key) of the surviving rows of
-        bracket terms t0 to t1, in row order."""
+        """Codes, source components and signed coefficients of the surviving
+        rows of bracket terms t0 to t1, in row order."""
         term = np.repeat(np.arange(t0, t1), nrows[t0:t1])
         src = at[bm[term]] + np.arange(len(term)) - (first_row[term] - first_row[t0])
         i, j, m = bi[term], bj[term], bm[term]
-        cols = np.take(cols_of, comp[src], axis=1)
+        c, s = comp[src], pos[src]
+        cols = np.take(cols_of, c, axis=1)
         # rest = key without m; drop rows where i or j is in rest
-        keep = np.ones(len(term), dtype=bool)
-        for col in cols:
-            keep &= ~(((col == i) | (col == j)) & (col != m))
-        term, src, i, j, m = term[keep], src[keep], i[keep], j[keep], m[keep]
-        # positions of i < j in the merged key, and of each rest element:
-        # its place in rest, moved past i and j
-        p = np.zeros(len(term), dtype=np.intp)
-        q = np.ones(len(term), dtype=np.intp)
-        code = np.zeros(len(term), dtype=dtype)
-        for c, col in enumerate(cols[:, keep]):
-            rest = col != m
-            p += rest & (col < i)
-            q += rest & (col < j)
-            merged = np.minimum(c - (col > m) + (col > i) + (col > j), deg)
-            code += rest * col * place[merged]
+        keep = ~(((cols == i) | (cols == j)) & (cols != m)).any(axis=0)
+        below_i, below_j = cols < i, cols < j
+        # places of i < j in the merged key
+        p = below_i.sum(axis=0) - (m < i)
+        q = below_j.sum(axis=0) - (m < j) + 1
+        # a rest element's place in the merged key: its place in rest, plus
+        # 1 for each of i and j below it
+        merged = np.take(shift, s, axis=1)
+        merged += 2
+        merged -= below_i
+        merged -= below_j
+        code = (np.take(place_ext, merged) * cols).sum(axis=0)
         code += i * place[p] + j * place[q]
-        odd = (pos[src] + p + q) % 2 == 1
-        return code, np.where(odd, -bc[term], bc[term]) * vals[comp[src]]
+        odd = (s + p + q) % 2 == 1
+        return code[keep], c[keep], np.where(odd, minus[term], plus[term])[keep]
 
+    total = int(nrows.sum())
+    src_of, coef_of, slot_of = (
+        np.empty(total, dtype=t) for t in (_index_type(len(keys)), plus.dtype, _index_type(total))
+    )
+    nkept = 0
     seen = np.zeros(0, dtype=dtype)  # codes met so far, sorted
-    seen_slot = np.zeros(0, dtype=np.intp)
+    seen_slot = np.zeros(0, dtype=np.int32)
     codes = [seen]  # codes by slot
-    re = np.zeros(0)
-    im = np.zeros(0)
+    nslots = 0
     bounds = np.searchsorted(first_row // _BLOCK_ROWS, np.arange(first_row[-1] // _BLOCK_ROWS + 2))
     for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        code, prod = block(t0, t1)
+        code, src, coef = block(t0, t1)
         if not len(code):
             continue
         uniq, first, inverse = _groups(code)
@@ -348,22 +474,19 @@ def _scatter(basis, deg, keys, vals, comp, pos, at) -> tuple[np.ndarray, np.ndar
         old[old] = seen[found[old]] == uniq[old]
         new = np.nonzero(~old)[0]
         new = new[np.argsort(first[new])]
-        slot = np.empty(len(uniq), dtype=np.intp)
+        slot = np.empty(len(uniq), dtype=np.int32)
         slot[old] = seen_slot[found[old]]
-        slot[new] = len(re) + np.arange(len(new))
+        slot[new] = nslots + np.arange(len(new))
+        nslots += len(new)
         codes.append(uniq[new])
         seen = np.insert(seen, found[~old], uniq[~old])
         seen_slot = np.insert(seen_slot, found[~old], slot[~old])
-        re = np.concatenate([re, np.zeros(len(new))])
-        im = np.concatenate([im, np.zeros(len(new))])
-        # add.at adds in index order: each slot sums its rows in row order
-        np.add.at(re, slot[inverse], prod.real)
-        np.add.at(im, slot[inverse], prod.imag)
-
-    live = (re != 0) | (im != 0)
-    code = np.concatenate(codes)[live]
-    value = np.empty(len(code), dtype=complex)
-    value.real, value.imag = re[live], im[live]
-    del seen, seen_slot, codes, re, im
-    merged = np.stack([code // k % basis.dim for k in place], axis=1)
-    return merged.astype(np.int32), value
+        rows = slice(nkept, nkept + len(code))
+        src_of[rows], coef_of[rows], slot_of[rows] = src, coef, slot[inverse]
+        nkept = rows.stop
+    code = np.concatenate(codes)
+    merged = np.empty((nslots, deg + 1), dtype=np.int32)
+    for col, k in enumerate(place):
+        merged[:, col] = code // k % basis.dim
+    slot_of = slot_of[:nkept].astype(_index_type(nslots))
+    return DerivativePlan(src_of[:nkept], coef_of[:nkept], slot_of, merged, values)

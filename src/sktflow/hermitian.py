@@ -22,7 +22,14 @@ from .errors import (
     MissingComplexStructureError,
     PositivityError,
 )
-from .forms import ChevalleyBasis, InvariantForm, exterior_derivative, sort_sign
+from .forms import (
+    ChevalleyBasis,
+    InvariantForm,
+    exterior_derivative,
+    sort_sign,
+    triple_sums,
+    triple_terms,
+)
 from .residuals import (
     PairRows,
     QuadRows,
@@ -301,12 +308,9 @@ def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:
     rs = h.group.systems[f1]
     if rs.sum_index[i1, i2] != rs.neg_index[i3]:
         return 0j
-    n = float(h.group.constants[f1].float_array[i1, i2])
-    x, npos = h._x[f1], rs.npositive
-    s1, s2, s3 = (1 if i < npos else -1 for i in (i1, i2, i3))
-    y1, y2, y3 = (-1j * s * x[i % npos] for s, i in ((s1, i1), (s2, i2), (s3, i3)))
-    ys = y1 + y2 + y3
-    return 1j * (s1 * s2 * s3) * n * ys if conjugate else n * ys
+    fiber, ysign, n, dc_coef = triple_terms(rs, h.group.constants[f1], np.array([[i1, i2, i3]]))
+    ys = triple_sums(fiber, ysign, h.xhat[f1])
+    return complex(((dc_coef if conjugate else n) * ys)[0])
 
 
 def d_omega(h: HermitianStructure, a, b, c) -> complex:
@@ -370,7 +374,7 @@ def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> In
 def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
     """The 3-form d^c of the fundamental form, assembled componentwise: per
     factor the torus components of each root, root then torus coordinate,
-    then its triple components."""
+    then its triple components, from the basis' triple table."""
     basis = basis or h.group.basis
     keys, vals = [], []
     for f, roots in enumerate(h.group.roots):
@@ -378,29 +382,12 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
         gk = np.array([h.gt @ k for k in roots]).reshape(len(roots), h.group.total_rank)
         t, a = np.nonzero(gk)
         e = basis.element_index(f, t)
-        elems, triples = _dc_triples(h, basis, f)
-        keys += [np.stack([a, e, e + 1], axis=1), elems]
-        vals += [-gk[t, a], triples]
+        table = basis.triple_tables[f]
+        keys += [np.stack([a, e, e + 1], axis=1), table.elems]
+        vals += [-gk[t, a], table.dc_coef * triple_sums(table.fiber, table.ysign, h.xhat[f])]
     return InvariantForm.from_arrays(
         basis, 3, np.concatenate(keys).astype(np.int32), np.concatenate(vals).astype(complex)
     )
-
-
-def _dc_triples(h: HermitianStructure, basis: ChevalleyBasis, f: int) -> tuple:
-    """d^c omega on the root triples (eta, theta, -xi) and (-eta, -theta, xi) with
-    eta + theta = xi, interleaved per sum: keys sorted by basis element, and values."""
-    rs = h.group.systems[f]
-    n = rs.npositive
-    eta, theta, xi = rs.positive_sums()
-    rts = np.stack([eta, theta, n + xi, n + eta, n + theta, xi], axis=1).reshape(-1, 3)
-    elems = basis.element_index(f, rts)
-    order = np.argsort(elems, axis=1)
-    elems = np.take_along_axis(elems, order, axis=1)
-    rts = np.take_along_axis(rts, order, axis=1)
-    signs = np.where(rts < n, 1, -1)
-    y = -1j * signs * h.xhat[f][rts % n]
-    n_val = h.group.constants[f].float_array[rts[:, 0], rts[:, 1]]
-    return elems, 1j * signs.prod(axis=1) * n_val * ((y[:, 0] + y[:, 1]) + y[:, 2])
 
 
 def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) -> InvariantForm:
@@ -488,7 +475,7 @@ def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     basis = h.group.basis
     keys, values = exterior_derivative(dc_form(h, basis)).arrays()
-    pair = np.array(basis.pair_of, dtype=np.int32)[keys]
+    pair = basis.pair_array[keys]
     r = np.abs(values) / 2.0
     skt1 = (pair[:, 0] >= 0) & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
     skt2 = (pair[:, 0] >= 0) & ~skt1
@@ -775,9 +762,10 @@ def structure_from_dict(data: dict) -> HermitianStructure:
 
 
 def save_structure(h: HermitianStructure, path) -> None:
+    """Write h as JSON; a structure that does not serialize leaves path untouched."""
+    text = json.dumps(structure_to_dict(h), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(structure_to_dict(h), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_structure(path) -> HermitianStructure:

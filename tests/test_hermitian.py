@@ -1,5 +1,6 @@
 """Hermitian structures: form components, pluriclosed scans, serialization."""
 
+import io
 import itertools
 import json
 import re
@@ -631,6 +632,36 @@ def test_save_refuses_cross_factor_coupling(tmp_path):
     h = g.build(torus=gt)
     with pytest.raises(ValueError, match="couples different factors"):
         save_structure(h, tmp_path / "bad.json")
+
+
+def test_refused_save_leaves_the_file_as_it_was(tmp_path):
+    g = _group("A1", "A1")
+    path = tmp_path / "s.json"
+    save_structure(g.build(), path)
+    before = path.read_bytes()
+    gt = g.q_full.astype(float)
+    gt[0, 1] = gt[1, 0] = 0.25
+    with pytest.raises(ValueError, match="couples different factors"):
+        save_structure(g.build(torus=gt), path)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match="couples different factors"):
+        save_structure(g.build(torus=gt), tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
+
+
+@pytest.mark.parametrize("tokens", [("A2",), ("A1", "G2"), ("B2", "A2")])
+def test_saved_bytes_are_those_json_dump_wrote(tmp_path, tokens):
+    g = _group(*tokens)
+    rng = np.random.default_rng(len(tokens))
+    gt = g.layout.blockdiag([_rand_spd(rng, rs.rank) for rs in g.systems])
+    jt = canonical_jt(gt) if g.total_rank % 2 == 0 else None
+    for h in (g.build(), g.build(torus=TorusMetric(gt), jt=jt)):
+        path = tmp_path / "s.json"
+        save_structure(h, path)
+        want = io.StringIO()
+        json.dump(structure_to_dict(h), want, indent=2)
+        want.write("\n")
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 _OFF_A2 = A2.build(x=[(2.0, 2.0, 4.0)])

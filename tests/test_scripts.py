@@ -57,3 +57,16 @@ def _digest(capsys, seed):
 def test_flow_battery_digest_follows_the_seed(capsys):
     assert _digest(capsys, 3) == _digest(capsys, 3)
     assert _digest(capsys, 3) != _digest(capsys, 4)
+
+
+def _crosscheck_digest(capsys, seed):
+    argv = ["--types", "A2,G2,A1xB2", "--samples", "2", "--seed", str(seed)]
+    assert _load("oracle_crosscheck").main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("digest ") and len(last.split()[1]) == 64
+    return last
+
+
+def test_oracle_crosscheck_digest_follows_the_seed(capsys):
+    assert _crosscheck_digest(capsys, 3) == _crosscheck_digest(capsys, 3)
+    assert _crosscheck_digest(capsys, 3) != _crosscheck_digest(capsys, 4)
