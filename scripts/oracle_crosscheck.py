@@ -3,7 +3,10 @@
 
 Draws random fiber values (on and off the distinguished family) and random
 torus metrics, then compares the two pluriclosed scans component by
-component. Also re-verifies the structure-constant identities per type.
+component. Also re-verifies the structure-constant identities per type, and
+saves each scanned structure and loads it back (a torus metric coupling the
+factors does not serialize and is skipped): the loaded structure's
+closed-form report must equal the original's.
 A token such as A2xG2 is a product: its identities are checked per factor,
 family points are drawn per factor, and off-family points get a torus
 metric of the total rank that couples the factors. The last line is
@@ -17,7 +20,9 @@ Example:
 
 import argparse
 import hashlib
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -29,7 +34,9 @@ from sktflow import (
     SimpleType,
     family_bound,
     is_pluriclosed,
+    load_structure,
     pluriclosed_family,
+    save_structure,
     structure_constants,
     verify_identities,
 )
@@ -54,8 +61,23 @@ def _feed(digest, report):
     )
 
 
+def _roundtrip(h, closed, path):
+    """None when h does not serialize, else whether h saved to path and
+    loaded back gives the closed-form report closed."""
+    try:
+        save_structure(h, path)
+    except ValueError:  # a torus metric coupling the factors
+        return None
+    return is_pluriclosed(load_structure(path)) == closed
+
+
 def main(argv=None):
     args = parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run(args, os.path.join(tmp, "structure.json"))
+
+
+def _run(args, path):
     groups = []
     for token in args.types.split(","):
         try:
@@ -74,6 +96,7 @@ def main(argv=None):
         ident = "ok" if passed else "FAILED"
         r = g.total_rank
         worst = 0.0
+        trips = kept = 0
         for k in range(args.samples):
             if k % 2 == 0:
                 vals = [rng.uniform(family_bound(rs) + 1e-3, 2.5, rs.rank) for rs in g.systems]
@@ -94,12 +117,17 @@ def main(argv=None):
             )
             if closed.verdict != brute.verdict:
                 worst = float("inf")
+            same = _roundtrip(h, closed, path)
+            if same is not None:
+                trips += 1
+                kept += same
         status = "ok" if worst < args.tol else "DISAGREE"
-        if status != "ok" or ident != "ok":
+        trip = "ok" if kept == trips else "CHANGED"
+        if status != "ok" or ident != "ok" or trip != "ok":
             bad += 1
         print(
             f"{token:<6} identities {ident:<7} scan agreement {worst:.3e} {status:<9} "
-            f"({time.perf_counter() - t0:.2f}s)"
+            f"round trips {kept}/{trips} {trip:<7} ({time.perf_counter() - t0:.2f}s)"
         )
     print(f"{bad} type(s) failed" if bad else "all types agree")
     print(f"digest {digest.hexdigest()}")

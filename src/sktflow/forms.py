@@ -146,6 +146,15 @@ class ChevalleyBasis:
                 out += [("E", f, root), ("E", f, -root)]
         return out
 
+    @cached_property
+    def element_names(self) -> tuple[str, ...]:
+        """Each element's name in a scan witness: H_j, with j counted from 1
+        within its factor, or "factor f: " and the root's label."""
+        return tuple(
+            f"H_{dd[2] + 1}" if dd[0] == "H" else f"factor {dd[1]}: {dd[2].label}"
+            for dd in self.descriptors
+        )
+
     def torus_index(self, factor: int, local: int) -> int:
         return self.layout.slices[factor].start + local
 
@@ -248,9 +257,9 @@ def sort_sign(seq) -> int:
 class InvariantForm:
     """Alternating k-form stored by components on strictly increasing index tuples.
 
-    components is a dict, or for forms built by from_arrays a read-only
-    Mapping over arrays that builds its dict on first lookup; set() turns
-    either into a dict.
+    components is a dict, or for forms built by from_arrays or
+    computed_form a read-only Mapping over arrays that builds its dict on
+    first lookup; set() turns either into a dict.
     """
 
     basis: ChevalleyBasis
@@ -266,8 +275,8 @@ class InvariantForm:
         """The keys as an (n, degree) int32 array and the values as complex,
         in insertion order. Raises ValueError on a key that is not a tuple of
         `degree` strictly increasing basis indices, and on a value that is
-        not finite."""
-        deg, dim = self.degree, self.basis.dim
+        not finite. The keys of a computed_form are not checked again."""
+        deg = self.degree
         comps = self.components
         if isinstance(comps, _ArrayComponents):
             keys, vals = comps.arrays
@@ -275,24 +284,13 @@ class InvariantForm:
             keys, vals = _index_array(comps), np.array(list(comps.values()), dtype=complex)
         if not len(vals):
             return np.zeros((0, deg), dtype=np.int32), vals
-        ok = keys is not None and keys.shape == (len(vals), deg)
-        if ok and keys.size:
-            ok = keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < dim
-            ok = ok and (np.diff(keys, axis=1) > 0).all()
-        if not ok:
-            bad = next((key for key in comps if not _is_key(key, deg, dim)), None)
-            if bad is not None:
-                raise ValueError(
-                    f"component key {bad!r} of a degree-{deg} form must be {deg} strictly"
-                    f" increasing indices in [0, {dim})"
-                )
-            # valid keys that numpy stacks as floats, such as int64 next to uint64
-            keys = np.array(list(comps), dtype=np.int32)
+        if not (isinstance(comps, _ArrayComponents) and comps.computed):
+            keys = _checked_keys(keys, comps, deg, self.basis.dim)
         finite = np.isfinite(vals)
         if not finite.all():
             bad = next(k for k, good in zip(comps, finite) if not good)
             raise ValueError(f"component {bad!r} of a form must be finite, got {comps[bad]!r}")
-        return keys.astype(np.int32, copy=False), vals
+        return keys, vals
 
     def set(self, indices: tuple[int, ...], value: complex):
         if not isinstance(self.components, dict):
@@ -309,12 +307,20 @@ class InvariantForm:
         return max((abs(v) for v in self.components.values()), default=0.0)
 
 
+def computed_form(basis: ChevalleyBasis, degree: int, keys, values) -> InvariantForm:
+    """InvariantForm.from_arrays for keys the package computed: an (n, degree)
+    int32 array of strictly increasing basis indices, which arrays() trusts."""
+    return InvariantForm(basis, degree, _ArrayComponents(keys, values, computed=True))
+
+
 class _ArrayComponents(Mapping):
     """Components held as arrays (keys, values); len() reads the arrays, and
-    the dict of int-tuple keys and complex values is built on first lookup."""
+    the dict of int-tuple keys and complex values is built on first lookup.
+    computed marks keys the package built, known to be valid."""
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray):
+    def __init__(self, keys: np.ndarray, values: np.ndarray, computed: bool = False):
         self.arrays = (keys, values)
+        self.computed = computed
 
     def __len__(self) -> int:
         return len(self.arrays[1])
@@ -342,6 +348,25 @@ def _is_key(key, degree: int, dim: int) -> bool:
         )
         and all(a < b for a, b in zip(key, key[1:]))
     )
+
+
+def _checked_keys(keys: np.ndarray | None, comps: Mapping, deg: int, dim: int) -> np.ndarray:
+    """keys as int32 after checking that each is a tuple of `deg` strictly
+    increasing indices in [0, dim); comps holds the same keys, to name a bad one."""
+    ok = keys is not None and keys.shape == (len(comps), deg)
+    if ok and keys.size:
+        ok = keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < dim
+        ok = ok and (np.diff(keys, axis=1) > 0).all()
+    if not ok:
+        bad = next((key for key in comps if not _is_key(key, deg, dim)), None)
+        if bad is not None:
+            raise ValueError(
+                f"component key {bad!r} of a degree-{deg} form must be {deg} strictly"
+                f" increasing indices in [0, {dim})"
+            )
+        # valid keys that numpy stacks as floats, such as int64 next to uint64
+        keys = np.array(list(comps), dtype=np.int32)
+    return keys.astype(np.int32, copy=False)
 
 
 def _index_array(keys) -> np.ndarray | None:
@@ -385,7 +410,7 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
     live = (re != 0) | (im != 0)
     value = np.empty(np.count_nonzero(live), dtype=complex)
     value.real, value.imag = re[live], im[live]
-    return InvariantForm.from_arrays(basis, deg + 1, merged[live], value)
+    return computed_form(basis, deg + 1, merged[live], value)
 
 
 def _groups(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from .errors import (
 from .forms import (
     ChevalleyBasis,
     InvariantForm,
+    computed_form,
     exterior_derivative,
     sort_sign,
     triple_sums,
@@ -47,13 +48,15 @@ from .structure import StructureConstants, structure_constants
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One simple factor: type, inner-product normalization, scale z."""
+    """One simple factor: type, inner-product normalization (a Normalization
+    or its name), scale z."""
 
     stype: SimpleType
     normalization: Normalization = Normalization.LONG2
     z: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "normalization", Normalization.parse(self.normalization))
         if not finite_positive(self.z):
             raise ValueError(f"factor scale z must be finite and positive, got {self.z}")
 
@@ -385,7 +388,7 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
         table = basis.triple_tables[f]
         keys += [np.stack([a, e, e + 1], axis=1), table.elems]
         vals += [-gk[t, a], table.dc_coef * triple_sums(table.fiber, table.ysign, h.xhat[f])]
-    return InvariantForm.from_arrays(
+    return computed_form(
         basis, 3, np.concatenate(keys).astype(np.int32), np.concatenate(vals).astype(complex)
     )
 
@@ -429,7 +432,7 @@ def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     val.imag = np.bincount(key, weights=terms.imag, minlength=len(starts))
     keep = val != 0
     rows = starts[keep]
-    return InvariantForm.from_arrays(basis, 2, np.stack([i[rows], j[rows]], axis=1), val[keep])
+    return computed_form(basis, 2, np.stack([i[rows], j[rows]], axis=1), val[keep])
 
 
 def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
@@ -483,10 +486,7 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
     witness = None
     if row >= 0:
         key = tuple(keys[row].tolist())
-        names = ", ".join(
-            f"H_{dd[2] + 1}" if dd[0] == "H" else f"factor {dd[1]}: {dd[2].label}"
-            for dd in (basis.descriptors[i] for i in key)
-        )
+        names = ", ".join(basis.element_names[i] for i in key)
         witness = f"{_bucket(basis, key)} ({names})"
     return best, witness, worst_row(r[skt1])[0], worst_row(r[skt2])[0], len(values)
 

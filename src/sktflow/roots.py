@@ -9,6 +9,7 @@ normalization of the invariant bilinear form.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -83,9 +84,10 @@ class Normalization(str, enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Normalization":
+        """A member, or its name in any case; anything else is refused with ValueError."""
         try:
             return cls(text.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValueError(
                 f"unknown normalization {text!r}; expected long2, short2 or killing"
             ) from None
@@ -272,7 +274,8 @@ class RootSystem:
     sum_index[i, j] and diff_index[i, j], the index of root i + root j and
     of root i - root j, or -1 for a non-root; neg_index[i], the index of
     -(root i). Float views: gram_float and coefficient_matrix (positive
-    roots by simple-root coefficients).
+    roots by simple-root coefficients). Every array is read-only, as
+    build_root_system shares one instance among its callers.
     """
 
     stype: SimpleType
@@ -312,6 +315,8 @@ class RootSystem:
             ("diff_index", sum_index[:, neg]),
             ("neg_index", neg),
         ):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -478,7 +483,26 @@ class FactorLayout:
         return out
 
 
+# the RootSystem of each (SimpleType, Normalization) that something still holds
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def build_root_system(stype: SimpleType, norm: Normalization = Normalization.LONG2) -> RootSystem:
+    """The root system of stype under norm, a Normalization or its name.
+
+    While any caller holds the system built for (stype, norm), every build
+    returns that same read-only instance; once the last holder drops it, it
+    is freed and the next build enumerates the roots again. An unknown
+    normalization is refused with ValueError.
+    """
+    norm = Normalization.parse(norm)
+    rs = _LIVE.get((stype, norm))
+    if rs is None:
+        rs = _LIVE[stype, norm] = _build_root_system(stype, norm)
+    return rs
+
+
+def _build_root_system(stype: SimpleType, norm: Normalization) -> RootSystem:
     """Enumerate the positive roots of stype and attach the requested gram matrix."""
     gram2 = _gram_long2(stype)
     gram2_int, scale2 = _integer_gram(gram2)

@@ -70,3 +70,24 @@ def _crosscheck_digest(capsys, seed):
 def test_oracle_crosscheck_digest_follows_the_seed(capsys):
     assert _crosscheck_digest(capsys, 3) == _crosscheck_digest(capsys, 3)
     assert _crosscheck_digest(capsys, 3) != _crosscheck_digest(capsys, 4)
+
+
+def test_oracle_crosscheck_round_trips_every_serializable_structure(capsys):
+    assert _load("oracle_crosscheck").main(["--types", "A2,A1xB2", "--samples", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the product's off-family torus metrics couple the factors and do not serialize
+    assert "round trips 4/4 ok" in lines[0] and "round trips 2/2 ok" in lines[1]
+
+
+def test_oracle_crosscheck_fails_on_a_changed_round_trip(monkeypatch, capsys):
+    module = _load("oracle_crosscheck")
+    load = module.load_structure
+
+    def shifted(path):
+        h = load(path)
+        return h.group.build([tuple(v * 1.5 for v in x) for x in h.fiber.values], torus=h.gt)
+
+    monkeypatch.setattr(module, "load_structure", shifted)
+    assert module.main(["--types", "A2", "--samples", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "round trips 0/2 CHANGED" in out and "1 type(s) failed" in out
