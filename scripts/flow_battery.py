@@ -2,7 +2,9 @@
 """Batch flow runs across types and integrators, with trajectory dumps.
 
 A product is one token with its factors joined by x, such as A2xG2; its
-starts are drawn factor by factor. The last line is `digest <sha256>` over
+starts are drawn factor by factor. After the runs, one `total` line per
+integrator gives its summed evaluations and wall_s and the microseconds per
+evaluation, the flow's per-evaluation cost. The last line is `digest <sha256>` over
 every run's times, states, F values and gradient norms, its termination and
 its FlowStats but wall_s (or its error), so two builds that give the same
 digest at one seed gave the same bits.
@@ -69,6 +71,7 @@ def main(argv=None):
         outdir.mkdir(parents=True, exist_ok=True)
     norm = Normalization.parse(args.norm)
     failures = 0
+    totals = {}  # integrator: [evaluations, wall_s]
     digest = hashlib.sha256()
     print(f"{'type':<6} {'integrator':<10} {'start':<28} {'termination':<22} "
           f"{'steps':>6} {'evals':>6} {'halvings':>8} {'f_rises':>7} {'t_final':>9} "
@@ -91,6 +94,9 @@ def main(argv=None):
                     failures += 1
                     continue
                 _feed(digest, traj)
+                total = totals.setdefault(cfg.integrator, [0, 0.0])
+                total[0] += traj.stats.evaluations
+                total[1] += traj.stats.wall_s
                 dist = np.abs(traj.states[-1] - 1).max()
                 rise = np.diff(traj.f_values).max(initial=0.0)
                 if traj.termination != "converged" or rise > F_RISE_TOL:
@@ -108,6 +114,10 @@ def main(argv=None):
         print(f"{failures} run(s) did not converge or raised F")
     else:
         print("all runs converged without raising F")
+    for integrator, (evaluations, wall_s) in totals.items():
+        per_evaluation = 1e6 * wall_s / evaluations
+        print(f"total {integrator:<10} evaluations {evaluations}  wall_s {wall_s:.3f}  "
+              f"us_per_evaluation {per_evaluation:.2f}")
     print(f"digest {digest.hexdigest()}")
     return 1 if failures else 0
 

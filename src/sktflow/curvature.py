@@ -17,6 +17,7 @@ from .errors import ConsistencyError, PositivityError
 from .forms import ChevalleyBasis, InvariantForm
 from .hermitian import (
     HermitianStructure,
+    _QUIET,
     _check_tol,
     _simple_array,
     d_star_omega,
@@ -84,8 +85,9 @@ def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
 
 
 def potential(v: np.ndarray) -> float:
-    """F = sum(v - log v) over induced values v."""
-    return float((v - np.log(v)).sum())
+    """F = sum(v - log v) over induced values v, with np.add.reduce, the sum
+    ndarray.sum calls, called without that method's Python wrapper."""
+    return float(np.add.reduce(v - np.log(v)))
 
 
 def _hessian(rs: RootSystem, v: np.ndarray) -> np.ndarray:
@@ -93,19 +95,23 @@ def _hessian(rs: RootSystem, v: np.ndarray) -> np.ndarray:
     return (k / v[:, None] ** 2).T @ k
 
 
+@np.errstate(**_QUIET)
 def functional_F(rs: RootSystem, simple_values) -> float:
     """Strictly convex potential whose only critical point is all ones."""
     return potential(family_gradient(rs, _simple_array(rs, simple_values))[0])
 
 
+@np.errstate(**_QUIET)
 def grad_F(rs: RootSystem, simple_values) -> np.ndarray:
     return family_gradient(rs, _simple_array(rs, simple_values))[1]
 
 
+@np.errstate(**_QUIET)
 def hessian_F(rs: RootSystem, simple_values) -> np.ndarray:
     return _hessian(rs, family_gradient(rs, _simple_array(rs, simple_values))[0])
 
 
+@np.errstate(**_QUIET)
 def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Damped Newton minimizer of the potential over the positive family domain."""
     _check_tol(tol)

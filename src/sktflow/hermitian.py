@@ -519,16 +519,35 @@ def family_bound(rs: RootSystem) -> float:
     return 1.0 - 1.0 / rs.maximal_root.height
 
 
+# A non-finite induced value is refused by family_gradient's guard (or, from
+# family_values, returned), so numpy need not warn of it as well: every public
+# per-point function evaluates under np.errstate(**_QUIET).
+_QUIET = {"invalid": "ignore", "over": "ignore"}
+
+
+def _real_array(values) -> np.ndarray:
+    """values as a float array, refusing complex values, whose imaginary part
+    a float conversion would drop."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"values must be real, got complex {np.asarray(values).dtype}")
+    return np.asarray(values, dtype=float)
+
+
 def _simple_array(rs: RootSystem, simple_values) -> np.ndarray:
-    s = np.asarray(simple_values, dtype=float)
+    s = _real_array(simple_values)
     if s.shape != (rs.rank,):
         raise ValueError(f"{rs.stype} needs {rs.rank} simple values, got shape {s.shape}")
     return s
 
 
+@np.errstate(**_QUIET)
 def family_values(rs: RootSystem, simple_values) -> np.ndarray:
     """Fiber values induced by values on the simple roots, affinely through 1."""
     return 1.0 + rs.coefficient_matrix @ (_simple_array(rs, simple_values) - 1.0)
+
+
+_ONE = np.array(1.0)  # family_gradient's operand 1.0, as a read-only 0-d array
+_ONE.flags.writeable = False
 
 
 class _Violation(Exception):
@@ -543,12 +562,28 @@ def family_gradient(rs: RootSystem | FactorLayout, s: np.ndarray, eps: float = 0
     at or below eps; it raises PositivityError, naming the root (and the
     factor, if one is given or rs is a product), when some v is not finite
     and positive.
+
+    An evaluation is a few elements wide, so its cost is numpy call
+    overhead, and each call here is the cheapest that gives the same bits:
+    the operand 1.0 is _ONE, a 0-d array, which dispatches faster than a
+    Python float, .dot gives the bits of @ in about half its dispatch time,
+    and _admissible is the guard.
     """
     k = rs.coefficient_matrix
-    v = 1.0 + k.dot(s - 1.0)  # .dot: the bits of @ in about half its dispatch time
-    if not (np.minimum.reduce(v) > eps and np.maximum.reduce(v) < np.inf):
+    v = k.dot(s - _ONE) + _ONE
+    if not _admissible(v, eps):
         _refuse(rs, s, v, eps, factor)
-    return v, (1.0 - 1.0 / v).dot(k)
+    return v, (_ONE - _ONE / v).dot(k)
+
+
+def _admissible(v: np.ndarray, eps: float) -> bool:
+    """The guard min(v) > eps and max(v) < inf, False when some v is NaN.
+
+    It reads v at v.argmin() and v.argmax(): C methods with no Python
+    wrapper, each about a third of a ufunc reduction's cost. Both pick the
+    first NaN when there is one, and neither raises a floating-point warning.
+    """
+    return v[v.argmin()] > eps and v[v.argmax()] < np.inf
 
 
 def _refuse(rs, s: np.ndarray, v: np.ndarray, eps: float, factor=None):
@@ -585,7 +620,7 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     xs = []
     product = len(group.factors) > 1  # a single system's errors name only the root
     for f, rs in enumerate(group.systems):
-        with np.errstate(invalid="ignore"):  # inf meets zero coefficients; the guard names it
+        with np.errstate(**_QUIET):
             vals = family_gradient(rs, _simple_array(rs, rows[f]), 0.0, f if product else None)[0]
         xs.append(tuple(float(v) for v in vals))
     return HermitianStructure(group, fiber=FiberMetric(tuple(xs)), torus="killing")

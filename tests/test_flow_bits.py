@@ -1,11 +1,19 @@
 """The exact semantics of the flow's cheapest numpy calls.
 
-`family_gradient` computes v and g with `ndarray.dot` and guards v with
-`np.minimum.reduce`/`np.maximum.reduce`; `flow._combine` forms an RKF45
-stage from the nonzero tableau terms only. These tests pin that each gives
-the bits of the plain formula it replaces, and that the guard keeps its
-comparison `min(v) > eps and max(v) < inf` to the last float.
+`family_gradient` computes v and g with `ndarray.dot` and a 0-d array
+operand 1.0, and guards v with `hermitian._admissible` (v read at argmin and
+argmax); `flow._combine` forms an RKF45 stage from the nonzero tableau terms
+only, as `k * c`; `flow._rk4` and `flow._rkf45` form each stage and step as
+`k * c + x`, and `_rk4` doubles with `k + k`; `curvature.potential` sums
+with `np.add.reduce`; and
+`flow._within` runs the convergence test's first clause on Python floats.
+These tests pin that each gives the bits of the plain formula it replaces,
+and that the guard keeps its comparison `min(v) > eps and max(v) < inf` to
+the last float.
 """
+
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +28,9 @@ from sktflow import (
     integrate,
     pluriclosed_family,
 )
-from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _combine, _Violation
-from sktflow.hermitian import family_gradient
+from sktflow.curvature import potential
+from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _combine, _rk4, _rkf45, _Violation, _within
+from sktflow.hermitian import _admissible, family_gradient
 
 CATALOG = (
     [f"A{k}" for k in range(1, 9)]
@@ -109,6 +118,118 @@ def test_rkf_combination_is_the_plain_sum_bit_for_bit(coefs):
             ks = list(scale * rng.standard_normal((len(coefs), n)))
             plain = sum(c * k for c, k in zip(coefs, ks))
             assert _combine(coefs, ks).tobytes() == plain.tobytes()
+
+
+def _vectors(rng, count, n, scale):
+    """count random vectors of length n at scale, about a quarter of their
+    entries replaced by +0.0 or -0.0."""
+    out = scale * rng.standard_normal((count, n))
+    zero = rng.random(out.shape) < 0.25
+    out[zero] = np.where(rng.random(out.shape) < 0.5, 0.0, -0.0)[zero]
+    return list(out)
+
+
+def _replay(ks):
+    """A stage function that returns ks in turn, and the list of its arguments."""
+    seen, answers = [], iter(ks)
+
+    def f(x):
+        seen.append(x)
+        return next(answers)
+
+    return f, seen
+
+
+def _plain_combine(coefs, ks):
+    """The RKF45 combination as it was written before: c * k, from the first nonzero term."""
+    first, *rest = (c * k for c, k in zip(coefs, ks) if c)
+    return sum(rest, first)
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+@pytest.mark.parametrize("scale", (1e-6, 1.0, 1e3))
+def test_rk4_stages_and_update_are_the_plain_formulas_bit_for_bit(n, scale):
+    rng = np.random.default_rng(n)
+    for h in (1e-3, 0.01, 0.37):
+        for _ in range(40):
+            x, k1, k2, k3, k4 = _vectors(rng, 5, n, scale)
+            f, seen = _replay([k2, k3, k4])
+            step = _rk4(f, x, h, k1)
+            stages = [x + 0.5 * h * k1, x + 0.5 * h * k2, x + h * k3]
+            assert _bytes(seen) == _bytes(stages)
+            assert step.tobytes() == (x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).tobytes()
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+@pytest.mark.parametrize("scale", (1e-6, 1.0, 1e3))
+def test_rkf45_stages_and_step_are_the_plain_formulas_bit_for_bit(n, scale):
+    rng = np.random.default_rng(n)
+    for h in (1e-3, 0.01, 0.37):
+        for _ in range(40):
+            x, *ks = _vectors(rng, 7, n, scale)
+            f, seen = _replay(ks[1:])
+            x5, err = _rkf45(f, x, h, ks[0])
+            stages = [x + h * _plain_combine(row, ks) for row in _RKF_K]
+            assert _bytes(seen) == _bytes(stages)
+            plain4 = x + h * _plain_combine(_RKF_B4, ks)
+            plain5 = x + h * _plain_combine(_RKF_B5, ks)
+            assert x5.tobytes() == plain5.tobytes()
+            assert err == float(np.abs(plain5 - plain4).max())
+
+
+# ---------------------------------------------------------------- the guard on edge values
+
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+HUGE = np.finfo(float).max
+EDGES = (EPS, np.nextafter(EPS, np.inf), np.nextafter(EPS, -np.inf), 0.0, -0.0, TINY, -TINY,
+         HUGE, -HUGE, np.inf, -np.inf, np.nan, 1.5)
+
+
+def _edge_cases(rng):
+    """Every ordered pair of edge values, and longer vectors (1 to 33 entries,
+    across numpy's SIMD widths) with up to three edge values at random places."""
+    yield from (np.array(pair) for pair in itertools.product(EDGES, repeat=2))
+    for n in range(1, 34):
+        for _ in range(15):
+            v = rng.uniform(0.5, 3.0, n)
+            at = rng.integers(n, size=rng.integers(4))
+            v[at] = rng.choice(EDGES, at.size)
+            yield v
+
+
+@pytest.mark.parametrize("eps", (0.0, EPS, np.nextafter(EPS, np.inf), np.nextafter(EPS, -np.inf), TINY))
+def test_guard_is_min_above_eps_and_max_below_inf_on_edge_values(eps):
+    for v in _edge_cases(np.random.default_rng(7)):
+        expected = np.minimum.reduce(v) > eps and np.maximum.reduce(v) < np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bool(_admissible(v, eps)) == bool(expected), v
+
+
+# ---------------------------------------------------------------- F and the convergence test
+
+
+def test_potential_is_the_sum_method_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 7, 8, 9, 24, 63, 120, 240):
+        for v in rng.uniform(1e-3, 50.0, (20, n)):
+            assert potential(v) == float((v - np.log(v)).sum())
+
+
+def test_convergence_clause_is_the_max_form_on_edge_values():
+    rng = np.random.default_rng(5)
+    tol = 1e-8
+    near = (1.0, np.nextafter(1.0 + tol, 0.0), 1.0 + tol, 1.0 - tol, np.nextafter(1.0 - tol, 2.0),
+            -0.0, np.nan, np.inf, -np.inf)
+    cases = [np.array(pair) for pair in itertools.product(near, repeat=2)]
+    cases += [rng.choice(near, n) for n in (1, 3, 8, 17) for _ in range(20)]
+    for x in cases:
+        expected = np.maximum.reduce(np.abs(x - 1.0)) < tol
+        assert _within(x.tolist(), tol) == bool(expected), x
 
 
 # ---------------------------------------------------------------- naming

@@ -91,3 +91,18 @@ def test_oracle_crosscheck_fails_on_a_changed_round_trip(monkeypatch, capsys):
     assert module.main(["--types", "A2", "--samples", "2"]) == 1
     out = capsys.readouterr().out
     assert "round trips 0/2 CHANGED" in out and "1 type(s) failed" in out
+
+
+def test_flow_battery_totals_each_integrator_before_the_digest(capsys):
+    argv = ["--types", "A2,B2", "--starts", "2", "--t-end", "5", "--seed", "3"]
+    _load("flow_battery").main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    runs = [line.split() for line in lines[1:-4]]
+    assert lines[-1].startswith("digest ")
+    for line, integrator in zip(lines[-3:-1], ["rk4_fixed", "rkf45"]):
+        name, integ, _, evaluations, _, wall_s, _, per_evaluation = line.split()
+        assert (name, integ) == ("total", integrator)
+        assert int(evaluations) == sum(int(run[5]) for run in runs if run[1] == integrator) > 0
+        # wall_s is printed to 0.5 ms and us_per_evaluation to 0.005 us
+        wall_from_rate = float(per_evaluation) * int(evaluations) / 1e6
+        assert abs(wall_from_rate - float(wall_s)) <= 5e-4 + 5e-3 * int(evaluations) / 1e6
