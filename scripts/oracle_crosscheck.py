@@ -6,7 +6,10 @@ torus metrics, then compares the two pluriclosed scans component by
 component. Also re-verifies the structure-constant identities per type, and
 saves each scanned structure and loads it back (a torus metric coupling the
 factors does not serialize and is skipped): the loaded structure's
-closed-form report must equal the original's.
+closed-form report must equal the original's. Each scanned d^c omega is
+also rebuilt through the public InvariantForm constructors, from its arrays
+and from its dict, and the exterior derivative of each rebuilt form must
+give the keys and value bits of the package-built one.
 A token such as A2xG2 is a product: its identities are checked per factor,
 family points are drawn per factor, and off-family points get a torus
 metric of the total rank that couples the factors. The last line is
@@ -30,8 +33,11 @@ import numpy as np
 from sktflow import (
     FactorSpec,
     GroupSpec,
+    InvariantForm,
     Normalization,
     SimpleType,
+    dc_form,
+    exterior_derivative,
     family_bound,
     is_pluriclosed,
     load_structure,
@@ -71,6 +77,23 @@ def _roundtrip(h, closed, path):
     return is_pluriclosed(load_structure(path)) == closed
 
 
+def _rebuilds_agree(h):
+    """Whether d^c omega of h, rebuilt by InvariantForm.from_arrays and by the
+    dict constructor, has the exterior derivative of the package-built form,
+    keys, order and value bits included."""
+    dc = dc_form(h)
+    want = exterior_derivative(dc).arrays()
+    rebuilt = (
+        InvariantForm.from_arrays(dc.basis, dc.degree, *dc.arrays()),
+        InvariantForm(dc.basis, dc.degree, dict(dc.components)),
+    )
+    return all(
+        all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(exterior_derivative(form).arrays(), want))
+        for form in rebuilt
+    )
+
+
 def main(argv=None):
     args = parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,7 +119,7 @@ def _run(args, path):
         ident = "ok" if passed else "FAILED"
         r = g.total_rank
         worst = 0.0
-        trips = kept = 0
+        trips = kept = rebuilt = 0
         for k in range(args.samples):
             if k % 2 == 0:
                 vals = [rng.uniform(family_bound(rs) + 1e-3, 2.5, rs.rank) for rs in g.systems]
@@ -117,17 +140,20 @@ def _run(args, path):
             )
             if closed.verdict != brute.verdict:
                 worst = float("inf")
+            rebuilt += _rebuilds_agree(h)
             same = _roundtrip(h, closed, path)
             if same is not None:
                 trips += 1
                 kept += same
         status = "ok" if worst < args.tol else "DISAGREE"
         trip = "ok" if kept == trips else "CHANGED"
-        if status != "ok" or ident != "ok" or trip != "ok":
+        forms = "ok" if rebuilt == args.samples else "CHANGED"
+        if status != "ok" or ident != "ok" or trip != "ok" or forms != "ok":
             bad += 1
         print(
             f"{token:<6} identities {ident:<7} scan agreement {worst:.3e} {status:<9} "
-            f"round trips {kept}/{trips} {trip:<7} ({time.perf_counter() - t0:.2f}s)"
+            f"round trips {kept}/{trips} {trip:<7} rebuilt forms {rebuilt}/{args.samples}"
+            f" {forms:<7} ({time.perf_counter() - t0:.2f}s)"
         )
     print(f"{bad} type(s) failed" if bad else "all types agree")
     print(f"digest {digest.hexdigest()}")

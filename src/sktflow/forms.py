@@ -8,9 +8,8 @@ oracle for every closed-form expression elsewhere in the package.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -253,49 +252,54 @@ def sort_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
-@dataclass
 class InvariantForm:
     """Alternating k-form stored by components on strictly increasing index tuples.
 
-    components is a dict, or for forms built by from_arrays or
-    computed_form a read-only Mapping over arrays that builds its dict on
-    first lookup; set() turns either into a dict.
+    Every form holds an (n, degree) int32 key array and a complex value
+    array, read-only and in insertion order, checked once, when it is made;
+    components is a read-only Mapping over them.
     """
 
-    basis: ChevalleyBasis
-    degree: int
-    components: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
+    def __init__(self, basis: ChevalleyBasis, degree: int, components: Mapping | None = None):
+        """Raises ValueError on a key that is not a tuple of `degree` strictly
+        increasing basis indices, none a bool, and on a value that is not finite."""
+        comps = dict(components or {})
+        _refuse_bad_key(comps, degree, basis.dim)
+        keys = np.array(list(comps), dtype=np.int32).reshape(len(comps), degree)
+        self._hold(basis, degree, keys, np.array(list(comps.values()), dtype=complex))
 
     @classmethod
     def from_arrays(cls, basis: ChevalleyBasis, degree: int, keys, values) -> "InvariantForm":
-        """The form with keys, an (n, degree) int32 array, and complex values, in order."""
-        return cls(basis, degree, _ArrayComponents(keys, values))
+        """The form with copies of keys, an (n, degree) integer array, and n
+        complex values, in order, checked as the dict constructor checks them."""
+        keys, values = np.asarray(keys), np.array(values, dtype=complex)
+        if values.ndim != 1 or keys.shape != (len(values), degree):
+            raise ValueError(f"need (n, {degree}) keys for n values, got {keys.shape}, {values.shape}")
+        dim = basis.dim
+        if keys.size and not (keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < dim
+                              and (np.diff(keys, axis=1) > 0).all()):
+            _refuse_bad_key(map(tuple, keys.tolist()), degree, dim)
+        return computed_form(basis, degree, keys.astype(np.int32), values)
+
+    def _hold(self, basis: ChevalleyBasis, degree: int, keys: np.ndarray, values: np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            key, value = tuple(keys[bad[0]].tolist()), complex(values[bad[0]])
+            raise ValueError(f"component {key!r} of a form must be finite, got {value!r}")
+        keys.flags.writeable = values.flags.writeable = False  # checked once, so read-only
+        self.basis, self.degree = basis, degree
+        self.components = _ArrayComponents(keys, values)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The keys as an (n, degree) int32 array and the values as complex,
-        in insertion order. Raises ValueError on a key that is not a tuple of
-        `degree` strictly increasing basis indices, and on a value that is
-        not finite. The keys of a computed_form are not checked again."""
-        deg = self.degree
-        comps = self.components
-        if isinstance(comps, _ArrayComponents):
-            keys, vals = comps.arrays
-        else:
-            keys, vals = _index_array(comps), np.array(list(comps.values()), dtype=complex)
-        if not len(vals):
-            return np.zeros((0, deg), dtype=np.int32), vals
-        if not (isinstance(comps, _ArrayComponents) and comps.computed):
-            keys = _checked_keys(keys, comps, deg, self.basis.dim)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            bad = next(k for k, good in zip(comps, finite) if not good)
-            raise ValueError(f"component {bad!r} of a form must be finite, got {comps[bad]!r}")
-        return keys, vals
+        in insertion order."""
+        return self.components.arrays
 
     def set(self, indices: tuple[int, ...], value: complex):
-        if not isinstance(self.components, dict):
-            self.components = dict(self.components)
-        self.components[indices] = value
+        """Make the form again with one component set, or raise and leave it."""
+        comps = dict(self.components)
+        comps[indices] = value
+        self.__init__(self.basis, self.degree, comps)
 
     def value(self, *indices: int) -> complex:
         if len(set(indices)) != len(indices):
@@ -309,18 +313,19 @@ class InvariantForm:
 
 def computed_form(basis: ChevalleyBasis, degree: int, keys, values) -> InvariantForm:
     """InvariantForm.from_arrays for keys the package computed: an (n, degree)
-    int32 array of strictly increasing basis indices, which arrays() trusts."""
-    return InvariantForm(basis, degree, _ArrayComponents(keys, values, computed=True))
+    int32 array of strictly increasing basis indices, not checked again. The
+    form takes both arrays over, without a copy, and makes them read-only."""
+    form = InvariantForm.__new__(InvariantForm)
+    form._hold(basis, degree, keys, values)
+    return form
 
 
 class _ArrayComponents(Mapping):
     """Components held as arrays (keys, values); len() reads the arrays, and
-    the dict of int-tuple keys and complex values is built on first lookup.
-    computed marks keys the package built, known to be valid."""
+    the dict of int-tuple keys and complex values is built on first lookup."""
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray, computed: bool = False):
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
         self.arrays = (keys, values)
-        self.computed = computed
 
     def __len__(self) -> int:
         return len(self.arrays[1])
@@ -337,47 +342,23 @@ class _ArrayComponents(Mapping):
         return iter(self._dict)
 
 
-def _is_key(key, degree: int, dim: int) -> bool:
-    """True when key is a tuple of `degree` strictly increasing basis indices."""
-    return (
-        isinstance(key, tuple)
-        and len(key) == degree
-        and all(
-            isinstance(e, (int, np.integer)) and not isinstance(e, bool) and 0 <= e < dim
-            for e in key
-        )
-        and all(a < b for a, b in zip(key, key[1:]))
-    )
-
-
-def _checked_keys(keys: np.ndarray | None, comps: Mapping, deg: int, dim: int) -> np.ndarray:
-    """keys as int32 after checking that each is a tuple of `deg` strictly
-    increasing indices in [0, dim); comps holds the same keys, to name a bad one."""
-    ok = keys is not None and keys.shape == (len(comps), deg)
-    if ok and keys.size:
-        ok = keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < dim
-        ok = ok and (np.diff(keys, axis=1) > 0).all()
-    if not ok:
-        bad = next((key for key in comps if not _is_key(key, deg, dim)), None)
-        if bad is not None:
+def _refuse_bad_key(keys, deg: int, dim: int) -> None:
+    """Raise ValueError naming the first of keys that is not a tuple of
+    `deg` strictly increasing basis indices in [0, dim), none a bool."""
+    for key in keys:
+        if not (
+            isinstance(key, tuple)
+            and len(key) == deg
+            and all(
+                isinstance(e, (int, np.integer)) and not isinstance(e, bool) and 0 <= e < dim
+                for e in key
+            )
+            and all(a < b for a, b in zip(key, key[1:]))
+        ):
             raise ValueError(
-                f"component key {bad!r} of a degree-{deg} form must be {deg} strictly"
+                f"component key {key!r} of a degree-{deg} form must be {deg} strictly"
                 f" increasing indices in [0, {dim})"
             )
-        # valid keys that numpy stacks as floats, such as int64 next to uint64
-        keys = np.array(list(comps), dtype=np.int32)
-    return keys.astype(np.int32, copy=False)
-
-
-def _index_array(keys) -> np.ndarray | None:
-    """keys as one 2-d array, or None when they are not sequences of one
-    length or hold a bool, which numpy would read as 0 or 1."""
-    try:
-        types = set(map(type, chain.from_iterable(keys)))
-        arr = np.array(list(keys), ndmin=2)
-    except (TypeError, ValueError):  # a key that is not a sequence, or ragged keys
-        return None
-    return None if bool in types or np.bool_ in types else arr
 
 
 def exterior_derivative(form: InvariantForm) -> InvariantForm:

@@ -141,21 +141,18 @@ class TorusComplexStructure:
 
 @dataclass(frozen=True)
 class FiberMetric:
-    """Raw positive value per positive root, per factor, in canonical order."""
+    """Raw positive value per positive root, per factor, in canonical order,
+    as tuples of Python floats. Each row is read once as a real array, so a
+    complex row raises ValueError, and checked once, here."""
 
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        vals = tuple(tuple(float(v) for v in row) for row in self.values)
-        object.__setattr__(self, "values", vals)
-        for f, row in enumerate(vals):
-            for t, v in enumerate(row):
-                if not finite_positive(v):
-                    raise PositivityError(
-                        f"fiber value {v:.6g} at factor {f}, root position {t}"
-                        " is not finite and positive",
-                        value=v,
-                    )
+        rows = [_real_array(row) for row in self.values]
+        if any(row.ndim != 1 for row in rows):
+            raise ValueError("fiber values must be one row of numbers per factor")
+        _refuse_non_positive(rows, "fiber value")
+        object.__setattr__(self, "values", tuple(tuple(row.tolist()) for row in rows))
 
 
 def _factor_rows(group: GroupSpec, rows, what: str):
@@ -179,6 +176,19 @@ def finite_positive(values) -> np.ndarray:
     """Elementwise test that values are finite and strictly positive; NaN fails."""
     v = np.asarray(values, dtype=float)
     return np.isfinite(v) & (v > 0)
+
+
+def _refuse_non_positive(rows, what: str) -> None:
+    """Raise PositivityError naming the first value of rows, one float array
+    per factor, that is not finite and positive, as `what`."""
+    for f, row in enumerate(rows):
+        bad = np.flatnonzero(~finite_positive(row))
+        if bad.size:
+            t, v = int(bad[0]), float(row[bad[0]])
+            raise PositivityError(
+                f"{what} {v:.6g} at factor {f}, root position {t} is not finite and positive",
+                value=v,
+            )
 
 
 def _check_tol(tol) -> None:
@@ -206,10 +216,9 @@ class HermitianStructure:
     def __init__(self, group: GroupSpec, fiber=None, torus="killing", jt=None):
         self.group = group
         if fiber is None:
-            fiber = FiberMetric(tuple(tuple(1.0 for _ in rs.positives) for rs in group.systems))
-        elif not isinstance(fiber, FiberMetric):
-            rows = _factor_rows(group, fiber, "fiber values")
-            fiber = FiberMetric(tuple(tuple(float(v) for v in row) for row in rows))
+            fiber = [np.ones(rs.npositive) for rs in group.systems]
+        if not isinstance(fiber, FiberMetric):
+            fiber = FiberMetric(_factor_rows(group, fiber, "fiber values"))
         self.fiber = fiber
         if len(fiber.values) != len(group.factors):
             raise ValueError("fiber metric factor count does not match the group")
@@ -246,15 +255,7 @@ class HermitianStructure:
                 spec.z * np.asarray(row, dtype=float)
                 for spec, row in zip(group.factors, fiber.values)
             )
-        for f, row in enumerate(self.xhat):
-            bad = np.nonzero(~finite_positive(row))[0]
-            if bad.size:
-                t, v = int(bad[0]), float(row[bad[0]])
-                raise PositivityError(
-                    f"effective fiber value z*x = {v:.6g} at factor {f}, root position {t}"
-                    " is not finite and positive",
-                    value=v,
-                )
+        _refuse_non_positive(self.xhat, "effective fiber value z*x =")
         self._x = tuple(row.tolist() for row in self.xhat)
         self.gt = self.torus.matrix
         self.q_full = group.q_full
@@ -617,13 +618,11 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     rows = _factor_rows(group, simple_values, "simple values")
     if len(rows) != len(group.factors):
         raise ValueError("need one tuple of simple values per factor")
-    xs = []
     product = len(group.factors) > 1  # a single system's errors name only the root
-    for f, rs in enumerate(group.systems):
-        with np.errstate(**_QUIET):
-            vals = family_gradient(rs, _simple_array(rs, rows[f]), 0.0, f if product else None)[0]
-        xs.append(tuple(float(v) for v in vals))
-    return HermitianStructure(group, fiber=FiberMetric(tuple(xs)), torus="killing")
+    with np.errstate(**_QUIET):
+        xs = [family_gradient(rs, _simple_array(rs, row), 0.0, f if product else None)[0]
+              for f, (rs, row) in enumerate(zip(group.systems, rows))]
+    return HermitianStructure(group, fiber=FiberMetric(xs), torus="killing")
 
 
 def kahler_flag_residual(h: HermitianStructure) -> float:
@@ -760,6 +759,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number_rows(rows, what: str):
+    """rows, a JSON list of rows of numbers; names the first entry that is not a number."""
+    for i, row in enumerate(rows):
+        for k, v in enumerate(row):
+            if not _is_number(v):
+                raise ValueError(f"{what} entry ({i}, {k}) must be a number, got {v!r}")
+    return rows
+
+
 def structure_from_dict(data: dict) -> HermitianStructure:
     try:
         rows = data["factors"]
@@ -779,18 +787,16 @@ def structure_from_dict(data: dict) -> HermitianStructure:
             specs.append(FactorSpec(stype, norm, float(z)))
             xs.append(x)
         group = GroupSpec(specs)
-        fiber = tuple(
-            tuple(float(v) for v in x) if x is not None else tuple(1.0 for _ in rs.positives)
-            for x, rs in zip(xs, group.systems)
-        )
+        fiber = [np.ones(rs.npositive) if x is None else x for x, rs in zip(xs, group.systems)]
         torus = data.get("torus", "killing")
         if isinstance(torus, dict):
-            torus = TorusMetric(group.layout.blockdiag(torus["blocks"]))
+            blocks = (_number_rows(b, f"torus block {f}") for f, b in enumerate(torus["blocks"]))
+            torus = TorusMetric(group.layout.blockdiag(blocks))
         elif torus != "killing":
             raise ValueError(f"unknown torus entry {torus!r}")
         jt = data.get("jt")
         if jt is not None:
-            jt = TorusComplexStructure(np.asarray(jt, dtype=float))
+            _number_rows(jt, "jt")
         return HermitianStructure(group, fiber=FiberMetric(fiber), torus=torus, jt=jt)
     except (KeyError, TypeError, OverflowError) as exc:  # an int too large for a float
         raise ValueError(f"invalid structure data: {exc!r}") from exc

@@ -168,7 +168,7 @@ def test_array_components_read_like_a_dict():
     assert form.value(key[1], key[0], *key[2:]) == -plain[key]
     assert form.max_abs() == max(abs(v) for v in plain.values())
     form.set(key, 0.0)
-    assert type(form.components) is dict and form.components[key] == 0.0
+    assert form.components[key] == 0.0 and form.value(*key) == 0.0
     assert len(form.components) == len(plain)
 
 
@@ -192,15 +192,48 @@ def test_exterior_derivative_reads_array_and_dict_forms_alike(token):
 def test_exterior_derivative_refuses_malformed_array_keys(rows):
     basis = _group("A2").basis  # dim 8
     keys = np.array(rows, dtype=np.int32)
-    form = InvariantForm.from_arrays(basis, 2, keys, np.ones(len(rows), dtype=complex))
     bad = tuple(rows[-1])
     with pytest.raises(ValueError, match=rf"component key \({bad[0]}, {bad[1]}\) of a degree-2"):
-        exterior_derivative(form)
+        InvariantForm.from_arrays(basis, 2, keys, np.ones(len(rows), dtype=complex))
 
 
 def test_exterior_derivative_refuses_non_finite_array_values():
     basis = _group("A2").basis
     keys = np.array([[0, 3], [2, 4]], dtype=np.int32)
-    form = InvariantForm.from_arrays(basis, 2, keys, np.array([1.0, complex(0.0, np.nan)]))
     with pytest.raises(ValueError, match=r"component \(2, 4\) of a form must be finite"):
-        exterior_derivative(form)
+        InvariantForm.from_arrays(basis, 2, keys, np.array([1.0, complex(0.0, np.nan)]))
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [((4, 2), 1.0, "component key"), ((0, 8), 1.0, "component key"),
+     ((0, 3), float("inf"), "must be finite"), ((1, 5), complex(0.0, np.nan), "must be finite")],
+    ids=["unsorted", "out_of_range", "inf_on_a_held_key", "nan_on_a_new_key"],
+)
+def test_a_refused_set_leaves_the_form_unchanged(key, value, message):
+    basis = _group("A2").basis  # dim 8
+    form = InvariantForm.from_arrays(
+        basis, 2, np.array([[0, 3], [2, 4]], dtype=np.int32), np.array([1.0, 0.5j])
+    )
+    before = [a.copy() for a in form.arrays()]
+    with pytest.raises(ValueError, match=message):
+        form.set(key, value)
+    after = form.arrays()
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    assert dict(form.components) == {(0, 3): 1.0, (2, 4): 0.5j}
+    form.set((1, 5), 2.0)
+    assert list(form.components.items()) == [((0, 3), 1.0), ((2, 4), 0.5j), ((1, 5), 2.0)]
+
+
+def test_a_form_keeps_its_checked_arrays():
+    basis = _group("A2").basis
+    keys, values = np.array([[0, 3], [2, 4]], dtype=np.int32), np.array([1.0, 0.5j])
+    form = InvariantForm.from_arrays(basis, 2, keys, values)
+    keys[1], values[1] = [4, 2], np.nan  # the caller's arrays, not the form's
+    assert dict(form.components) == {(0, 3): 1.0, (2, 4): 0.5j}
+    made = (form, InvariantForm(basis, 2, {(0, 3): 1.0}), exterior_derivative(form), _ddc("G2"))
+    for f in made:
+        for a in f.arrays():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 0

@@ -421,6 +421,16 @@ def test_generated_structure_round_trips_through_check(runner, tmp_path):
         assert "pluriclosed: true" in res.output
 
 
+def test_check_refuses_a_torus_block_that_is_not_numbers(runner, tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text('{"factors": [{"family": "A", "rank": 2}],'
+                 ' "torus": {"blocks": [[["2", "-1"], ["-1", "2"]]]}}')
+    res = invoke(runner, "check", str(p))
+    assert res.exit_code == 2
+    assert res.output.startswith("error:")
+    assert "torus block 0 entry (0, 0) must be a number, got '2'" in res.output
+
+
 @pytest.mark.parametrize(
     "entry,message",
     [

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from sktflow import (
     FactorSpec,
+    FiberMetric,
     GroupSpec,
+    HermitianStructure,
     MissingComplexStructureError,
     Normalization,
     PositivityError,
@@ -45,6 +47,7 @@ from sktflow import (
     theta_form,
 )
 import sktflow.hermitian as hermitian_module
+from sktflow.hermitian import finite_positive
 from sktflow.residuals import PairRows, QuadRows, pair_values
 
 
@@ -388,6 +391,64 @@ def test_torus_metric_validation():
 def test_fiber_positivity():
     with pytest.raises(PositivityError):
         A2.build(x=[(1.0, -0.5, 1.0)])
+
+
+def _reference_fiber_values(values):
+    """The fiber conversion and check FiberMetric ran before it read each
+    row as an array, verbatim apart from the name."""
+    vals = tuple(tuple(float(v) for v in row) for row in values)
+    for f, row in enumerate(vals):
+        for t, v in enumerate(row):
+            if not finite_positive(v):
+                raise PositivityError(
+                    f"fiber value {v:.6g} at factor {f}, root position {t}"
+                    " is not finite and positive",
+                    value=v,
+                )
+    return vals
+
+
+def _refusal(fn, *args):
+    with pytest.raises(PositivityError) as exc:
+        fn(*args)
+    return str(exc.value), exc.value.value
+
+
+@pytest.mark.parametrize("tokens", [("A2",), ("A1", "A2")], ids=["A2", "A1xA2"])
+def test_fiber_metric_refuses_like_the_per_value_loop(tokens):
+    g = _group(*tokens)
+    rng = np.random.default_rng(len(tokens))
+    good = [rng.uniform(0.5, 2.0, rs.npositive).tolist() for rs in g.systems]
+    for rows in (good, [np.array(row) for row in good]):
+        want = _reference_fiber_values(rows)
+        for got in (FiberMetric(rows).values, g.build(rows).fiber.values):
+            assert got == want and all(type(v) is float for row in got for v in row)
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+        for f, rs in enumerate(g.systems):
+            for t in sorted({0, rs.npositive // 2, rs.npositive - 1}):
+                rows = [list(row) for row in good]
+                rows[f][t] = bad
+                message, value = _refusal(_reference_fiber_values, rows)
+                for fn in (FiberMetric, g.build):
+                    got_message, got_value = _refusal(fn, rows)
+                    assert got_message == message and type(got_value) is type(value) is float
+                    assert got_value == value or (np.isnan(got_value) and np.isnan(value))
+                    assert f"factor {f}, root position {t}" in got_message
+
+
+def test_fiber_metric_refuses_a_complex_row():
+    g = _group("A1", "A2")
+    rows = [[1.5], np.array([1.5 + 1j, 1.2, 1.3])]
+    for make in (FiberMetric, g.build, lambda r: HermitianStructure(g, fiber=r)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(ValueError, match="values must be real, got complex"):
+                make(rows)
+    # a zero imaginary part is refused too, as the flow entry points do
+    with pytest.raises(ValueError, match="values must be real"):
+        _group("A2").build([np.array([1.5, 1.2, 1.3], dtype=complex)])
+    with pytest.raises(ValueError, match="one row of numbers per factor"):
+        FiberMetric([[[1.5], [1.2], [1.3]]])
 
 
 def test_jt_validation():
@@ -793,6 +854,49 @@ def test_load_accepts_only_numbers_for_z_and_x(case):
     data = {"factors": [{"family": "A", "rank": 1}, dict({"family": "A", "rank": 2}, **entry)]}
     with pytest.raises(ValueError, match=re.escape(message.replace("factor 0", "factor 1"))):
         structure_from_dict(data)
+
+
+# torus blocks and jt are matrices of JSON numbers, checked entry by entry
+MATRIX_REFUSALS = {
+    "blocks_bools": (
+        {"torus": {"blocks": [[[True, False], [False, True]]]}},
+        "torus block 0 entry (0, 0) must be a number, got True",
+    ),
+    "blocks_strings": (
+        {"torus": {"blocks": [[["2", "-1"], ["-1", "2"]]]}},
+        "torus block 0 entry (0, 0) must be a number, got '2'",
+    ),
+    "blocks_null": (
+        {"torus": {"blocks": [[[2, -1], [-1, None]]]}},
+        "torus block 0 entry (1, 1) must be a number, got None",
+    ),
+    "jt_string": ({"jt": [["0", -1], [1, 0]]}, "jt entry (0, 0) must be a number, got '0'"),
+    "jt_bool": ({"jt": [[0, -1], [True, 0]]}, "jt entry (1, 0) must be a number, got True"),
+    "jt_nested": ({"jt": [[0, [-1]], [1, 0]]}, "jt entry (0, 1) must be a number, got [-1]"),
+    "jt_text": ({"jt": "01"}, "jt entry (0, 0) must be a number, got '0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_REFUSALS))
+def test_load_accepts_only_numbers_in_torus_blocks_and_jt(case):
+    entry, message = MATRIX_REFUSALS[case]
+    data = dict({"factors": [{"family": "A", "rank": 2}]}, **entry)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        structure_from_dict(data)
+    if "torus" in entry:  # the block named is the one holding the bad entry
+        data["factors"].insert(0, {"family": "A", "rank": 1})
+        data["torus"] = {"blocks": [[[2]], *entry["torus"]["blocks"]]}
+        with pytest.raises(ValueError, match=re.escape(message.replace("block 0", "block 1"))):
+            structure_from_dict(data)
+
+
+def test_load_takes_number_matrices_for_torus_blocks_and_jt():
+    g = _group("A2")
+    jt = canonical_jt(g.q_full)
+    data = {"factors": [{"family": "A", "rank": 2}], "torus": {"blocks": [g.q_full.tolist()]},
+            "jt": jt.tolist()}
+    h = structure_from_dict(data)
+    assert h.gt.tobytes() == g.q_full.tobytes() and h.jt.matrix.tobytes() == jt.tobytes()
 
 
 @pytest.mark.parametrize("where", ["z", "x", "torus", "jt"])

@@ -106,3 +106,28 @@ def test_flow_battery_totals_each_integrator_before_the_digest(capsys):
         # wall_s is printed to 0.5 ms and us_per_evaluation to 0.005 us
         wall_from_rate = float(per_evaluation) * int(evaluations) / 1e6
         assert abs(wall_from_rate - float(wall_s)) <= 5e-4 + 5e-3 * int(evaluations) / 1e6
+
+
+def test_oracle_crosscheck_rebuilds_each_dc_form_outside_the_digest(monkeypatch, capsys):
+    argv = ["--types", "A2,A1xB2", "--samples", "3"]
+    module = _load("oracle_crosscheck")
+    assert module.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all("rebuilt forms 3/3 ok" in line for line in lines[:2])
+
+    form_class = module.InvariantForm
+
+    class Reversed(form_class):
+        """from_arrays that loses the insertion order of the components."""
+
+        @classmethod
+        def from_arrays(cls, basis, degree, keys, values):
+            return form_class.from_arrays(basis, degree, keys[::-1], values[::-1])
+
+    monkeypatch.setattr(module, "InvariantForm", Reversed)
+    assert module.main(argv) == 1
+    broken = capsys.readouterr().out.splitlines()
+    # dd^c omega is empty at the two family points, so only the off-family sample differs
+    assert all("rebuilt forms 2/3 CHANGED" in line for line in broken[:2])
+    assert broken[-2] == "2 type(s) failed"
+    assert broken[-1] == lines[-1]  # the digest reads the scan reports only
