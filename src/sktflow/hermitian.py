@@ -17,30 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DynkinTypeError,
-    MissingComplexStructureError,
-    PositivityError,
-)
+from .errors import DynkinTypeError, MissingComplexStructureError, PositivityError
 from .forms import (
-    ChevalleyBasis,
-    InvariantForm,
-    computed_form,
-    exterior_derivative,
-    sort_sign,
-    triple_sums,
+    ChevalleyBasis, InvariantForm, computed_form, exterior_derivative, sort_sign, triple_sums,
     triple_terms,
 )
 from .residuals import (
-    PairRows,
-    QuadRows,
-    build_residual_tables,
-    closed_form_scan,
-    pair_rows,
-    pair_values,
-    quad_rows,
-    quad_values,
-    worst_row,
+    _QUIET, PairRows, QuadRows, build_residual_tables, closed_form_scan, pair_rows, pair_values,
+    quad_rows, quad_values, worst_row,
 )
 from .roots import FactorLayout, Normalization, Root, RootSystem, SimpleType, build_root_system
 from .structure import StructureConstants, structure_constants
@@ -92,7 +76,7 @@ class GroupSpec:
         return ChevalleyBasis(list(zip(self.systems, self.constants)))
 
     @cached_property
-    def residual_tables(self) -> tuple[PairRows | QuadRows, ...]:
+    def residual_tables(self) -> tuple[PairRows, QuadRows]:
         return build_residual_tables(self)
 
     def build(self, x=None, torus="killing", jt=None) -> "HermitianStructure":
@@ -237,10 +221,9 @@ class HermitianStructure:
         if self.torus.matrix.shape[0] != group.total_rank:
             raise ValueError("torus metric size does not match the total rank")
 
-        if jt is None or isinstance(jt, TorusComplexStructure):
-            self.jt = jt
-        else:
-            self.jt = TorusComplexStructure(jt)
+        if not (jt is None or isinstance(jt, TorusComplexStructure)):
+            jt = TorusComplexStructure(jt)
+        self.jt = jt
         if self.jt is not None:
             j, g = self.jt.matrix, self.torus.matrix
             if j.shape != g.shape:
@@ -361,13 +344,8 @@ def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> In
     if h.jt is None:
         raise MissingComplexStructureError("the fundamental form needs a torus complex structure")
     basis = basis or h.group.basis
-    comps: dict[tuple[int, ...], complex] = {}
     m = -(h.jt.matrix.T @ h.gt)
-    r = h.group.total_rank
-    for a in range(r):
-        for b in range(a + 1, r):
-            if m[a, b]:
-                comps[(a, b)] = complex(m[a, b])
+    comps = {(a, b): complex(m[a, b]) for a, b in np.argwhere(np.triu(m, 1)).tolist()}
     for f, rs in enumerate(h.group.systems):
         for t in range(rs.npositive):
             e = basis.element_index(f, t)
@@ -397,18 +375,15 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
 def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) -> InvariantForm:
     """Metric-dual 1-form of an algebra element."""
     basis = basis or h.group.basis
-    comps: dict[tuple[int, ...], complex] = {}
     parsed = h.parse_argument(x)
     if isinstance(parsed, np.ndarray):
         gv = h.gt @ parsed
-        for a in range(h.group.total_rank):
-            if gv[a]:
-                comps[(a,)] = complex(-gv[a])
+        comps = {(a,): complex(-gv[a]) for a in np.flatnonzero(gv).tolist()}
     else:
         f, i = parsed
         rs = h.group.systems[f]
         e = int(basis.element_index(f, rs.neg_index[i]))
-        comps[(e,)] = complex(-h._x[f][i % rs.npositive])
+        comps = {(e,): complex(-h._x[f][i % rs.npositive])}
     return InvariantForm(basis=basis, degree=1, components=comps)
 
 
@@ -520,18 +495,23 @@ def family_bound(rs: RootSystem) -> float:
     return 1.0 - 1.0 / rs.maximal_root.height
 
 
-# A non-finite induced value is refused by family_gradient's guard (or, from
-# family_values, returned), so numpy need not warn of it as well: every public
-# per-point function evaluates under np.errstate(**_QUIET).
-_QUIET = {"invalid": "ignore", "over": "ignore"}
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
 def _real_array(values) -> np.ndarray:
-    """values as a float array, refusing complex values, whose imaginary part
-    a float conversion would drop."""
+    """values as a float array of real numbers. Complex values are refused, as
+    a float conversion would drop their imaginary part, and so are bools and
+    strings, which it would read as numbers, the way the structure loader
+    refuses them."""
     if np.iscomplexobj(values):
         raise ValueError(f"values must be real, got complex {np.asarray(values).dtype}")
-    return np.asarray(values, dtype=float)
+    # a sequence is read element by element: asarray casts a bool among numbers
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.dtype.kind in "bSU" or (
+        arr.dtype.kind == "O" and any(isinstance(v, _NOT_NUMBERS) for v in arr.flat)
+    ):
+        raise ValueError(f"values must be numbers, not bools or strings, got {values!r}")
+    return np.asarray(arr, dtype=float)
 
 
 def _simple_array(rs: RootSystem, simple_values) -> np.ndarray:
@@ -720,25 +700,17 @@ def canonical_jt(gt: np.ndarray) -> np.ndarray:
     if r % 2:
         raise ValueError(f"torus complex structures need even rank, got {r}")
     half, inv_half = _sqrt_and_inverse(g)
-    j0 = np.zeros((r, r))
-    for a in range(0, r, 2):
-        j0[a, a + 1] = -1.0
-        j0[a + 1, a] = 1.0
+    j0, even = np.zeros((r, r)), np.arange(0, r, 2)
+    j0[even, even + 1], j0[even + 1, even] = -1.0, 1.0
     return inv_half @ j0 @ half
 
 
 def structure_to_dict(h: HermitianStructure) -> dict:
-    factors = []
-    for f, spec in enumerate(h.group.factors):
-        factors.append(
-            {
-                "family": spec.stype.family,
-                "rank": spec.stype.rank,
-                "normalization": spec.normalization.value,
-                "z": spec.z,
-                "x": list(h.fiber.values[f]),
-            }
-        )
+    factors = [
+        {"family": spec.stype.family, "rank": spec.stype.rank,
+         "normalization": spec.normalization.value, "z": spec.z, "x": list(x)}
+        for spec, x in zip(h.group.factors, h.fiber.values)
+    ]
     out: dict = {"factors": factors}
     if h.torus.is_killing:
         out["torus"] = "killing"
@@ -771,8 +743,7 @@ def _number_rows(rows, what: str):
 def structure_from_dict(data: dict) -> HermitianStructure:
     try:
         rows = data["factors"]
-        specs = []
-        xs = []
+        specs, xs = [], []
         for f, row in enumerate(rows):
             try:
                 stype = SimpleType(str(row["family"]).upper(), row["rank"])

@@ -47,6 +47,7 @@ from sktflow import (
     theta_form,
 )
 import sktflow.hermitian as hermitian_module
+import sktflow.residuals as residuals_module
 from sktflow.hermitian import finite_positive
 from sktflow.residuals import PairRows, QuadRows, pair_values
 
@@ -128,6 +129,53 @@ def test_cross_factor_torus_coupling_detected():
     assert rep.max_residual == pytest.approx(0.3)
     assert "factor 0" in rep.witness and "factor 1" in rep.witness
     assert is_pluriclosed(h, mode="brute_force").max_residual == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize(
+    "token,row,witness",
+    [
+        ("A2", [1.5, 1.2, 1.3], "pair (a2, a1+a2) in factor 0"),
+        ("G2", [1.77, 1.04, 0.58, 0.53, 2.13, 2.33],
+         "quad (a1, 3a1+2a2, -a1+a2, -3a1+a2) in factor 0"),
+    ],
+)
+def test_witness_of_an_exact_tie_across_factors_is_the_first_factor(token, row, witness):
+    # both factors hold the same residuals bit for bit; the first row in scan
+    # order (factor 0's pairs, its quads, factor 1's pairs, ...) names the report
+    one = is_pluriclosed(_group(token).build([row]))
+    rep = is_pluriclosed(_group(token, token).build([row, row]))
+    assert rep.witness == one.witness == witness
+    assert rep.max_residual == one.max_residual > 0
+    assert (rep.skt1_max, rep.skt2_max) == (one.skt1_max, one.skt2_max)
+
+
+def test_an_exact_tie_between_a_pair_and_a_quad_goes_to_the_earlier_row(monkeypatch):
+    g = _group("G2", "G2")
+    pairs, quads = g.residual_tables
+    # the first row of each block; G2 has 15 pairs i < j
+    pair_at = {"pairs 0": 0, "pairs 1": 15, "cross": 30}
+    quad_at = {"quads 0": 0, "quads 1": len(quads.i) // 2}
+    order = ["pairs 0", "quads 0", "pairs 1", "quads 1", "cross"]
+    for (p_name, p), (q_name, q) in itertools.product(pair_at.items(), quad_at.items()):
+        pv, qv = np.zeros(len(pairs.i)), np.zeros(len(quads.i))
+        pv[p], qv[q] = 3.0, -3.0
+        monkeypatch.setattr(residuals_module, "pair_values", lambda h, t, v=pv: v)
+        monkeypatch.setattr(residuals_module, "quad_values", lambda h, t, v=qv: v)
+        rep = is_pluriclosed(g.build())
+        first = min(p_name, q_name, key=order.index)
+        assert rep.witness == (pairs.witness(g, p) if first == p_name else quads.witness(g, q))
+        assert rep.max_residual == rep.skt1_max == rep.skt2_max == 1.5
+
+
+@pytest.mark.parametrize("token", ["A2", "G2"])
+def test_closed_form_scan_of_huge_fiber_values_does_not_warn(token):
+    g = _group(token)
+    h = g.build([[1e308] * g.systems[0].npositive])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = is_pluriclosed(h)
+    assert not rep.verdict and rep.max_residual == np.inf
+    assert rep.witness == "pair (a2, a1) in factor 0"
 
 
 def test_kahler_flag_residual():
@@ -247,14 +295,13 @@ def test_closed_form_matches_brute_on_random_metrics():
 
 def _per_row_pair_values(h, t):
     """pair_values with the torus term as one dot per row, (k_a @ g_T) @ k_b."""
-    ka, kb = (
-        [h.group.layout.embed(f, root.coeffs) for root in h.group.systems[f].positives]
-        for f in (t.fa, t.fb)
-    )
-    val = 2.0 * np.array([float((ka[a] @ h.gt) @ kb[b]) for a, b in zip(t.i, t.j)])
-    if t.up is None:
-        return val
-    x = h.xhat[t.fa]
+    k = [
+        h.group.layout.embed(f, root.coeffs)
+        for f, rs in enumerate(h.group.systems)
+        for root in rs.positives
+    ]
+    val = 2.0 * np.array([float((k[a] @ h.gt) @ k[b]) for a, b in zip(t.i, t.j)])
+    x = np.concatenate(h.xhat)
     xi, xj = x[t.i], x[t.j]
     val -= t.up.coef * (x[t.up.at] - xi - xj)
     val -= t.down.coef * (t.down.eps * x[t.down.at] - xi + xj)
@@ -270,11 +317,13 @@ def test_pair_torus_product_equals_per_row_dots_bit_for_bit(tokens):
     rng = np.random.default_rng(3)
     on = pluriclosed_family(g, [rng.uniform(1.0, 2.0, rs.rank).tolist() for rs in g.systems])
     coupled = g.build(on.fiber, torus=_rand_spd(rng, g.total_rank))
-    segments = [t for t in g.residual_tables if isinstance(t, PairRows)]
-    assert len(segments) == len(tokens) + len(tokens) * (len(tokens) - 1) // 2
+    pairs, quads = g.residual_tables
+    assert isinstance(pairs, PairRows) and isinstance(quads, QuadRows)
+    npos = [rs.npositive for rs in g.systems]
+    within = sum(n * (n - 1) // 2 for n in npos)
+    assert len(pairs.i) == within + sum(a * b for a, b in itertools.combinations(npos, 2))
     for h in (on, coupled):
-        for t in segments:
-            assert pair_values(h, t).tobytes() == _per_row_pair_values(h, t).tobytes()
+        assert pair_values(h, pairs).tobytes() == _per_row_pair_values(h, pairs).tobytes()
 
 
 TERM_GROUPS = (
@@ -282,35 +331,50 @@ TERM_GROUPS = (
     + [f"B{k}" for k in range(2, 7)]
     + [f"C{k}" for k in range(2, 7)]
     + [f"D{k}" for k in range(3, 8)]
-    + ["E6", "E7", "E8", "F4", "G2", "A1xB2", "B3xG2", "A3xC3"]
+    + ["E6", "E7", "E8", "F4", "G2", "A1xB2", "B3xG2", "A3xC3", "A1xA2xG2"]
 )
 
 
-def _check_term(rs, term, sums):
+def _check_term(rs, offset, term, sums):
     """term spans every row; its coef is nonzero exactly where sums is a root,
-    and there at and eps name the sum's positive root and its sign."""
+    and there at and eps name the sum's stacked positive root and its sign."""
     n, has = rs.npositive, sums >= 0
-    assert len(term.coef) == len(sums)
+    assert len(term.coef) == len(term.at) == len(term.eps) == len(sums)
     assert np.array_equal(term.coef != 0, has)
-    assert np.array_equal(term.at[has], sums[has] % n)
+    assert np.array_equal(term.at[has], offset + sums[has] % n)
     assert np.array_equal(term.eps[has], np.where(sums[has] < n, 1, -1))
+
+
+def _rows(term, mask):
+    return type(term)(*(v[mask] for v in term))
 
 
 @pytest.mark.parametrize("token", TERM_GROUPS)
 def test_every_term_spans_its_table(token):
     g = _group(*token.split("x"))
-    for seg in g.residual_tables:
-        if isinstance(seg, QuadRows):
-            rs = g.systems[seg.f]
-            _check_term(rs, seg.ab, rs.sum_index[seg.i, seg.j])
-            _check_term(rs, seg.ac, rs.diff_index[seg.i, seg.m])
-            _check_term(rs, seg.ad, rs.diff_index[seg.i, seg.l])
-        elif seg.fa == seg.fb:
-            rs = g.systems[seg.fa]
-            _check_term(rs, seg.up, rs.sum_index[seg.i, seg.j])
-            _check_term(rs, seg.down, rs.diff_index[seg.i, seg.j])
-        else:
-            assert seg.up is None and seg.down is None
+    pairs, quads = g.residual_tables
+
+    def locate(rows):  # (factors, indices within them) of stacked positive rows
+        found = [g.layout.locate(int(v), rows=True) for v in rows]
+        return np.array(found, dtype=int).reshape(-1, 2).T
+
+    (fa, ia), (fb, jb), (fq, _) = locate(pairs.i), locate(pairs.j), locate(quads.i)
+    for f, rs in enumerate(g.systems):
+        offset, mine, quad = g.layout.row_slices[f].start, (fa == f) & (fb == f), fq == f
+        i, j = ia[mine], jb[mine]
+        assert len(i) == rs.npositive * (rs.npositive - 1) // 2 and (i < j).all()
+        _check_term(rs, offset, _rows(pairs.up, mine), rs.sum_index[i, j])
+        _check_term(rs, offset, _rows(pairs.down, mine), rs.diff_index[i, j])
+        qi, qj, qm, ql = (v[quad] - offset for v in (quads.i, quads.j, quads.m, quads.l))
+        assert len(qi) == len(rs.positive_quads())
+        _check_term(rs, offset, _rows(quads.ab, quad), rs.sum_index[qi, qj])
+        _check_term(rs, offset, _rows(quads.ac, quad), rs.diff_index[qi, qm])
+        _check_term(rs, offset, _rows(quads.ad, quad), rs.diff_index[qi, ql])
+    # pairs across factors have no root sum: coef 0 on every such row
+    cross = fa != fb
+    assert (fa[cross] < fb[cross]).all()
+    for term in (pairs.up, pairs.down):
+        assert len(term.coef) == len(pairs.i) and not term.coef[cross].any()
 
 
 def test_d_omega_matches_exterior_derivative_of_omega():

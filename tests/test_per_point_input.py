@@ -1,9 +1,10 @@
 """Public per-point functions refuse bad input with one error and nothing else.
 
 A complex state or simple-value vector is refused with ValueError, not
-truncated to its real part. A NaN, infinite or overflowing value is refused
-with PositivityError and no numpy RuntimeWarning first, so the same call
-under `-W error` still raises PositivityError.
+truncated to its real part, and so is one holding bools or strings, which a
+float conversion would read as numbers. A NaN, infinite or overflowing
+value is refused with PositivityError and no numpy RuntimeWarning first, so
+the same call under `-W error` still raises PositivityError.
 """
 
 import warnings
@@ -65,6 +66,35 @@ def strict():
 def test_complex_input_is_refused(name, x, strict):
     with pytest.raises(ValueError, match="must be real, got complex"):
         ALL[name](system("A2"), x)
+
+
+NOT_NUMBERS = {
+    "strings": ["1.5", "1.2"],
+    "string-array": np.array(["1.5", "1.2"]),
+    "string-among-numbers": [1.5, "1.2"],
+    "bools": [True, True],
+    "bool-array": np.array([True, True]),
+    "bool-among-numbers": [True, 1.2],
+    "numpy-bool-among-numbers": [np.True_, 1.2],
+}
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("x", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_bool_and_string_input_is_refused(name, x, strict):
+    with pytest.raises(ValueError, match="must be numbers, not bools or strings"):
+        ALL[name](system("A2"), x)
+
+
+@pytest.mark.parametrize(
+    "row", [["1.5", "1.2", "1.3"], [True, 1.2, 1.3], np.array([1, 0, 1], dtype=bool)]
+)
+def test_fiber_rows_of_bools_or_strings_are_refused(row, strict):
+    group = GroupSpec([FactorSpec(parse_token("A2"))])
+    with pytest.raises(ValueError, match="must be numbers, not bools or strings"):
+        group.build([row])
+    with pytest.raises(ValueError, match="must be numbers, not bools or strings"):
+        group.build(row)
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)

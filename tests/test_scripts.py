@@ -21,7 +21,7 @@ def _load(name):
     "name,argv",
     [
         ("flow_battery", ["--types", "A2,A2xG2", "--starts", "1", "--t-end", "50"]),
-        ("oracle_crosscheck", ["--types", "A2,B2,A2xG2", "--samples", "2"]),
+        ("oracle_crosscheck", ["--types", "A2,B2,A2xG2,A1xA2xG2", "--samples", "2"]),
     ],
 )
 def test_script_runs(name, argv, capsys):
