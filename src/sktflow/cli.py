@@ -242,6 +242,11 @@ def cmd_flow(family, rank, x0_text, norm, t_end, step, integrator, tol, eps_pos,
 @_guarded
 def cmd_verify(types: str, cocycle_limit, seed: int):
     """Run the structure-constant identity suite over a list of types."""
+    for option, name, value in (
+        ("--cocycle-limit", "cocycle_limit", cocycle_limit), ("--seed", "seed", seed)
+    ):
+        if value is not None and value < 0:
+            raise ValueError(f"{option}: {name} must be nonnegative, got {value}")
     tokens = [token.strip() for token in types.split(",") if token.strip()]
     if not tokens:
         raise ValueError(f"--types names no type, got {types!r}; expected e.g. A2,B3,G2")

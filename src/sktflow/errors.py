@@ -23,6 +23,14 @@ class PositivityError(ValueError):
         self.bound = bound
 
 
+class NonFiniteComponentError(ValueError):
+    """A form was given a component that is not finite, at key."""
+
+    def __init__(self, message, key):
+        super().__init__(message)
+        self.key = key
+
+
 class MissingComplexStructureError(ValueError):
     """Operation needs a torus complex structure but none was supplied."""
 

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NonFiniteComponentError
 from .roots import FactorLayout, Root, RootSystem
 from .structure import StructureConstants
 
@@ -285,7 +286,9 @@ class InvariantForm:
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             key, value = tuple(keys[bad[0]].tolist()), complex(values[bad[0]])
-            raise ValueError(f"component {key!r} of a form must be finite, got {value!r}")
+            raise NonFiniteComponentError(
+                f"component {key!r} of a form must be finite, got {value!r}", key
+            )
         keys.flags.writeable = values.flags.writeable = False  # checked once, so read-only
         self.basis, self.degree = basis, degree
         self.components = _ArrayComponents(keys, values)

@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DynkinTypeError, MissingComplexStructureError, PositivityError
+from .errors import (
+    DynkinTypeError, MissingComplexStructureError, NonFiniteComponentError, PositivityError,
+)
 from .forms import (
     ChevalleyBasis, InvariantForm, computed_form, exterior_derivative, sort_sign, triple_sums,
     triple_terms,
@@ -451,9 +453,19 @@ def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
     return "skt1" if p0 == p1 and p2 == p3 else "skt2"
 
 
+@np.errstate(**_QUIET)
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
+    """(max residual, witness, skt1 max, skt2 max, components checked) over
+    dd^c omega. Huge fiber values can overflow d^c omega or dd^c omega: a
+    component that is not finite makes every residual inf, with none checked
+    and that component as the witness."""
     basis = h.group.basis
-    keys, values = exterior_derivative(dc_form(h, basis)).arrays()
+    try:
+        keys, values = exterior_derivative(dc_form(h, basis)).arrays()
+    except NonFiniteComponentError as exc:
+        names = ", ".join(basis.element_names[i] for i in exc.key)
+        form = "d^c" if len(exc.key) == 3 else "dd^c"
+        return np.inf, f"non-finite {form} component ({names})", np.inf, np.inf, 0
     pair = basis.pair_array[keys]
     r = np.abs(values) / 2.0
     skt1 = (pair[:, 0] >= 0) & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])

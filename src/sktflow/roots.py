@@ -217,25 +217,40 @@ def _integer_gram(gram) -> tuple[np.ndarray, Fraction]:
     return np.array(ints, dtype=np.int64) // common, Fraction(common, denom)
 
 
-def _enumerate_positives(stype: SimpleType, gram_int: np.ndarray) -> list[tuple[int, ...]]:
-    """Positive part of the orbit of the simple roots under the simple reflections."""
-    n, g = stype.rank, gram_int.tolist()
-    known = {tuple(int(i == j) for i in range(n)) for j in range(n)}
-    level = list(known)
-    while level:
-        nxt = []
-        for coeffs in level:
-            for j in range(n):
-                pairing = 2 * sum(c * g[i][j] for i, c in enumerate(coeffs) if c)
-                if pairing % g[j][j]:
-                    raise ConsistencyError(f"non-integer Cartan pairing for {coeffs}")
-                image = list(coeffs)
-                image[j] -= pairing // g[j][j]
-                if tuple(image) not in known:
-                    known.add(tuple(image))
-                    nxt.append(tuple(image))
-        level = nxt
-    return [c for c in known if sum(c) > 0]
+def _radix_weights(bound: int, rank: int) -> np.ndarray:
+    """Weights w with v @ w distinct on distinct integer vectors v whose
+    coefficients lie in [-bound, bound] (balanced digits in base 2 bound + 1),
+    as object ints when int64 could overflow."""
+    base = 2 * bound + 1
+    dtype = np.int64 if base**rank < 2**62 else object
+    return np.array([base**k for k in range(rank)], dtype=dtype)
+
+
+def _enumerate_positives(gram_int: np.ndarray) -> np.ndarray:
+    """The positive roots as rows of simple-root coefficients, in no set order.
+
+    Starting from the simple roots, each level is reflected by every simple
+    reflection at once. s_j keeps every positive root but a_j positive, and
+    every positive root but a simple one has a simple reflection that lowers
+    its height, so the positive images reach every positive root."""
+    rank = len(gram_int)
+    diag, eye = np.diag(gram_int), np.eye(rank, dtype=np.int64)
+    level = known = eye
+    while len(level):
+        pairing = 2 * (level @ gram_int)
+        bad = np.nonzero((pairing % diag).any(axis=1))[0]
+        if len(bad):
+            raise ConsistencyError(
+                f"non-integer Cartan pairing for {tuple(level[bad[0]].tolist())}"
+            )
+        # row r * rank + j is s_j applied to level[r]
+        images = (level[:, None, :] - (pairing // diag)[:, :, None] * eye).reshape(-1, rank)
+        found = np.concatenate([known, images[images.sum(axis=1) > 0]])
+        keys = found @ _radix_weights(int(np.abs(found).max()), rank)
+        _, first = np.unique(keys, return_index=True)
+        level = found[first[first >= len(known)]]
+        known = np.concatenate([known, level])
+    return known
 
 
 _POSITIVE_COUNTS = {
@@ -264,6 +279,40 @@ def _key_matches(keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
     return p, q
 
 
+def _match_pair_sums(rs: "RootSystem") -> np.ndarray:
+    """RootSystem.positive_quads, by matching the keys of positive pair sums."""
+    i, j = np.triu_indices(rs.npositive, 1)
+    pair_keys = rs._keys[i] + rs._keys[j]
+    # pairs sharing a sum are disjoint
+    p, q = _key_matches(pair_keys, pair_keys)
+    p, q = p[p != q], q[p != q]
+    return np.stack([i[p], j[p], i[q], j[q]], axis=1)
+
+
+def _list_zero_sum_quads(rs: "RootSystem") -> np.ndarray:
+    """RootSystem.zero_sum_quads, from positive_quads and positive triples."""
+    n = rs.npositive
+    # x < y < z with x + y + z = w: some pair of them sums to a root, so each
+    # triple is found once per such pair, from x + y, x + z or y + z
+    i, j, k = rs.positive_sums()
+    pair, z = np.nonzero(rs.sum_index[k, :n] >= 0)
+    keep = (z != i[pair]) & (z != j[pair])
+    pair, z = pair[keep], z[keep]
+    w = rs.sum_index[k[pair], z]
+    triples = np.sort(np.stack([i[pair], j[pair], z], axis=1), axis=1)
+    _, first = np.unique((triples[:, 0] * n + triples[:, 1]) * n + triples[:, 2],
+                         return_index=True)
+    (x, y, z), w = triples[first].T, w[first]
+    quads = rs.positive_quads()
+    rows = np.concatenate([
+        np.stack([quads[:, 0], quads[:, 1], n + quads[:, 2], n + quads[:, 3]], axis=1),
+        np.stack([x, y, z, n + w], axis=1),
+        np.stack([w, n + x, n + y, n + z], axis=1),
+    ])
+    size = 2 * n
+    return rows[np.argsort((rows[:, 2] * size + rows[:, 1]) * size + rows[:, 0])]
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Root data plus its combinatorics, compiled once at construction.
@@ -274,8 +323,10 @@ class RootSystem:
     sum_index[i, j] and diff_index[i, j], the index of root i + root j and
     of root i - root j, or -1 for a non-root; neg_index[i], the index of
     -(root i). Float views: gram_float and coefficient_matrix (positive
-    roots by simple-root coefficients). Every array is read-only, as
-    build_root_system shares one instance among its callers.
+    roots by simple-root coefficients). Tables that only some callers read,
+    such as the quad tables, are built on first use and kept with the
+    system. Every array is read-only, as build_root_system shares one
+    instance among its callers.
     """
 
     stype: SimpleType
@@ -290,18 +341,22 @@ class RootSystem:
         pos = np.array([r.coeffs for r in self.positives], dtype=np.int64).reshape(n, rank)
         roots = self.positives + tuple(-r for r in self.positives)
         gram_int, scale = _integer_gram(self.gram)
-        # Radix keys with balanced digits: key(a + b) = key(a) + key(b), and with m
-        # the largest root coefficient, two vectors with coefficients in
-        # [-2m, 2m], such as sums of two roots, share a key only when equal.
-        base = 4 * int(np.abs(pos).max()) + 1
-        dtype = np.int64 if base**rank < 2**62 else object
-        weights = np.array([base**k for k in range(rank)], dtype=dtype)
+        # Radix keys: key(a + b) = key(a) + key(b), and with m the largest root
+        # coefficient, two vectors with coefficients in [-2m, 2m], such as sums
+        # of two roots, share a key only when equal.
+        weights = _radix_weights(2 * int(np.abs(pos).max()), rank)
         keys = np.concatenate([pos @ weights, -(pos @ weights)])
         order = np.argsort(keys, kind="stable")
-        sums = keys[:, None] + keys[None, :]
-        at = np.searchsorted(keys[order], sums).clip(max=2 * n - 1)
-        sum_index = np.where(keys[order][at] == sums, order[at], -1).astype(np.intp)
+        ordered = keys[order]
+        # a positive root plus each root in key order: searchsorted is fast on
+        # sorted rows
+        sums = keys[:n, None] + ordered
+        at = np.searchsorted(ordered, sums).clip(max=2 * n - 1)
+        upper = np.empty((n, 2 * n), dtype=np.intp)
+        upper[:, order] = np.where(ordered[at] == sums, order[at], -1)
         neg = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+        # -a + b = -(a + (-b)), so the rows of the negative roots follow
+        sum_index = np.concatenate([upper, np.append(neg, -1)[upper][:, neg]])
         for name, value in (
             ("_roots", roots),
             ("_index", {r.coeffs: i for i, r in enumerate(roots)}),
@@ -314,6 +369,7 @@ class RootSystem:
             ("sum_index", sum_index),
             ("diff_index", sum_index[:, neg]),
             ("neg_index", neg),
+            ("_tables", {}),
         ):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -358,34 +414,30 @@ class RootSystem:
         i, j = np.nonzero(np.triu(self.sum_index[:n, :n] >= 0, 1))
         return i, j, self.sum_index[i, j]
 
+    def _cached(self, name: str, build) -> np.ndarray:
+        """The read-only array build(self), built on the first call for name
+        and kept with the system from then on."""
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = build(self)
+            table.flags.writeable = False
+        return table
+
     def positive_quads(self) -> np.ndarray:
         """Rows (i, j, m, l) of positive indices, i < j and m < l, with
         positives[i] + positives[j] = positives[m] + positives[l] and
-        {i, j} != {m, l}, sorted by (i, j, m)."""
-        i, j = np.triu_indices(self.npositive, 1)
-        pair_keys = self._keys[i] + self._keys[j]
-        # pairs sharing a sum are disjoint
-        p, q = _key_matches(pair_keys, pair_keys)
-        p, q = p[p != q], q[p != q]
-        return np.stack([i[p], j[p], i[q], j[q]], axis=1)
+        {i, j} != {m, l}, sorted by (i, j, m); read-only, matched once per
+        system."""
+        return self._cached("positive_quads", _match_pair_sums)
 
     def zero_sum_quads(self) -> np.ndarray:
         """Rows (a, b, c, d) of root indices, a < b < c < d, whose roots sum to
-        zero with no opposite pair among them, sorted by (c, b, a)."""
-        i, j = np.triu_indices(2 * self.npositive, 1)
-        pair_keys = self._keys[i] + self._keys[j]
-        # each 4-set is found once per pairing whose first pair has a positive
-        # key; keep the pairing of its two lower and its two upper indices.
-        # Pairs with nonzero keys hold no opposite pair, and if i[p] is
-        # opposite to neither of i[q], j[q], neither is j[p].
-        first = np.nonzero(pair_keys > 0)[0]
-        p, q = _key_matches(pair_keys, -pair_keys[first])
-        p = first[p]
-        neg = self.neg_index[i[p]]
-        keep = ((j[p] < i[q]) | (j[q] < i[p])) & (neg != i[q]) & (neg != j[q])
-        p, q = p[keep], q[keep]
-        rows = np.sort(np.stack([i[p], j[p], i[q], j[q]], axis=1), axis=1)
-        return rows[np.lexsort(rows[:, :3].T)]
+        zero with no opposite pair among them, sorted by (c, b, a); read-only,
+        listed once per system.
+
+        Such a quad holds two positive roots, one row of positive_quads, or
+        three positive roots summing to a positive one, or the negation."""
+        return self._cached("zero_sum_quads", _list_zero_sum_quads)
 
     def is_root(self, coeffs: Sequence[int]) -> bool:
         return tuple(coeffs) in self._index
@@ -506,22 +558,24 @@ def _build_root_system(stype: SimpleType, norm: Normalization) -> RootSystem:
     """Enumerate the positive roots of stype and attach the requested gram matrix."""
     gram2 = _gram_long2(stype)
     gram2_int, scale2 = _integer_gram(gram2)
-    coeff_list = _enumerate_positives(stype, gram2_int)
+    pos = _enumerate_positives(gram2_int)
     expected = _POSITIVE_COUNTS[stype.family](stype.rank)
-    if len(coeff_list) != expected:
+    if len(pos) != expected:
         raise ConsistencyError(
-            f"{stype}: enumerated {len(coeff_list)} positive roots, expected {expected}"
+            f"{stype}: enumerated {len(pos)} positive roots, expected {expected}"
         )
-    coeff_list.sort(key=lambda c: (sum(c), c))
-    positives = tuple(Root(c) for c in coeff_list)
-    top_height = positives[-1].height
-    if sum(1 for r in positives if r.height == top_height) != 1:
+    heights = pos.sum(axis=1)
+    # by height, then coefficient by coefficient
+    order = np.lexsort((*pos.T[::-1], heights))
+    pos, heights = pos[order], heights[order]
+    if len(heights) > 1 and heights[-2] == heights[-1]:
         raise ConsistencyError(f"{stype}: maximal root is not unique")
+    positives = tuple(Root(tuple(c)) for c in pos.tolist())
 
     if norm is Normalization.SHORT2:
         scale = Fraction(2) / min(gram2[i][i] for i in range(stype.rank))
     elif norm is Normalization.KILLING:
-        scale = _killing_constant(gram2_int, scale2, np.array(coeff_list, dtype=np.int64))
+        scale = _killing_constant(gram2_int, scale2, pos)
     else:
         scale = Fraction(1)
     gram = tuple(tuple(scale * v for v in row) for row in gram2)

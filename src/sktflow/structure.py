@@ -31,7 +31,8 @@ def _exact(values, bound: int = 0) -> np.ndarray:
     """Integers as an int64 array when they and bound stay below _INT64_SAFE in
     magnitude, else as an object array of Python ints."""
     values = np.asarray(values)
-    top = max([bound, *(abs(int(v)) for v in (values.min(), values.max()) if values.size)])
+    ends = (values.min(), values.max()) if values.size else ()
+    top = max([bound, *(abs(int(v)) for v in ends)])
     return values.astype(np.int64 if top < _INT64_SAFE else object)
 
 
@@ -71,6 +72,23 @@ class StructureConstants:
         self._held = (sign != 0) | (system.sum_index >= 0)
         self._size = int(self._held.sum())
         self._surds: dict[int, Surd] = {}
+        self._splits: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _squarefree(self, up: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (sq * up, core, mult) with sq * up = mult^2 * core and
+        core squarefree (core 1, mult 0 where sq is 0), split once per factor up."""
+        split = self._splits.get(up)
+        if split is None:
+            bound = int(self.sq.max()) * up
+            sq = _exact(self.sq, bound) * up
+            values, inverse = np.unique(sq.ravel(), return_inverse=True)
+            parts = [squarefree_split(v) if v else (1, 0) for v in values.tolist()]
+            split = self._splits[up] = (sq, *(
+                _exact([x[t] for x in parts], bound)[inverse].reshape(sq.shape) for t in (0, 1)
+            ))
+            for array in split:
+                array.flags.writeable = False
+        return split
 
     def _magnitude(self, square) -> Surd:
         w = self._surds.get(square)
@@ -139,7 +157,12 @@ class _TableView(Mapping):
 
 def _string_squares(rs: RootSystem) -> np.ndarray:
     """q(1 - p) <a, a> / gram_scale by index for the a-string p..q through b, on
-    every pair (a, b) whose sum is a root, 0 elsewhere: N(a, b)^2 / (gram_scale / 2)."""
+    every pair (a, b) whose sum is a root, 0 elsewhere: N(a, b)^2 / (gram_scale / 2).
+    Read-only, built once per system."""
+    return rs._cached("string_squares", _count_string_squares)
+
+
+def _count_string_squares(rs: RootSystem) -> np.ndarray:
     g = rs.inner_int
     inner = np.block([[g, -g], [-g, g]])  # all roots by index, in units of gram_scale
     a, b = np.nonzero(rs.sum_index >= 0)
@@ -158,54 +181,79 @@ def _string_squares(rs: RootSystem) -> np.ndarray:
     return out
 
 
+def _isqrt(values: np.ndarray) -> np.ndarray:
+    """Integer square roots, exact on every perfect square: floats round them
+    correctly below 2**62, and object arrays take math.isqrt."""
+    if values.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(values)
+    return np.rint(np.sqrt(values)).astype(np.int64)
+
+
 def structure_constants(rs: RootSystem) -> StructureConstants:
-    """Build the full signed table by height recursion over positive roots."""
+    """Build the full signed table by height recursion over positive roots.
+
+    Each positive root's extraspecial pair, its decomposition a + b with the
+    lowest a, gets N(a, b) = +sqrt(string square). Every other decomposition
+    follows from the four-term cocycle on (a1, b1, -a, -b), whose entries all
+    belong to roots of lower height, so each height is one set of array reads.
+    The integers are int64 while the square of the largest string square
+    is below _INT64_SAFE, so that a product of four entries fits, and
+    Python ints otherwise.
+    """
     n = rs.npositive
-    add, sub, neg = rs.sum_index.tolist(), rs.diff_index, rs.neg_index.tolist()
-    strings = _string_squares(rs).tolist()
-    sign = [[0] * 2 * n for _ in range(2 * n)]
-    sq = [[0] * 2 * n for _ in range(2 * n)]
+    add, neg = rs.sum_index, rs.neg_index
+    strings = _string_squares(rs)
+    strings = _exact(strings, int(strings.max()) ** 2)
+    signed = np.zeros_like(strings)  # sign(N) N^2 / unit
 
-    def insert_closure(eta: int, rho: int, s: int, q: int):
-        # all entries the single positive-pair value N(eta, rho) = s sqrt(q unit)
-        # determines: the cyclic rotations of (eta, rho, -xi), each swapped and negated
-        nxi = neg[add[eta][rho]]
-        for x, y in ((eta, rho), (rho, nxi), (nxi, eta)):
-            nx, ny = neg[x], neg[y]
-            for u, v, t in ((x, y, s), (y, x, -s), (nx, ny, -s), (ny, nx, s)):
-                sign[u][v], sq[u][v] = t, q
+    def insert_closures(eta, rho, value):
+        # all entries the signed values of N(eta, rho) determine: the cyclic
+        # rotations of (eta, rho, -xi), each swapped and negated
+        nxi = neg[add[eta, rho]]
+        x, y = np.concatenate([eta, rho, nxi]), np.concatenate([rho, nxi, eta])
+        nx, ny, value = neg[x], neg[y], np.concatenate([value] * 3)
+        signed[np.concatenate([x, y, nx, ny]), np.concatenate([y, x, ny, nx])] = np.concatenate(
+            [value, -value, -value, value]
+        )
 
-    for g, gamma in enumerate(rs.positives):
-        if gamma.height == 1:
-            continue
-        # gamma - a for every a below gamma; b > a keeps one order of each pair
-        rest = sub[g, :g]
-        pairs = [(int(a), int(rest[a])) for a in np.nonzero((rest > np.arange(g)) & (rest < n))[0]]
-        if not pairs:
-            raise ConsistencyError(f"{gamma.label} has no decomposition into positive roots")
+    a, b, g = rs.positive_sums()
+    order = np.lexsort((a, g))  # by root, then by a: the order of the checks
+    a, b, g = a[order], b[order], g[order]
+    heights = rs.coefficient_matrix.sum(axis=1).astype(np.int64)
+    lone = heights > 1
+    lone[g] = False
+    lone = np.nonzero(lone)[0]
+    if len(lone):
+        raise ConsistencyError(
+            f"{rs.positives[lone[0]].label} has no decomposition into positive roots"
+        )
+    first = np.diff(g, prepend=-1) != 0  # the extraspecial pairs: each root's lowest a
+    a1, b1 = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    a1[g[first]], b1[g[first]] = a[first], b[first]
+    insert_closures(a[first], b[first], strings[a[first], b[first]])
 
-        a1, b1 = pairs[0]  # extraspecial pair: canonically first component
-        q1 = strings[a1][b1]
-        insert_closure(a1, b1, 1, q1)
+    a, b, g = a[~first], b[~first], g[~first]
+    levels = heights[g]
+    starts = np.flatnonzero(np.diff(levels, prepend=-1)).tolist()  # each height's first pair
+    for lo, hi in zip(starts, starts[1:] + [len(levels)]):
+        x, y, e, f = a[lo:hi], b[lo:hi], a1[g[lo:hi]], b1[g[lo:hi]]
+        nx, ny = neg[x], neg[y]
+        # cocycle on (e, f, -x, -y), every referenced sum of lower height:
+        # N(x, y) N(e, f) = (s_P sqrt(A) - s_Q sqrt(B)) unit, N(e, f)^2 = q1 unit,
+        # with s_P A and s_Q B these products
+        p, q = signed[e, ny] * signed[f, nx], signed[e, nx] * signed[f, ny]
+        pq = abs(p * q)
+        root = _isqrt(pq)
+        square = abs(p) + abs(q) - 2 * np.sign(p * q) * root
+        bad = np.nonzero((root * root != pq) | (square != strings[x, y] * strings[e, f]))[0]
+        if len(bad):
+            u, v = (rs.positives[w[bad[0]]].label for w in (x, y))
+            raise ConsistencyError(f"derived |N({u},{v})| disagrees with the string formula")
+        # A = B passed the check only with s_P = -s_Q: the terms add
+        s = np.where(abs(p) > abs(q), np.sign(p), -np.sign(q))
+        insert_closures(x, y, s * strings[x, y])
 
-        for a, b in pairs[1:]:
-            na, nb = neg[a], neg[b]
-            # cocycle on (a1, b1, -a, -b), every referenced sum of lower height:
-            # N(a, b) N(a1, b1) = (s_P sqrt(A) - s_Q sqrt(B)) unit, N(a1, b1)^2 = q1 unit
-            big_a, big_b = sq[a1][nb] * sq[b1][na], sq[a1][na] * sq[b1][nb]
-            s_p, s_q = sign[a1][nb] * sign[b1][na], sign[a1][na] * sign[b1][nb]
-            root = isqrt(big_a * big_b)
-            square = big_a + big_b - 2 * s_p * s_q * root
-            if root * root != big_a * big_b or square != strings[a][b] * q1:
-                raise ConsistencyError(
-                    f"derived |N({rs.positives[a].label},{rs.positives[b].label})|"
-                    " disagrees with the string formula"
-                )
-            # A = B passed the check only with s_P = -s_Q: the terms add
-            s = s_p if big_a > big_b else -s_q
-            insert_closure(a, b, s, strings[a][b])
-
-    return StructureConstants._of(rs, np.array(sign, dtype=np.int8), _exact(sq))
+    return StructureConstants._of(rs, np.sign(signed).astype(np.int8), _exact(abs(signed)))
 
 
 @dataclass
@@ -227,6 +275,14 @@ class IdentityReport:
         return self.failure_count == 0
 
 
+def _check_nonnegative_int(name: str, value) -> None:
+    """Refuse with ValueError a value that is not a nonnegative int; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def verify_identities(
     rs: RootSystem,
     sc: StructureConstants,
@@ -240,28 +296,33 @@ def verify_identities(
     Without cocycle_limit, or with a limit at or above their number, it
     checks all of them. A smaller limit checks that many quads, drawn
     uniformly without replacement by default_rng(seed) and kept in list
-    order.
+    order. cocycle_limit, unless None, and seed must be nonnegative ints,
+    not bools; anything else is refused with ValueError before any work.
+
+    The quads and string squares are built once per system, and the
+    squarefree split of the table's squares once per table, so a repeated
+    call costs its checks alone.
     """
+    if cocycle_limit is not None:
+        _check_nonnegative_int("cocycle_limit", cocycle_limit)
+    _check_nonnegative_int("seed", seed)
     if sc.system.stype != rs.stype:
         raise ValueError(
             f"structure constants of {sc.system.stype} cannot be checked against {rs.stype}"
         )
-    if cocycle_limit is not None and cocycle_limit < 0:
-        raise ValueError(f"cocycle_limit must be nonnegative, got {cocycle_limit}")
     start = time.perf_counter()
     counts: dict[str, int] = {}
     failures: list[str] = []
     failure_count = 0
-    n, add, neg, sign = rs.npositive, rs.sum_index, rs.neg_index, sc.sign
-    coeffs = [r.coeffs for r in rs.all_roots()]
+    n, add, neg, sign, roots = rs.npositive, rs.sum_index, rs.neg_index, sc.sign, rs.all_roots()
     # N^2 / (gram_scale / 2) of rs is sq * up / down: compare sq * up with the
     # string squares and inner products scaled by down
-    strings, ratio = _string_squares(rs), sc.unit / (rs.gram_scale / 2)
+    ratio = sc.unit / (rs.gram_scale / 2)
     up, down = ratio.numerator, ratio.denominator
-    top = int(strings.max()) + 2 * int(abs(rs.inner_int).max())
-    bound = max(int(sc.sq.max()) * up, top * down)
-    sq = _exact(sc.sq, bound) * up
-    strings, inner = (_exact(v, bound) * down for v in (strings, rs.inner_int))
+    sq, core, mult = sc._squarefree(up)
+
+    def scaled(values):
+        return _exact(values, int(abs(values).max(initial=0)) * down) * down
 
     def record(check: str, bad: np.ndarray, message):
         nonlocal failure_count
@@ -281,14 +342,10 @@ def verify_identities(
         ("antisymmetry", differs(-s, q, j, i)),
         ("negation symmetry", differs(-s, q, neg[i], neg[j])),
         ("cyclic rotation", (k < 0) | differs(s, q, j, nk) | differs(s, q, nk, i)),
-        ("string square", q != strings[i, j]),
+        ("string square", q != scaled(_string_squares(rs)[i, j])),
     ):
         record(check.replace(" ", "_"), bad,
-               lambda r: f"{check} at ({coeffs[i[r]]}, {coeffs[j[r]]})")
-
-    values, inverse = np.unique(sq.ravel(), return_inverse=True)
-    split = [squarefree_split(v) if v else (1, 0) for v in values.tolist()]
-    core, mult = (_exact([x[t] for x in split], bound)[inverse].reshape(sq.shape) for t in (0, 1))
+               lambda r: f"{check} at ({roots[i[r]].coeffs}, {roots[j[r]].coeffs})")
 
     def term(x, y, z, w, sgn):
         # N(x, y) N(z, w) / unit = coefficient * sqrt(core), core squarefree
@@ -307,11 +364,11 @@ def verify_identities(
     for core_t, _ in terms:
         bad |= sum(np.where(core_u == core_t, coef_u, 0) for core_u, coef_u in terms) != 0
     record("four_term_cocycle", bad, lambda r: "four-term cocycle at ({}, {}, {}, {})".format(
-        *(coeffs[x[r]] for x in (a, b, c, d))))
+        *(roots[x[r]].coeffs for x in (a, b, c, d))))
 
     i, j = np.triu_indices(n, 1)
     pos = rs.positives
-    record("sign_flip_square", sq[i, n + j] != sq[i, j] + 2 * inner[i, j],
+    record("sign_flip_square", sq[i, n + j] != sq[i, j] + 2 * scaled(rs.inner_int[i, j]),
            lambda r: f"sign flip square at ({pos[i[r]].label}, {pos[j[r]].label})")
 
     return IdentityReport(

@@ -396,6 +396,19 @@ def test_verify_negative_cocycle_limit(runner):
     assert "cocycle_limit must be nonnegative" in res.output
 
 
+@pytest.mark.parametrize("types", ["A2", "G2"])  # without quads and with them
+@pytest.mark.parametrize("option,args", [
+    ("--seed", ["--seed", "-1", "--cocycle-limit", "1"]),
+    ("--seed", ["--seed", "-3"]),
+    ("--cocycle-limit", ["--cocycle-limit", "-1", "--seed", "2"]),
+])
+def test_verify_refuses_a_negative_seed_or_limit_before_any_work(runner, types, option, args):
+    res = invoke(runner, "verify", "--types", types, *args)
+    assert res.exit_code == 2
+    assert res.output.startswith(f"error: {option}: ") and "must be nonnegative" in res.output
+    assert f"{types}: " not in res.output
+
+
 # ---------------------------------------------------------------- cold start
 
 def test_import_leaves_scipy_optimize_unloaded():

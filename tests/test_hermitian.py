@@ -178,6 +178,36 @@ def test_closed_form_scan_of_huge_fiber_values_does_not_warn(token):
     assert rep.witness == "pair (a2, a1) in factor 0"
 
 
+@pytest.mark.parametrize("token", ["A2", "G2"])
+def test_brute_force_scan_of_huge_fiber_values_reports_an_inf_residual(token):
+    g = _group(token)
+    h = g.build([[1e308] * g.systems[0].npositive])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = [is_pluriclosed(h, mode=mode) for mode in ("closed_form", "brute_force")]
+    assert all(not rep.verdict and rep.max_residual == np.inf for rep in reps)
+    brute = reps[1]
+    assert brute.witness.startswith("non-finite d^c component (factor 0: ")
+    assert brute.skt1_max == brute.skt2_max == np.inf and brute.checked == 0
+
+
+def test_brute_force_scan_of_an_overflowing_dd_c_reports_an_inf_residual():
+    g = _group("A3")
+    rng = np.random.default_rng(0)
+    seen = 0
+    for _ in range(20):
+        h = g.build([10 ** rng.uniform(300, 308.25, g.systems[0].npositive)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = is_pluriclosed(h, mode="brute_force")
+        assert not rep.verdict
+        if rep.witness.startswith("non-finite dd^c component (factor 0: "):
+            assert rep.max_residual == rep.skt1_max == rep.skt2_max == np.inf
+            assert rep.checked == 0
+            seen += 1
+    assert seen
+
+
 def test_kahler_flag_residual():
     assert kahler_flag_residual(A2.build()) == pytest.approx(1.0)
     assert kahler_flag_residual(A2.build(x=[(1.0, 1.0, 1.0)])) == pytest.approx(1.0)

@@ -22,6 +22,7 @@ def _load(name):
     [
         ("flow_battery", ["--types", "A2,A2xG2", "--starts", "1", "--t-end", "50"]),
         ("oracle_crosscheck", ["--types", "A2,B2,A2xG2,A1xA2xG2", "--samples", "2"]),
+        ("catalog_tables", ["--types", "A1,G2,D4", "--cocycle-limit", "5", "--seed", "1"]),
     ],
 )
 def test_script_runs(name, argv, capsys):
@@ -29,7 +30,7 @@ def test_script_runs(name, argv, capsys):
     assert capsys.readouterr().out.strip()
 
 
-@pytest.mark.parametrize("name", ["flow_battery", "oracle_crosscheck"])
+@pytest.mark.parametrize("name", ["flow_battery", "oracle_crosscheck", "catalog_tables"])
 @pytest.mark.parametrize("token", ["A2x", "Q2", "A", "A2,,B2"])
 def test_script_refuses_a_bad_type_token(name, token, capsys):
     assert _load(name).main(["--types", token]) == 2
@@ -131,3 +132,37 @@ def test_oracle_crosscheck_rebuilds_each_dc_form_outside_the_digest(monkeypatch,
     assert all("rebuilt forms 2/3 CHANGED" in line for line in broken[:2])
     assert broken[-2] == "2 type(s) failed"
     assert broken[-1] == lines[-1]  # the digest reads the scan reports only
+
+
+def _catalog_digest(capsys, *argv):
+    code = _load("catalog_tables").main(["--types", "A2,G2,B3,F4", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("digest ") and len(lines[-1].split()[1]) == 64
+    return code, lines
+
+
+def test_catalog_tables_digest_is_stable_across_runs_and_seeds(capsys):
+    code, lines = _catalog_digest(capsys, "--cocycle-limit", "100", "--seed", "3")
+    assert code == 0 and lines[-2] == "all identities pass"
+    assert [line.split()[0] for line in lines[1:-2]] == ["A2", "G2", "B3", "F4"]
+    again = [_catalog_digest(capsys, "--cocycle-limit", "100", "--seed", seed)[1][-1]
+             for seed in ("3", "4")]
+    # a passing sampled check reports the same counts at every seed
+    assert again == [lines[-1]] * 2
+    assert _catalog_digest(capsys)[1][-1] != lines[-1]  # the full check counts every quad
+
+
+def test_catalog_tables_digest_reads_the_tables(monkeypatch, capsys):
+    module = _load("catalog_tables")
+    code, lines = _catalog_digest(capsys)
+    build = module.structure_constants
+
+    def flipped(rs):
+        sc = build(rs)
+        sign = sc.sign.copy()
+        sign[sc.sign != 0] *= -1  # -N is an equally valid table: the identities still hold
+        return type(sc)._of(rs, sign, sc.sq)
+
+    monkeypatch.setattr(module, "structure_constants", flipped)
+    assert module.main(["--types", "A2,G2,B3,F4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] != lines[-1]

@@ -1,6 +1,7 @@
 """The index-native structure constants against the Surd recursion, the
 per-entry Fraction verifier and the triple enumeration of cocycle quads they
-replaced, kept here as references."""
+replaced, and the root tables against the tuple-by-tuple reflection search,
+kept here as references."""
 
 from collections import Counter
 from fractions import Fraction
@@ -13,12 +14,15 @@ import sktflow.structure as structure
 from conftest import constants, system
 from sktflow import (
     ConsistencyError,
+    Normalization,
+    SimpleType,
     StructureConstants,
     Surd,
     root_string,
     structure_constants,
     verify_identities,
 )
+from sktflow.roots import _build_root_system, _gram_long2, _integer_gram
 
 _ZERO = Surd.of(0)
 _DRAW_CHUNK = 1 << 16  # cocycle triples unranked per numpy block
@@ -178,7 +182,58 @@ def reference_verify(rs, table):
     return counts, failures
 
 
+def reference_positives(stype):
+    """The positive roots' coefficient tuples sorted by (height, coefficients),
+    by reflecting one tuple at a time through every simple reflection."""
+    g = _integer_gram(_gram_long2(stype))[0].tolist()
+    n = stype.rank
+    known = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    level = list(known)
+    while level:
+        nxt = []
+        for coeffs in level:
+            for j in range(n):
+                pairing = 2 * sum(c * g[i][j] for i, c in enumerate(coeffs) if c)
+                assert pairing % g[j][j] == 0
+                image = list(coeffs)
+                image[j] -= pairing // g[j][j]
+                if tuple(image) not in known:
+                    known.add(tuple(image))
+                    nxt.append(tuple(image))
+        level = nxt
+    return sorted((c for c in known if sum(c) > 0), key=lambda c: (sum(c), c))
+
+
 # ------------------------------------------------------------ tables
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("token", TABLE_TYPES)
+def test_root_tables_equal_the_reflection_search(token, norm):
+    rs = system(token, norm)
+    pos = reference_positives(rs.stype)
+    assert [r.coeffs for r in rs.positives] == pos
+    assert rs.maximal_root.coeffs == pos[-1] and rs.maximal_root.sign == 1
+    roots = pos + [tuple(-c for c in r) for r in pos]
+    index = {c: i for i, c in enumerate(roots)}
+    for table, op in ((rs.sum_index, 1), (rs.diff_index, -1)):
+        want = [[index.get(tuple(x + op * y for x, y in zip(a, b)), -1) for b in roots]
+                for a in roots]
+        assert np.array_equal(table, want)
+
+
+@pytest.mark.parametrize("token", ["A1", "G2", "F4", "E7"])
+def test_per_system_tables_are_built_once_and_read_only(token):
+    rs = system(token)
+    for table in (rs.zero_sum_quads, rs.positive_quads, lambda: structure._string_squares(rs)):
+        first = table()
+        assert table() is first
+        assert not first.flags.writeable
+    # a fresh system of the type builds equal tables of its own
+    fresh = _build_root_system(rs.stype, Normalization.LONG2)
+    assert fresh.zero_sum_quads() is not rs.zero_sum_quads()
+    assert np.array_equal(fresh.zero_sum_quads(), rs.zero_sum_quads())
+    assert np.array_equal(structure._string_squares(fresh), structure._string_squares(rs))
 
 
 @pytest.mark.parametrize("norm", NORMS)
@@ -404,3 +459,52 @@ def test_sampled_cocycle_checks_distinct_quads_of_the_full_list(limit, monkeypat
     assert [f for f in rep.failures if f not in failing] == [
         f for f in full.failures if f not in failing
     ]
+
+
+@pytest.mark.parametrize("token", ["A8", "F4", "E7"])
+def test_a_warm_check_equals_a_cold_one(token):
+    rs = system(token)
+    nquads = len(rs.zero_sum_quads())
+    entries = sorted(constants(token).table.items())
+    flipped = {k: -v if n % 7 == 0 else v for n, (k, v) in enumerate(entries)}
+    for table in (None, flipped):
+        warm_sc = constants(token) if table is None else StructureConstants(system=rs, table=table)
+        for seed in range(3):
+            for limit in (0, nquads // 10, None):
+                # a system nothing else holds: its quads, string squares and
+                # squarefree split are built anew
+                cold = _build_root_system(rs.stype, Normalization.LONG2)
+                cold_sc = structure_constants(cold) if table is None else StructureConstants(
+                    system=cold, table=table)
+                want = verify_identities(cold, cold_sc, cocycle_limit=limit, seed=seed)
+                for _ in range(2):
+                    got = verify_identities(rs, warm_sc, cocycle_limit=limit, seed=seed)
+                    assert (got.counts, got.failures, got.failure_count) == (
+                        want.counts, want.failures, want.failure_count)
+                assert got.passed == (table is None)
+
+
+@pytest.mark.parametrize("token", ["A2", "G2"])
+@pytest.mark.parametrize("name,value", [
+    ("seed", -1), ("seed", True), ("seed", 2.5), ("seed", None), ("seed", "1"),
+    ("cocycle_limit", -1), ("cocycle_limit", True), ("cocycle_limit", False),
+    ("cocycle_limit", 2.5), ("cocycle_limit", "3"),
+])
+def test_seed_and_cocycle_limit_must_be_nonnegative_ints(token, name, value, monkeypatch):
+    rs, sc = system(token), constants(token)
+    # refused before any work: the quads are not even read
+    monkeypatch.setattr(type(rs), "zero_sum_quads", lambda self: pytest.fail("quads were read"))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify_identities(rs, sc, **{name: value})
+
+
+@pytest.mark.parametrize("token", ["A2", "G2"])
+def test_integer_seeds_and_limits_are_accepted(token):
+    rs, sc = system(token), constants(token)
+    full = verify_identities(rs, sc)
+    for kwargs in ({"seed": np.int64(3), "cocycle_limit": np.int32(1)},
+                   {"seed": 0, "cocycle_limit": 0}):
+        rep = verify_identities(rs, sc, **kwargs)
+        assert rep.passed
+        assert rep.counts["four_term_cocycle"] == min(kwargs["cocycle_limit"],
+                                                     full.counts["four_term_cocycle"])
