@@ -16,11 +16,11 @@ import click
 import numpy as np
 
 from .curvature import is_cyt
+from .family import finite_positive
 from .flow import FlowConfig, integrate
 from .hermitian import (
     biinvariant_compatible,
     is_irreducible,
-    finite_positive,
     is_pluriclosed,
     kahler_flag_residual,
     load_structure,

@@ -1,4 +1,4 @@
-"""Ricci representatives of canonical connections, and the metric functional.
+"""Ricci representatives of canonical connections, and the CYT test.
 
 The first Ricci classes of the relevant connections are determined by a
 single torus vector each; a structure has vanishing Bismut class exactly when
@@ -8,24 +8,14 @@ bi-invariant point.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, PositivityError
+# grad_F stays a module attribute: perfbench/tracing.py wraps it.
+from .family import check_positive, grad_F  # noqa: F401
 from .forms import ChevalleyBasis, InvariantForm
-from .hermitian import (
-    HermitianStructure,
-    _QUIET,
-    _check_tol,
-    _simple_array,
-    d_star_omega,
-    family_gradient,
-    sigma_form,
-    z_vector,
-)
-from .roots import RootSystem
+from .hermitian import HermitianStructure, d_star_omega, sigma_form, z_vector
 
 
 @dataclass(frozen=True)
@@ -78,59 +68,7 @@ class CytReport:
 
 def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
     """Whether the Bismut Ricci vector vanishes to within tol."""
-    _check_tol(tol)
+    check_positive(tol)
     rep = bismut_ricci(h)
     res = rep.vector.sup_norm
     return CytReport(verdict=res < tol, vector=rep.vector.components, residual=res, tol=tol)
-
-
-def potential(v: np.ndarray) -> float:
-    """F = sum(v - log v) over induced values v, with np.add.reduce, the sum
-    ndarray.sum calls, called without that method's Python wrapper."""
-    return float(np.add.reduce(v - np.log(v)))
-
-
-def _hessian(rs: RootSystem, v: np.ndarray) -> np.ndarray:
-    k = rs.coefficient_matrix
-    return (k / v[:, None] ** 2).T @ k
-
-
-@np.errstate(**_QUIET)
-def functional_F(rs: RootSystem, simple_values) -> float:
-    """Strictly convex potential whose only critical point is all ones."""
-    return potential(family_gradient(rs, _simple_array(rs, simple_values))[0])
-
-
-@np.errstate(**_QUIET)
-def grad_F(rs: RootSystem, simple_values) -> np.ndarray:
-    return family_gradient(rs, _simple_array(rs, simple_values))[1]
-
-
-@np.errstate(**_QUIET)
-def hessian_F(rs: RootSystem, simple_values) -> np.ndarray:
-    return _hessian(rs, family_gradient(rs, _simple_array(rs, simple_values))[0])
-
-
-@np.errstate(**_QUIET)
-def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Damped Newton minimizer of the potential over the positive family domain."""
-    _check_tol(tol)
-    x = np.ones(rs.rank) if x0 is None else _simple_array(rs, x0).copy()
-    v, g = family_gradient(rs, x)
-    for _ in range(max_iter):
-        if np.abs(g).max() < tol:
-            return x
-        step = np.linalg.solve(_hessian(rs, v), -g)
-        f0 = potential(v)
-        t = 1.0
-        while t > 1e-14:
-            cand = x + t * step
-            with suppress(PositivityError):  # cand is outside the domain
-                v_c, g_c = family_gradient(rs, cand)
-                if potential(v_c) <= f0 + 1e-12 * (1.0 + abs(f0)):
-                    break
-            t /= 2
-        else:
-            raise ConsistencyError("backtracking line search stalled")
-        x, v, g = cand, v_c, g_c
-    raise ConsistencyError(f"Newton did not reach tolerance {tol} in {max_iter} iterations")

@@ -18,21 +18,14 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
-from .curvature import grad_F, potential  # noqa: F401
-from .hermitian import (  # noqa: F401
-    _QUIET, _Violation, _real_array, _sqrt_and_inverse, family_gradient, family_values,
-    finite_positive,
+from .family import (  # noqa: F401
+    QUIET, Violation, check_positive, family_gradient, family_values, grad_F, potential,
+    real_array,
 )
+from .hermitian import sqrt_and_inverse
 from .roots import FactorLayout
 
 F_RISE_TOL = 1e-10  # the most an accepted step may raise F; a larger rise halves it
-
-
-def _state(layout: FactorLayout, x) -> np.ndarray:
-    x = _real_array(x)
-    if x.shape != (layout.size,):
-        raise ValueError(f"state must have length {layout.size}, got shape {x.shape}")
-    return x
 
 
 class _Evaluator:
@@ -49,18 +42,14 @@ class _Evaluator:
         return self.neg_q.dot(g), (v, g)
 
 
-@np.errstate(**_QUIET)
+@np.errstate(**QUIET)
 def _evaluate(systems, x):
     evaluate = _Evaluator(systems)
-    return evaluate(_state(evaluate.layout, x), 0.0)
-
-
-def _total_F(parts) -> float:
-    return potential(parts[0])
+    return evaluate(real_array(x, evaluate.layout.size, "state"), 0.0)
 
 
 def total_functional(systems, x) -> float:
-    return _total_F(_evaluate(systems, x)[1])
+    return potential(_evaluate(systems, x)[1][0])
 
 
 def total_gradient(systems, x) -> np.ndarray:
@@ -72,7 +61,7 @@ def rhs(systems, x) -> np.ndarray:
     return _evaluate(systems, x)[0]
 
 
-@np.errstate(**_QUIET)
+@np.errstate(**QUIET)
 def per_root_rhs(systems, x, factor: int, root) -> float:
     """Velocity of the induced value on any root, straight from the definition.
 
@@ -80,7 +69,7 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     cross-check of the rearrangement used there.
     """
     layout = FactorLayout.of(systems)
-    x = _state(layout, x)
+    x = real_array(x, layout.size, "state")
     factor = layout.factor_index(factor)
     rs = layout.systems[factor]
     vals = family_gradient(layout, x)[0][layout.row_slices[factor]]
@@ -106,9 +95,7 @@ class FlowConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         # an infinite value would leave the stepping loop without a bound
         for name in ("h", "t_end", "tol", "eps_pos", "rel_tol", "min_step"):
-            value = getattr(self, name)
-            if not finite_positive(value):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            check_positive(getattr(self, name), name)
         # rk4_fixed takes t_end / h steps, so an h below the step floor need never end
         if self.h < self.min_step:
             raise ValueError(f"h ({self.h!r}) must be at least min_step ({self.min_step!r})")
@@ -298,7 +285,7 @@ def _within(values, tol) -> bool:
     return True
 
 
-@np.errstate(**_QUIET)
+@np.errstate(**QUIET)
 def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     """Run the flow from x0 until convergence, t_end, or loss of positivity.
 
@@ -322,7 +309,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     wall_start = time.perf_counter()
     cfg = config or FlowConfig()
     evaluate = _Evaluator(systems)
-    x = _state(evaluate.layout, x0)
+    x = real_array(x0, evaluate.layout.size, "state")
     eps = cfg.eps_pos
     fixed = cfg.integrator == "rk4_fixed"
 
@@ -332,12 +319,12 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     try:
         k, parts = evaluate(x, eps)
         admissible = True
-    except _Violation:
+    except Violation:
         # a start with induced values in (0, eps_pos] is recorded, but every
         # step from it fails the guard until h falls below min_step
         k, parts = evaluate(x, 0.0)
         admissible = False
-    t, f = 0.0, _total_F(parts)
+    t, f = 0.0, potential(parts[0])
     rows = [(t, x, f, parts[1])]  # the accepted points: t, x, F, gradient
     stats = FlowStats(h_min=math.inf)
     h = cfg.h
@@ -358,13 +345,13 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
         stats.h_min, stats.h_max = min(stats.h_min, step), max(stats.h_max, step)
         try:
             if not admissible:
-                raise _Violation
+                raise Violation
             if fixed:
                 x_new = _rk4(stage, x, step, k)
             else:
                 x_new, err = _rkf45(stage, x, step, k)
             k_new, parts = evaluate(x_new, eps)
-        except _Violation:
+        except Violation:
             stats.halvings += 1
             h = step / 2.0
             if h < cfg.min_step:
@@ -381,7 +368,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
             h = min(step * factor, ceiling)
             if h < cfg.min_step:
                 stop = "step_underflow"
-        f_new = _total_F(parts)
+        f_new = potential(parts[0])
         if accept and f_new > f + F_RISE_TOL:
             stats.f_rises += 1
             ceiling = h = step / 2.0
@@ -411,7 +398,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     return Trajectory(times, states, f_values, grad_inf, termination, meta, stats)
 
 
-@np.errstate(**_QUIET)
+@np.errstate(**QUIET)
 def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> float:
     """Deviation between the flow and the conjugated plain gradient flow.
 
@@ -422,8 +409,8 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     FlowConfig(t_end=t_end, h=h)  # refuses a t_end or h that is not finite and positive
     evaluate = _Evaluator(systems)
     layout = evaluate.layout
-    x0 = _state(layout, x0)
-    s, s_inv = _sqrt_and_inverse(layout.gram_float)
+    x0 = real_array(x0, layout.size, "state")
+    s, s_inv = sqrt_and_inverse(layout.gram_float)
 
     nsteps = max(1, int(np.ceil(t_end / h)))
     dt = t_end / nsteps

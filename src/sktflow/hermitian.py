@@ -24,8 +24,11 @@ from .forms import (
     ChevalleyBasis, InvariantForm, computed_form, exterior_derivative, sort_sign, triple_sums,
     triple_terms,
 )
+from .family import (
+    QUIET, check_positive, family_gradient, finite_positive, real_array, simple_array,
+)
 from .residuals import (
-    _QUIET, PairRows, QuadRows, build_residual_tables, closed_form_scan, pair_rows, pair_values,
+    PairRows, QuadRows, build_residual_tables, closed_form_scan, pair_rows, pair_values,
     quad_rows, quad_values, worst_row,
 )
 from .roots import FactorLayout, Normalization, Root, RootSystem, SimpleType, build_root_system
@@ -43,8 +46,7 @@ class FactorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "normalization", Normalization.parse(self.normalization))
-        if not finite_positive(self.z):
-            raise ValueError(f"factor scale z must be finite and positive, got {self.z}")
+        check_positive(self.z, "factor scale z")
 
 
 class GroupSpec:
@@ -134,7 +136,7 @@ class FiberMetric:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = [_real_array(row) for row in self.values]
+        rows = [real_array(row) for row in self.values]
         if any(row.ndim != 1 for row in rows):
             raise ValueError("fiber values must be one row of numbers per factor")
         _refuse_non_positive(rows, "fiber value")
@@ -158,12 +160,6 @@ def _factor_rows(group: GroupSpec, rows, what: str):
     return rows
 
 
-def finite_positive(values) -> np.ndarray:
-    """Elementwise test that values are finite and strictly positive; NaN fails."""
-    v = np.asarray(values, dtype=float)
-    return np.isfinite(v) & (v > 0)
-
-
 def _refuse_non_positive(rows, what: str) -> None:
     """Raise PositivityError naming the first value of rows, one float array
     per factor, that is not finite and positive, as `what`."""
@@ -175,25 +171,6 @@ def _refuse_non_positive(rows, what: str) -> None:
                 f"{what} {v:.6g} at factor {f}, root position {t} is not finite and positive",
                 value=v,
             )
-
-
-def _check_tol(tol) -> None:
-    """Refuse a tolerance that is not finite and positive."""
-    if not finite_positive(tol):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-
-
-def induced_value_error(rs: RootSystem, root, value, factor=None) -> PositivityError:
-    """The error for an induced fiber value of root that is not finite and positive."""
-    bound = family_bound(rs)
-    where = root.label if factor is None else f"{root.label} in factor {factor}"
-    return PositivityError(
-        f"induced value for root {where} is {value:.6g}, not finite and positive; "
-        f"finite simple values above {bound:.6g} stay positive",
-        root_label=root.label,
-        value=float(value),
-        bound=bound,
-    )
 
 
 class HermitianStructure:
@@ -230,7 +207,7 @@ class HermitianStructure:
             j, g = self.jt.matrix, self.torus.matrix
             if j.shape != g.shape:
                 raise ValueError("jt size does not match the total rank")
-            if np.abs(j.T @ g @ j - g).max() > 1e-8 * max(1.0, np.abs(g).max()):
+            if np.abs(j.T @ g @ j - g).max() > 1e-8 * np.abs(g).max():
                 raise ValueError("jt is not compatible with the torus metric")
 
         # effective fiber values: factor scale applied once, here; a product
@@ -453,7 +430,7 @@ def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
     return "skt1" if p0 == p1 and p2 == p3 else "skt2"
 
 
-@np.errstate(**_QUIET)
+@np.errstate(**QUIET)
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     """(max residual, witness, skt1 max, skt2 max, components checked) over
     dd^c omega. Huge fiber values can overflow d^c omega or dd^c omega: a
@@ -486,7 +463,7 @@ def is_pluriclosed(
     scans = {"closed_form": closed_form_scan, "brute_force": _brute_force_scan}
     if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}; expected closed_form or brute_force")
-    _check_tol(tol)
+    check_positive(tol)
     start = time.perf_counter()
     max_res, witness, skt1_max, skt2_max, checked = scans[mode](h)
     return PluriclosedReport(
@@ -502,106 +479,6 @@ def is_pluriclosed(
     )
 
 
-def family_bound(rs: RootSystem) -> float:
-    """Simple values at or above this make every induced fiber value positive."""
-    return 1.0 - 1.0 / rs.maximal_root.height
-
-
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
-
-
-def _real_array(values) -> np.ndarray:
-    """values as a float array of real numbers. Complex values are refused, as
-    a float conversion would drop their imaginary part, and so are bools and
-    strings, which it would read as numbers, the way the structure loader
-    refuses them."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"values must be real, got complex {np.asarray(values).dtype}")
-    # a sequence is read element by element: asarray casts a bool among numbers
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if arr.dtype.kind in "bSU" or (
-        arr.dtype.kind == "O" and any(isinstance(v, _NOT_NUMBERS) for v in arr.flat)
-    ):
-        raise ValueError(f"values must be numbers, not bools or strings, got {values!r}")
-    return np.asarray(arr, dtype=float)
-
-
-def _simple_array(rs: RootSystem, simple_values) -> np.ndarray:
-    s = _real_array(simple_values)
-    if s.shape != (rs.rank,):
-        raise ValueError(f"{rs.stype} needs {rs.rank} simple values, got shape {s.shape}")
-    return s
-
-
-@np.errstate(**_QUIET)
-def family_values(rs: RootSystem, simple_values) -> np.ndarray:
-    """Fiber values induced by values on the simple roots, affinely through 1."""
-    return 1.0 + rs.coefficient_matrix @ (_simple_array(rs, simple_values) - 1.0)
-
-
-_ONE = np.array(1.0)  # family_gradient's operand 1.0, as a read-only 0-d array
-_ONE.flags.writeable = False
-
-
-class _Violation(Exception):
-    """Internal: some induced value is at or below a positive guard eps."""
-
-
-def family_gradient(rs: RootSystem | FactorLayout, s: np.ndarray, eps: float = 0.0, factor=None):
-    """v = 1 + K(s - 1) and the gradient g = Kᵀ(1 - 1/v) of F at simple values s, a float array.
-
-    rs is a RootSystem, or a FactorLayout read as one system whose K stacks
-    every factor's rows. With eps > 0 this raises _Violation when some v is
-    at or below eps; it raises PositivityError, naming the root (and the
-    factor, if one is given or rs is a product), when some v is not finite
-    and positive.
-
-    An evaluation is a few elements wide, so its cost is numpy call
-    overhead, and each call here is the cheapest that gives the same bits:
-    the operand 1.0 is _ONE, a 0-d array, which dispatches faster than a
-    Python float, .dot gives the bits of @ in about half its dispatch time,
-    and _admissible is the guard.
-    """
-    k = rs.coefficient_matrix
-    v = k.dot(s - _ONE) + _ONE
-    if not _admissible(v, eps):
-        _refuse(rs, s, v, eps, factor)
-    return v, (_ONE - _ONE / v).dot(k)
-
-
-def _admissible(v: np.ndarray, eps: float) -> bool:
-    """The guard min(v) > eps and max(v) < inf, False when some v is NaN.
-
-    It reads v at v.argmin() and v.argmax(): C methods with no Python
-    wrapper, each about a third of a ufunc reduction's cost. Both pick the
-    first NaN when there is one, and neither raises a floating-point warning.
-    """
-    return v[v.argmin()] > eps and v[v.argmax()] < np.inf
-
-
-def _refuse(rs, s: np.ndarray, v: np.ndarray, eps: float, factor=None):
-    """Raise for induced values v of s that fail the guard v > eps, v < inf.
-
-    _Violation when eps > 0 and some v is at or below it; otherwise
-    PositivityError naming the first bad simple value, else the first bad
-    induced value, located by the layout's offsets.
-    """
-    if eps > 0 and (v <= eps).any():
-        raise _Violation
-    layout = FactorLayout.of(rs)
-    bad = np.flatnonzero(~finite_positive(s))  # name a bad simple value, not its NaN
-    if bad.size:
-        f, i = layout.locate(bad[0])
-        root, value = layout.systems[f].simples[i], s[bad[0]]
-    else:
-        t = np.flatnonzero(~((v > eps) & (v < np.inf)))[0]  # the guard fails, so one exists
-        f, i = layout.locate(t, rows=True)
-        root, value = layout.systems[f].positives[i], v[t]
-    if rs is layout and len(layout.systems) > 1:
-        factor = f
-    raise induced_value_error(layout.systems[f], root, value, factor)
-
-
 def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     """The pluriclosed structure determined by values on the simple roots.
 
@@ -611,8 +488,8 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     if len(rows) != len(group.factors):
         raise ValueError("need one tuple of simple values per factor")
     product = len(group.factors) > 1  # a single system's errors name only the root
-    with np.errstate(**_QUIET):
-        xs = [family_gradient(rs, _simple_array(rs, row), 0.0, f if product else None)[0]
+    with np.errstate(**QUIET):
+        xs = [family_gradient(rs, simple_array(rs, row), 0.0, f if product else None)[0]
               for f, (rs, row) in enumerate(zip(group.systems, rows))]
     return HermitianStructure(group, fiber=FiberMetric(xs), torus="killing")
 
@@ -647,7 +524,7 @@ def _jt_matrix(group: GroupSpec, jt) -> np.ndarray:
 
 def biinvariant_compatible(group: GroupSpec, jt, tol: float = 1e-10) -> CompatibilityCone:
     """Which block scalings of the torus metric the given jt preserves."""
-    _check_tol(tol)
+    check_positive(tol)
     j = _jt_matrix(group, jt)
     layout = group.layout
     nfac = len(group.factors)
@@ -687,7 +564,7 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
     Such a set exists exactly when the coupling graph, a -> b when jt maps
     factor a's torus partly into factor b's, is not strongly connected.
     """
-    _check_tol(tol)
+    check_positive(tol)
     j = _jt_matrix(group, jt)
     slices = group.layout.slices
     reach = np.array([[np.abs(j[sb, sa]).max() > tol for sb in slices] for sa in slices])
@@ -697,7 +574,7 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
     return bool(reach.all())
 
 
-def _sqrt_and_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_and_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric square root of a positive-definite g, and its inverse."""
     w, v = np.linalg.eigh(g)
     if w.min() <= 0:
@@ -711,7 +588,7 @@ def canonical_jt(gt: np.ndarray) -> np.ndarray:
     r = g.shape[0]
     if r % 2:
         raise ValueError(f"torus complex structures need even rank, got {r}")
-    half, inv_half = _sqrt_and_inverse(g)
+    half, inv_half = sqrt_and_inverse(g)
     j0, even = np.zeros((r, r)), np.arange(0, r, 2)
     j0[even, even + 1], j0[even + 1, even] = -1.0, 1.0
     return inv_half @ j0 @ half

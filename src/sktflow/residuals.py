@@ -19,15 +19,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .family import QUIET
 from .roots import RootSystem
 
 if TYPE_CHECKING:
     from .hermitian import GroupSpec, HermitianStructure
-
-# A non-finite induced value is refused by family_gradient's guard (or, from
-# family_values, returned), and a residual of huge fiber values is inf, so numpy
-# need not warn: the per-point functions and the scan run under np.errstate(**_QUIET).
-_QUIET = {"invalid": "ignore", "over": "ignore"}
 
 
 class Term(NamedTuple):
@@ -178,7 +174,7 @@ def worst_row(r: np.ndarray) -> tuple[float, int]:
     return (float(r[row]), row) if row >= 0 and r[row] > 0 else (0.0, -1)
 
 
-@np.errstate(**_QUIET)
+@np.errstate(**QUIET)
 def closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     """(max residual, witness, skt1 max, skt2 max, rows checked) over every row.
 

@@ -19,7 +19,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from .errors import ConsistencyError
-from .roots import RootSystem, _coeffs
+from .roots import RootSystem
 from .surd import Surd, squarefree_split
 
 _ZERO = Surd.of(0)
@@ -104,9 +104,10 @@ class StructureConstants:
         return w if s > 0 else -w
 
     def _index(self, a, b) -> tuple[int, int] | None:
-        index = self.system._index
-        i, j = index.get(_coeffs(a)), index.get(_coeffs(b))
-        return None if i is None or j is None else (i, j)
+        try:
+            return self.system.index_of(a), self.system.index_of(b)
+        except ValueError:  # a or b is not a root
+            return None
 
     def value(self, a, b) -> Surd:
         ij = self._index(a, b)

@@ -1,6 +1,6 @@
 """One guarded evaluation of the fiber family, and what rests on it.
 
-`hermitian.family_gradient` computes the induced values v = 1 + K(s - 1)
+`family.family_gradient` computes the induced values v = 1 + K(s - 1)
 and the gradient g = Kᵀ(1 - 1/v) of F once, under one positivity guard.
 F, its gradient and Hessian, Newton, the flow velocity, the flow's stages
 and its descent guard all read it, so each refuses the same states.

@@ -1,10 +1,10 @@
 """The exact semantics of the flow's cheapest numpy calls.
 
 `family_gradient` computes v and g with `ndarray.dot` and a 0-d array
-operand 1.0, and guards v with `hermitian._admissible` (v read at argmin and
-argmax); `flow._combine` forms an RKF45 stage from the nonzero tableau terms
+operand 1.0, with the formula for v that `family_values` shares, and guards
+v with `family._admissible` (v read at argmin and argmax); `flow._combine` forms an RKF45 stage from the nonzero tableau terms
 only, as `k * c`; `flow._rk4` and `flow._rkf45` form each stage and step as
-`k * c + x`, and `_rk4` doubles with `k + k`; `curvature.potential` sums
+`k * c + x`, and `_rk4` doubles with `k + k`; `family.potential` sums
 with `np.add.reduce`; and
 `flow._within` runs the convergence test's first clause on Python floats.
 These tests pin that each gives the bits of the plain formula it replaces,
@@ -25,12 +25,12 @@ from sktflow import (
     FlowConfig,
     GroupSpec,
     PositivityError,
+    family_values,
     integrate,
     pluriclosed_family,
 )
-from sktflow.curvature import potential
-from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _combine, _rk4, _rkf45, _Violation, _within
-from sktflow.hermitian import _admissible, family_gradient
+from sktflow.family import Violation as _Violation, _admissible, family_gradient, potential
+from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _combine, _rk4, _rkf45, _within
 
 CATALOG = (
     [f"A{k}" for k in range(1, 9)]
@@ -73,6 +73,21 @@ def test_family_gradient_is_the_matmul_formula_bit_for_bit(token):
         v, g = family_gradient(rs, s)
         assert np.array_equal(v, 1.0 + k @ (s - 1.0))
         assert np.array_equal(g, (1.0 - 1.0 / v) @ k)
+
+
+@pytest.mark.parametrize("norm", ["long2", "short2", "killing"])
+@pytest.mark.parametrize("token", CATALOG)
+def test_family_values_is_the_matmul_formula_bit_for_bit(token, norm):
+    rs = system(token, norm)
+    k = rs.coefficient_matrix
+    rng = np.random.default_rng(len(token) + rs.rank)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n, s in enumerate(rng.uniform(-2.0, 4.0, (10, rs.rank))):
+            s[0] = (s[0], np.nan, np.inf, -np.inf, 1e308)[n % 5]
+            v = family_values(rs, s)
+            assert v.tobytes() == (1.0 + k @ (s - 1.0)).tobytes()
+            if n % 5 == 0:  # finite s: the guard with eps = -inf refuses no finite v
+                assert v.tobytes() == family_gradient(rs, s, -np.inf)[0].tobytes()
 
 
 # ---------------------------------------------------------------- the guard's edge

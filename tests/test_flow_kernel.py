@@ -4,7 +4,7 @@
 block-diagonal K and -Q give every stage in one pass, whatever the factor
 count. On a single factor the result is bit-identical to the factor's own
 formula; on a product it agrees with the per-factor pieces to the last few
-bits. A value that fails the one guard is refused by `hermitian._refuse`,
+bits. A value that fails the one guard is refused by `family._refuse`,
 which locates it by the layout's offsets.
 """
 
@@ -29,8 +29,8 @@ from sktflow import (
     rhs,
     total_functional,
 )
-from sktflow.flow import _Evaluator, _Violation
-from sktflow.hermitian import _refuse, family_gradient
+from sktflow.family import Violation as _Violation, _refuse, family_gradient
+from sktflow.flow import _Evaluator
 
 CATALOG = (
     [f"A{k}" for k in range(1, 9)]

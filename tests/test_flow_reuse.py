@@ -26,7 +26,8 @@ from sktflow import (
     total_functional,
     total_gradient,
 )
-from sktflow.flow import _Evaluator, _Violation
+from sktflow.family import Violation as _Violation
+from sktflow.flow import _Evaluator
 
 _RKF_K = (
     (0.25,),

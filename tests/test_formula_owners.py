@@ -1,6 +1,6 @@
 """The family guard and the d*omega sum against the code they replaced.
 
-`pluriclosed_family` reads its fiber values through `hermitian.family_gradient`,
+`pluriclosed_family` reads its fiber values through `family.family_gradient`,
 and `d_star_omega` and `bismut_ricci` through `hermitian.z_vector`. The
 references below are the per-root codifferential loop, the Bismut vector built
 from two separate coefficient sums, and the family's two refusal blocks, kept
@@ -26,7 +26,7 @@ from sktflow import (
     family_values,
     pluriclosed_family,
 )
-from sktflow.hermitian import finite_positive, induced_value_error
+from sktflow.family import finite_positive, induced_value_error
 
 CATALOG = (
     [f"A{k}" for k in range(1, 9)]

@@ -48,7 +48,7 @@ from sktflow import (
 )
 import sktflow.hermitian as hermitian_module
 import sktflow.residuals as residuals_module
-from sktflow.hermitian import finite_positive
+from sktflow.family import finite_positive
 from sktflow.residuals import PairRows, QuadRows, pair_values
 
 
@@ -555,6 +555,19 @@ def test_jt_validation():
     assert h.jt is not None
     with pytest.raises(ValueError):
         canonical_jt(_rand_spd(np.random.default_rng(0), 3))  # odd rank
+
+
+@pytest.mark.parametrize("z", [1e-12, 1e-9, 1.0, 1e6, 1e12])
+@pytest.mark.parametrize("token", ["A2", "E6"])
+def test_jt_compatibility_does_not_depend_on_the_scale(token, z):
+    # J^T G J = G is homogeneous in G, so scaling the metric by z keeps the verdict
+    g = _group(token, z=z)
+    gt = g.build().gt
+    assert g.build(jt=canonical_jt(gt)).jt is not None
+    # the standard jt is not compatible with A2's Killing metric (defect |G|), nor E6's
+    standard = np.kron(np.eye(len(gt) // 2), [[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="not compatible"):
+        g.build(jt=standard)
 
 
 def test_factor_spec_validation():
