@@ -16,7 +16,6 @@ import click
 import numpy as np
 
 from .curvature import is_cyt
-from .family import finite_positive
 from .flow import FlowConfig, integrate
 from .hermitian import (
     biinvariant_compatible,
@@ -30,6 +29,7 @@ from .roots import (
     Normalization,
     SimpleType,
     build_root_system,
+    check_count,
     killing_normalization_constant,
 )
 from .structure import structure_constants, verify_identities
@@ -77,16 +77,15 @@ def _parse_type(family: str, rank: int) -> SimpleType:
     return SimpleType(family.strip().upper(), rank)
 
 
-def _parse_vector(text: str, rank: int) -> np.ndarray:
+def _parse_vector(text: str, rank: int) -> list[float]:
+    """rank comma-separated floats; the flow's family guard refuses a bad start."""
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"cannot parse vector {text!r}; expected comma-separated floats")
     if len(vals) != rank:
         raise ValueError(f"expected {rank} comma-separated values, got {len(vals)}")
-    if not finite_positive(vals).all():
-        raise ValueError(f"values in {text!r} must be finite and positive")
-    return np.array(vals)
+    return vals
 
 
 @click.group()
@@ -245,8 +244,8 @@ def cmd_verify(types: str, cocycle_limit, seed: int):
     for option, name, value in (
         ("--cocycle-limit", "cocycle_limit", cocycle_limit), ("--seed", "seed", seed)
     ):
-        if value is not None and value < 0:
-            raise ValueError(f"{option}: {name} must be nonnegative, got {value}")
+        if value is not None:
+            check_count(value, f"{option}: {name}")
     tokens = [token.strip() for token in types.split(",") if token.strip()]
     if not tokens:
         raise ValueError(f"--types names no type, got {types!r}; expected e.g. A2,B3,G2")

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # grad_F stays a module attribute: perfbench/tracing.py wraps it.
-from .family import check_positive, grad_F  # noqa: F401
+from .family import grad_F  # noqa: F401
 from .forms import ChevalleyBasis, InvariantForm
 from .hermitian import HermitianStructure, d_star_omega, sigma_form, z_vector
+from .roots import check_positive, number_array
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class TorusVector:
     components: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.components, dtype=float)
+        v = number_array(self.components, what="torus vector")
         if v.ndim != 1:
             raise ValueError("torus vector must be one-dimensional")
         object.__setattr__(self, "components", v)
@@ -68,7 +69,7 @@ class CytReport:
 
 def is_cyt(h: HermitianStructure, tol: float = 1e-10) -> CytReport:
     """Whether the Bismut Ricci vector vanishes to within tol."""
-    check_positive(tol)
+    tol = check_positive(tol)
     rep = bismut_ricci(h)
     res = rep.vector.sup_norm
     return CytReport(verdict=res < tol, vector=rep.vector.components, residual=res, tol=tol)

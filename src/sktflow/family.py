@@ -4,7 +4,7 @@ its positivity guard, and the potential F whose gradient flow it carries.
 On a root system with positive-root coefficient matrix K, simple values s
 induce the fiber values v = 1 + K(s - 1). F = sum(v - log v) has gradient
 Kᵀ(1 - 1/v) and Hessian Kᵀ diag(1/v²) K, and is defined where every v is
-finite and positive. Inputs are converted here, once, as real float arrays.
+finite and positive. Simple values are read by roots.number_array.
 """
 
 from __future__ import annotations
@@ -14,56 +14,29 @@ from contextlib import suppress
 import numpy as np
 
 from .errors import ConsistencyError, PositivityError
-from .roots import FactorLayout, RootSystem
+from .roots import FactorLayout, RootSystem, check_count, check_positive, number_array
 
 # A non-finite induced value is refused by family_gradient's guard (or, from
 # family_values, returned), and a residual of huge fiber values is inf, so numpy
 # need not warn: the per-point functions and the scans run under np.errstate(**QUIET).
 QUIET = {"invalid": "ignore", "over": "ignore"}
 
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
-
-
-def real_array(values, size: int | None = None, what: str = "values") -> np.ndarray:
-    """values as a float array of real numbers, of shape (size,) if size is given.
-
-    Complex values are refused, as a float conversion would drop their
-    imaginary part, and so are bools and strings, which it would read as
-    numbers, the way the structure loader refuses them.
-    """
-    if np.iscomplexobj(values):
-        raise ValueError(f"values must be real, got complex {np.asarray(values).dtype}")
-    # a sequence is read element by element: asarray casts a bool among numbers
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if arr.dtype.kind in "bSU" or (
-        arr.dtype.kind == "O" and any(isinstance(v, _NOT_NUMBERS) for v in arr.flat)
-    ):
-        raise ValueError(f"values must be numbers, not bools or strings, got {values!r}")
-    arr = np.asarray(arr, dtype=float)
-    if size is not None and arr.shape != (size,):
-        raise ValueError(f"{what} must have length {size}, got shape {arr.shape}")
-    return arr
-
 
 def simple_array(rs: RootSystem, simple_values) -> np.ndarray:
     """simple_values as a real array with one entry per simple root of rs."""
-    return real_array(simple_values, rs.rank, f"{rs.stype} simple values")
+    return number_array(simple_values, rs.rank, f"{rs.stype} simple values")
 
 
-def finite_positive(values) -> np.ndarray:
-    """Elementwise test that values are finite and strictly positive; NaN fails."""
-    v = np.asarray(values, dtype=float)
-    return np.isfinite(v) & (v > 0)
-
-
-def check_positive(value, name: str = "tol") -> None:
-    """Refuse a scalar, named name, that is not finite and positive."""
-    if not finite_positive(value):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+def finite_positive(values: np.ndarray) -> np.ndarray:
+    """Elementwise test that float values are finite and strictly positive; NaN fails."""
+    return np.isfinite(values) & (values > 0)
 
 
 def family_bound(rs: RootSystem) -> float:
-    """Simple values at or above this make every induced fiber value positive."""
+    """(h - 1)/h, h the maximal root's height, within one ulp. At simple values all
+    (h - 1)/h the maximal root's induced value is 0 and every other one positive;
+    strictly above it every induced value is positive. At the float itself an
+    induced value may round to 0 or just below."""
     return 1.0 - 1.0 / rs.maximal_root.height
 
 
@@ -184,7 +157,7 @@ def hessian_F(rs: RootSystem, simple_values) -> np.ndarray:
 @np.errstate(**QUIET)
 def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Damped Newton minimizer of the potential over the positive family domain."""
-    check_positive(tol)
+    tol, max_iter = check_positive(tol), check_count(max_iter, "max_iter")
     x = np.ones(rs.rank) if x0 is None else simple_array(rs, x0).copy()
     v, g = family_gradient(rs, x)
     for _ in range(max_iter):

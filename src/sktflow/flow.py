@@ -19,11 +19,10 @@ import numpy as np
 
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
 from .family import (  # noqa: F401
-    QUIET, Violation, check_positive, family_gradient, family_values, grad_F, potential,
-    real_array,
+    QUIET, Violation, family_gradient, family_values, grad_F, potential,
 )
 from .hermitian import sqrt_and_inverse
-from .roots import FactorLayout
+from .roots import FactorLayout, check_count, check_positive, number_array
 
 F_RISE_TOL = 1e-10  # the most an accepted step may raise F; a larger rise halves it
 
@@ -45,7 +44,7 @@ class _Evaluator:
 @np.errstate(**QUIET)
 def _evaluate(systems, x):
     evaluate = _Evaluator(systems)
-    return evaluate(real_array(x, evaluate.layout.size, "state"), 0.0)
+    return evaluate(number_array(x, evaluate.layout.size, "state"), 0.0)
 
 
 def total_functional(systems, x) -> float:
@@ -69,8 +68,8 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     cross-check of the rearrangement used there.
     """
     layout = FactorLayout.of(systems)
-    x = real_array(x, layout.size, "state")
-    factor = layout.factor_index(factor)
+    x = number_array(x, layout.size, "state")
+    factor = check_count(factor, "factor index", len(layout.systems))
     rs = layout.systems[factor]
     vals = family_gradient(layout, x)[0][layout.row_slices[factor]]
     j = rs.index_of(root)
@@ -95,7 +94,7 @@ class FlowConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         # an infinite value would leave the stepping loop without a bound
         for name in ("h", "t_end", "tol", "eps_pos", "rel_tol", "min_step"):
-            check_positive(getattr(self, name), name)
+            setattr(self, name, check_positive(getattr(self, name), name))
         # rk4_fixed takes t_end / h steps, so an h below the step floor need never end
         if self.h < self.min_step:
             raise ValueError(f"h ({self.h!r}) must be at least min_step ({self.min_step!r})")
@@ -215,11 +214,9 @@ class Trajectory:
 
     @staticmethod
     def from_json(data: dict) -> "Trajectory":
+        columns = ("times", "states", "f_values", "grad_inf")
         return Trajectory(
-            times=np.asarray(data["times"], dtype=float),
-            states=np.asarray(data["states"], dtype=float),
-            f_values=np.asarray(data["f_values"], dtype=float),
-            grad_inf=np.asarray(data["grad_inf"], dtype=float),
+            **{name: number_array(data[name], what=name) for name in columns},
             termination=data.get("termination", "unknown"),
             metadata=dict(data.get("metadata", {})),
             stats=FlowStats(**data["stats"]) if "stats" in data else None,
@@ -309,7 +306,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
     wall_start = time.perf_counter()
     cfg = config or FlowConfig()
     evaluate = _Evaluator(systems)
-    x = real_array(x0, evaluate.layout.size, "state")
+    x = number_array(x0, evaluate.layout.size, "state")
     eps = cfg.eps_pos
     fixed = cfg.integrator == "rk4_fixed"
 
@@ -406,14 +403,14 @@ def gradient_flow_check(systems, x0, t_end: float = 1.0, h: float = 0.01) -> flo
     is the largest pointwise distance along the grid, which is bounded by the
     integrator error when the flow really is gradient-like.
     """
-    FlowConfig(t_end=t_end, h=h)  # refuses a t_end or h that is not finite and positive
+    cfg = FlowConfig(t_end=t_end, h=h)  # refuses a t_end or h that is not finite and positive
     evaluate = _Evaluator(systems)
     layout = evaluate.layout
-    x0 = real_array(x0, layout.size, "state")
+    x0 = number_array(x0, layout.size, "state")
     s, s_inv = sqrt_and_inverse(layout.gram_float)
 
-    nsteps = max(1, int(np.ceil(t_end / h)))
-    dt = t_end / nsteps
+    nsteps = max(1, int(np.ceil(cfg.t_end / cfg.h)))
+    dt = cfg.t_end / nsteps
 
     def f_x(state):
         return evaluate(state, 0.0)[0]

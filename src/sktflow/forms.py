@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteComponentError
-from .roots import FactorLayout, Root, RootSystem
+from .roots import FactorLayout, Root, RootSystem, number_array
 from .structure import StructureConstants
 
 BracketTerms = tuple[tuple[int, complex], ...]
@@ -267,13 +267,14 @@ class InvariantForm:
         comps = dict(components or {})
         _refuse_bad_key(comps, degree, basis.dim)
         keys = np.array(list(comps), dtype=np.int32).reshape(len(comps), degree)
-        self._hold(basis, degree, keys, np.array(list(comps.values()), dtype=complex))
+        values = number_array(list(comps.values()), what="components", dtype=complex)
+        self._hold(basis, degree, keys, values)
 
     @classmethod
     def from_arrays(cls, basis: ChevalleyBasis, degree: int, keys, values) -> "InvariantForm":
         """The form with copies of keys, an (n, degree) integer array, and n
         complex values, in order, checked as the dict constructor checks them."""
-        keys, values = np.asarray(keys), np.array(values, dtype=complex)
+        keys, values = np.asarray(keys), number_array(values, dtype=complex).copy()
         if values.ndim != 1 or keys.shape != (len(values), degree):
             raise ValueError(f"need (n, {degree}) keys for n values, got {keys.shape}, {values.shape}")
         dim = basis.dim

@@ -24,21 +24,22 @@ from .forms import (
     ChevalleyBasis, InvariantForm, computed_form, exterior_derivative, sort_sign, triple_sums,
     triple_terms,
 )
-from .family import (
-    QUIET, check_positive, family_gradient, finite_positive, real_array, simple_array,
-)
+from .family import QUIET, family_gradient, finite_positive, simple_array
 from .residuals import (
     PairRows, QuadRows, build_residual_tables, closed_form_scan, pair_rows, pair_values,
     quad_rows, quad_values, worst_row,
 )
-from .roots import FactorLayout, Normalization, Root, RootSystem, SimpleType, build_root_system
+from .roots import (
+    FactorLayout, Normalization, Root, RootSystem, SimpleType, build_root_system, check_count,
+    check_positive, number_array,
+)
 from .structure import StructureConstants, structure_constants
 
 
 @dataclass(frozen=True)
 class FactorSpec:
     """One simple factor: type, inner-product normalization (a Normalization
-    or its name), scale z."""
+    or its name), scale z, kept as a Python float."""
 
     stype: SimpleType
     normalization: Normalization = Normalization.LONG2
@@ -46,7 +47,7 @@ class FactorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "normalization", Normalization.parse(self.normalization))
-        check_positive(self.z, "factor scale z")
+        object.__setattr__(self, "z", check_positive(self.z, "factor scale z"))
 
 
 class GroupSpec:
@@ -87,8 +88,8 @@ class GroupSpec:
         return HermitianStructure(self, fiber=x, torus=torus, jt=jt)
 
 
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
+def _as_matrix(m, what: str) -> np.ndarray:
+    arr = number_array(m, what=what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -102,7 +103,7 @@ class TorusMetric:
     is_killing: bool = False
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix)
+        m = _as_matrix(self.matrix, "torus metric")
         object.__setattr__(self, "matrix", m)
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-10 * scale:
@@ -121,7 +122,7 @@ class TorusComplexStructure:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix)
+        m = _as_matrix(self.matrix, "jt")
         object.__setattr__(self, "matrix", m)
         if np.abs(m @ m + np.eye(m.shape[0])).max() > 1e-10:
             raise ValueError("torus complex structure must square to -identity")
@@ -136,7 +137,7 @@ class FiberMetric:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = [real_array(row) for row in self.values]
+        rows = [number_array(row, what="fiber values") for row in self.values]
         if any(row.ndim != 1 for row in rows):
             raise ValueError("fiber values must be one row of numbers per factor")
         _refuse_non_positive(rows, "fiber value")
@@ -214,7 +215,7 @@ class HermitianStructure:
         # that overflows or underflows is refused below, not warned about
         with np.errstate(over="ignore", under="ignore"):
             self.xhat = tuple(
-                spec.z * np.asarray(row, dtype=float)
+                spec.z * np.array(row)
                 for spec, row in zip(group.factors, fiber.values)
             )
         _refuse_non_positive(self.xhat, "effective fiber value z*x =")
@@ -230,14 +231,9 @@ class HermitianStructure:
                 raise ValueError("bare Root argument is ambiguous on a product; pass (factor, Root)")
             return 0, self.group.systems[0].index_of(arg)
         if isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], Root):
-            f = self.group.layout.factor_index(arg[0])
+            f = check_count(arg[0], "factor index", len(self.group.factors))
             return f, self.group.systems[f].index_of(arg[1])
-        v = np.asarray(arg, dtype=complex)
-        if v.shape != (self.group.total_rank,):
-            raise ValueError(
-                f"torus vector must have length {self.group.total_rank}, got shape {v.shape}"
-            )
-        return v
+        return number_array(arg, self.group.total_rank, "torus vector", complex)
 
 
 def _split_args(h: HermitianStructure, args):
@@ -395,9 +391,7 @@ def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
     k = rs.coefficient_matrix
     if weights is None:
         return k.sum(axis=0)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (rs.npositive,):
-        raise ValueError(f"{rs.stype} needs {rs.npositive} weights, got shape {w.shape}")
+    w = number_array(weights, rs.npositive, f"{rs.stype} weights")
     return (k / w[:, None]).sum(axis=0)
 
 
@@ -463,7 +457,7 @@ def is_pluriclosed(
     scans = {"closed_form": closed_form_scan, "brute_force": _brute_force_scan}
     if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}; expected closed_form or brute_force")
-    check_positive(tol)
+    tol = check_positive(tol)
     start = time.perf_counter()
     max_res, witness, skt1_max, skt2_max, checked = scans[mode](h)
     return PluriclosedReport(
@@ -515,7 +509,7 @@ class CompatibilityCone:
 
 def _jt_matrix(group: GroupSpec, jt) -> np.ndarray:
     """jt (a matrix or TorusComplexStructure) as an (r, r) array, r the total rank."""
-    j = _as_matrix(jt.matrix if isinstance(jt, TorusComplexStructure) else jt)
+    j = _as_matrix(jt.matrix if isinstance(jt, TorusComplexStructure) else jt, "jt")
     r = group.layout.size
     if j.shape != (r, r):
         raise ValueError(f"jt must be {r}x{r} for this group, got shape {j.shape}")
@@ -524,7 +518,7 @@ def _jt_matrix(group: GroupSpec, jt) -> np.ndarray:
 
 def biinvariant_compatible(group: GroupSpec, jt, tol: float = 1e-10) -> CompatibilityCone:
     """Which block scalings of the torus metric the given jt preserves."""
-    check_positive(tol)
+    tol = check_positive(tol)
     j = _jt_matrix(group, jt)
     layout = group.layout
     nfac = len(group.factors)
@@ -564,7 +558,7 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
     Such a set exists exactly when the coupling graph, a -> b when jt maps
     factor a's torus partly into factor b's, is not strongly connected.
     """
-    check_positive(tol)
+    tol = check_positive(tol)
     j = _jt_matrix(group, jt)
     slices = group.layout.slices
     reach = np.array([[np.abs(j[sb, sa]).max() > tol for sb in slices] for sa in slices])
@@ -583,8 +577,8 @@ def sqrt_and_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def canonical_jt(gt: np.ndarray) -> np.ndarray:
-    """A complex structure compatible with the given torus metric."""
-    g = _as_matrix(gt)
+    """A complex structure compatible with the given torus metric, checked by TorusMetric."""
+    g = TorusMetric(gt).matrix
     r = g.shape[0]
     if r % 2:
         raise ValueError(f"torus complex structures need even rank, got {r}")

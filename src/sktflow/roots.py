@@ -3,7 +3,9 @@
 Positive roots are stored as integer coefficient vectors over the simple
 roots and generated by Cartan-matrix closure; no Euclidean embedding is
 exposed. Inner products are exact rationals under a selectable
-normalization of the invariant bilinear form.
+normalization of the invariant bilinear form. Every number a caller hands
+the package is read here, once, where it is made: arrays by number_array,
+scalars by check_positive, counts and indices by check_count.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, nan
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +24,54 @@ from .errors import ConsistencyError, DynkinTypeError, RootStringError
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXACT_RANK = {"F": 4, "G": 2}
+
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+_REALS = (int, float, np.integer, np.floating)
+
+
+def number_array(values, size: int | None = None, what: str = "values", dtype=float) -> np.ndarray:
+    """values as an array of dtype, float or complex, of shape (size,) if size is given.
+
+    Bools and strings are refused, as the conversion would read them as
+    numbers, and for a float dtype complex values, as it would drop their
+    imaginary part: ValueError naming what.
+    """
+    if dtype is float and np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real, got complex {np.asarray(values).dtype}")
+    # a sequence is read element by element: asarray casts a bool among numbers
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.dtype.kind in "bSU" or (
+        arr.dtype.kind == "O" and any(isinstance(v, _NOT_NUMBERS) for v in arr.flat)
+    ):
+        raise ValueError(f"{what} must be numbers, not bools or strings, got {values!r}")
+    arr = np.asarray(arr, dtype=dtype)
+    if size is not None and arr.shape != (size,):
+        raise ValueError(f"{what} must have length {size}, got shape {arr.shape}")
+    return arr
+
+
+def check_positive(value, name: str = "tol") -> float:
+    """value, named name, as a Python float; ValueError unless it is one finite,
+    positive real number. Anything but a real scalar is read by number_array."""
+    if isinstance(value, _REALS) and not isinstance(value, bool):
+        x = float(value)
+    else:  # a 0-d array; a sequence is no single number, so it reads as NaN
+        arr = number_array(value, what=name)
+        x = float(arr) if arr.ndim == 0 else nan
+    if not 0.0 < x < inf:  # NaN fails
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return x
+
+
+def check_count(value, name: str, stop: int | None = None) -> int:
+    """value as an int, at least 0 and below stop if given; else ValueError, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if stop is not None and not 0 <= value < stop:
+        raise ValueError(f"{name} {value} out of range")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -493,14 +543,6 @@ class FactorLayout:
             return arg.layout
         return cls(arg)
 
-    def factor_index(self, factor) -> int:
-        """factor as an int, refusing a bool, a non-integer or an index out of range."""
-        if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)):
-            raise ValueError(f"factor index must be an integer, got {factor!r}")
-        if not 0 <= factor < len(self.systems):
-            raise ValueError(f"factor index {factor} out of range")
-        return int(factor)
-
     def locate(self, index: int, rows: bool = False) -> tuple[int, int]:
         """The factor owning a torus coordinate, or with rows a row of
         coefficient_matrix, and the index within that factor."""
@@ -525,7 +567,7 @@ class FactorLayout:
             )
         out = np.zeros((self.size, self.size))
         for f, (rs, sl, block) in enumerate(zip(self.systems, self.slices, blocks)):
-            block = np.asarray(block, dtype=float)
+            block = number_array(block, what=f"torus block {f}")
             if block.shape != (rs.rank, rs.rank):
                 raise ValueError(
                     f"torus block of factor {f} ({rs.stype}) must be"
@@ -614,17 +656,28 @@ def killing_normalization_constant(rs: RootSystem) -> Fraction:
     return _killing_constant(rs.gram_int, rs.gram_scale, rs.coefficient_matrix.astype(np.int64))
 
 
+def string_steps(rs: RootSystem, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(down, up) per pair of index arrays a, b into all_roots(): b + n a is a
+    root for -down <= n <= up. Raises ConsistencyError naming the first pair
+    whose down - up is not the Cartan integer 2<b, a> / <a, a>."""
+    n, g = rs.npositive, rs.inner_int
+    up, down = np.zeros(len(a), dtype=np.int64), np.zeros(len(a), dtype=np.int64)
+    for steps, step in ((up, rs.sum_index), (down, rs.diff_index)):
+        k = step[b, a]  # strings hold at most 4 roots
+        while (k >= 0).any():
+            steps += k >= 0
+            k = np.where(k >= 0, step[k, a], -1)
+    inner_ba = np.where((a < n) == (b < n), 1, -1) * g[b % n, a % n]
+    bad = np.flatnonzero((down - up) * g[a % n, a % n] != 2 * inner_ba)
+    if bad.size:
+        x, y = (rs.all_roots()[v[bad[0]]].label for v in (a, b))
+        raise ConsistencyError(f"string length mismatch for ({x}, {y})")
+    return down, up
+
+
 def root_string(rs: RootSystem, alpha: Root, beta: Root) -> RootString:
     """The maximal progression beta + n*alpha inside the root set, p <= n <= q."""
     if beta.coeffs == alpha.coeffs or beta.coeffs == (-alpha).coeffs:
         raise RootStringError(f"string through {beta.label} along {alpha.label} is undefined")
-    i, j = rs.index_of(alpha), rs.index_of(beta)
-    q, k = 0, rs.sum_index[j, i]
-    while k >= 0:
-        q, k = q + 1, rs.sum_index[k, i]
-    down, k = 0, rs.diff_index[j, i]
-    while k >= 0:
-        down, k = down + 1, rs.diff_index[k, i]
-    if (down - q) * rs.inner_at(i, i) != 2 * rs.inner_at(j, i):
-        raise ConsistencyError(f"string length mismatch for ({alpha.label}, {beta.label})")
-    return RootString(p=-down, q=q)
+    (down,), (up,) = string_steps(rs, np.array([rs.index_of(alpha)]), np.array([rs.index_of(beta)]))
+    return RootString(p=-int(down), q=int(up))

@@ -19,7 +19,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from .errors import ConsistencyError
-from .roots import RootSystem
+from .roots import RootSystem, check_count, string_steps
 from .surd import Surd, squarefree_split
 
 _ZERO = Surd.of(0)
@@ -164,21 +164,10 @@ def _string_squares(rs: RootSystem) -> np.ndarray:
 
 
 def _count_string_squares(rs: RootSystem) -> np.ndarray:
-    g = rs.inner_int
-    inner = np.block([[g, -g], [-g, g]])  # all roots by index, in units of gram_scale
     a, b = np.nonzero(rs.sum_index >= 0)
-    up, down = np.zeros(len(a), dtype=np.int64), np.zeros(len(a), dtype=np.int64)
-    for steps, step in ((up, rs.sum_index), (down, rs.diff_index)):
-        k = step[b, a]  # strings hold at most 4 roots
-        while (k >= 0).any():
-            steps += k >= 0
-            k = np.where(k >= 0, step[k, a], -1)
-    bad = np.nonzero((down - up) * inner[a, a] != 2 * inner[b, a])[0]
-    if len(bad):
-        x, y = (rs.all_roots()[v[bad[0]]].label for v in (a, b))
-        raise ConsistencyError(f"string length mismatch for ({x}, {y})")
-    out = np.zeros_like(inner)
-    out[a, b] = up * (1 + down) * inner[a, a]
+    down, up = string_steps(rs, a, b)
+    out = np.zeros_like(rs.sum_index, dtype=rs.inner_int.dtype)
+    out[a, b] = up * (1 + down) * np.diag(rs.inner_int)[a % rs.npositive]
     return out
 
 
@@ -276,14 +265,6 @@ class IdentityReport:
         return self.failure_count == 0
 
 
-def _check_nonnegative_int(name: str, value) -> None:
-    """Refuse with ValueError a value that is not a nonnegative int; a bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 def verify_identities(
     rs: RootSystem,
     sc: StructureConstants,
@@ -305,8 +286,8 @@ def verify_identities(
     call costs its checks alone.
     """
     if cocycle_limit is not None:
-        _check_nonnegative_int("cocycle_limit", cocycle_limit)
-    _check_nonnegative_int("seed", seed)
+        check_count(cocycle_limit, "cocycle_limit")
+    check_count(seed, "seed")
     if sc.system.stype != rs.stype:
         raise ValueError(
             f"structure constants of {sc.system.stype} cannot be checked against {rs.stype}"
