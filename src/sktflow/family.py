@@ -160,9 +160,11 @@ def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 
     tol, max_iter = check_positive(tol), check_count(max_iter, "max_iter")
     x = np.ones(rs.rank) if x0 is None else simple_array(rs, x0).copy()
     v, g = family_gradient(rs, x)
-    for _ in range(max_iter):
-        if np.abs(g).max() < tol:
-            return x
+    steps = 0
+    while not np.abs(g).max() < tol:  # tested before the first step and after the last
+        if steps == max_iter:
+            raise ConsistencyError(f"Newton did not reach tolerance {tol} in {max_iter} iterations")
+        steps += 1
         step = np.linalg.solve(_hessian(rs, v), -g)
         f0 = potential(v)
         t = 1.0
@@ -176,4 +178,4 @@ def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 
         else:
             raise ConsistencyError("backtracking line search stalled")
         x, v, g = cand, v_c, g_c
-    raise ConsistencyError(f"Newton did not reach tolerance {tol} in {max_iter} iterations")
+    return x

@@ -242,6 +242,8 @@ def _rk4(f, x, h, k1):
     return (k1 + (k2 + k2) + (k3 + k3) + k4) * (h / 6.0) + x
 
 
+# The Fehlberg tableau (NASA TR R-315, 1969): stage rows, then the 4th- and
+# 5th-order weights. _rkf45 writes it out; the tests check it against these rows.
 _RKF_K = (
     (0.25,),
     (3 / 32, 9 / 32),
@@ -253,25 +255,49 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-def _combine(coefs, ks):
-    """sum(c * k for c, k in zip(coefs, ks)), bit for bit for finite k, in fewer ops: it
-    starts from the first term, not 0, and skips c = 0.0, as 0 + a and a + 0.0 * k are a."""
-    first, *rest = (k * c for c, k in zip(coefs, ks) if c)
-    return sum(rest, first)
-
-
 def _rkf45(f, x, h, k1):
     """One Runge-Kutta-Fehlberg step given k1 = f(x): the 5th-order point and its error.
 
-    Stages and points are formed as _combine(...) * h + x, the bits of
-    x + h * _combine(...) with an array-array add.
+    The tableau written out on the state's Python floats. Each stage input,
+    x4 and x5 is one comprehension (k1*c1 + k2*c2 + ...) * h + x, summed left
+    to right from the first nonzero term, zero terms skipped; each k is read
+    once with tolist(), and a, b, c, d, e, g are the entries of k1 to k6.
+    Python float * and + are the correctly rounded IEEE operations of numpy's
+    elementwise ufuncs, so these are the bits of x + h * sum(c * k) in numpy,
+    at a fraction of its calls on a small state; the evaluations stay in
+    numpy. err is max|x5 - x4|, NaN when any entry is.
     """
-    ks = [k1]
-    for row in _RKF_K:
-        ks.append(f(_combine(row, ks) * h + x))
-    x4 = _combine(_RKF_B4, ks) * h + x
-    x5 = _combine(_RKF_B5, ks) * h + x
-    return x5, float(np.maximum.reduce(np.abs(x5 - x4)))
+    xs, k1 = x.tolist(), k1.tolist()
+    k2 = f(np.array([a * 0.25 * h + y for a, y in zip(k1, xs)])).tolist()
+    k3 = f(np.array([
+        (a * (3 / 32) + b * (9 / 32)) * h + y
+        for a, b, y in zip(k1, k2, xs)
+    ])).tolist()
+    k4 = f(np.array([
+        (a * (1932 / 2197) + b * (-7200 / 2197) + c * (7296 / 2197)) * h + y
+        for a, b, c, y in zip(k1, k2, k3, xs)
+    ])).tolist()
+    k5 = f(np.array([
+        (a * (439 / 216) + b * -8.0 + c * (3680 / 513) + d * (-845 / 4104)) * h + y
+        for a, b, c, d, y in zip(k1, k2, k3, k4, xs)
+    ])).tolist()
+    k6 = f(np.array([
+        (a * (-8 / 27) + b * 2.0 + c * (-3544 / 2565) + d * (1859 / 4104)
+         + e * (-11 / 40)) * h + y
+        for a, b, c, d, e, y in zip(k1, k2, k3, k4, k5, xs)
+    ])).tolist()
+    x4 = [
+        (a * (25 / 216) + c * (1408 / 2565) + d * (2197 / 4104) + e * (-1 / 5)) * h + y
+        for a, c, d, e, y in zip(k1, k3, k4, k5, xs)
+    ]
+    x5 = [
+        (a * (16 / 135) + c * (6656 / 12825) + d * (28561 / 56430) + e * (-9 / 50)
+         + g * (2 / 55)) * h + y
+        for a, c, d, e, g, y in zip(k1, k3, k4, k5, k6, xs)
+    ]
+    diffs = [abs(p - q) for p, q in zip(x5, x4)]
+    total = sum(diffs)  # NaN exactly when some entry is; max passes over a NaN not first
+    return np.array(x5), max(diffs) if total == total else total
 
 
 def _within(values, tol) -> bool:

@@ -89,11 +89,14 @@ class GroupSpec:
 
 
 def _as_matrix(m, what: str) -> np.ndarray:
-    arr = number_array(m, what=what)
+    """m as a finite square float matrix: a read-only copy, so that a caller who
+    changes their array afterwards cannot undo the checks made on it."""
+    arr = number_array(m, what=what).copy()
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
+    arr.flags.writeable = False
     return arr
 
 

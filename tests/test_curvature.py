@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sktflow.family as family_module
 from conftest import system
 from sktflow import (
     ConsistencyError,
@@ -146,6 +147,31 @@ def test_critical_point_default_start_and_max_iter():
     assert np.abs(xs - 1).max() < 1e-10
     with pytest.raises(ConsistencyError):
         critical_point(rs, (3.0, 3.0), max_iter=1)
+
+
+@pytest.mark.parametrize("token", ["A2", "G2", "F4"])
+def test_critical_point_tests_convergence_before_the_first_step(token):
+    rs = system(token)
+    ones = np.ones(rs.rank)
+    assert critical_point(rs, ones, max_iter=0).tolist() == ones.tolist()
+    assert critical_point(rs, max_iter=0).tolist() == ones.tolist()
+    with pytest.raises(ConsistencyError, match="in 0 iterations"):
+        critical_point(rs, np.full(rs.rank, 1.5), max_iter=0)
+
+
+def test_critical_point_tests_convergence_after_the_last_step(monkeypatch):
+    rs = system("A2")
+    x0 = (1.2, 1.3)
+    steps = []  # one Hessian solve per Newton step
+    hessian = family_module._hessian
+    monkeypatch.setattr(family_module, "_hessian", lambda *a: steps.append(1) or hessian(*a))
+    xs = critical_point(rs, x0)
+    n = len(steps)
+    assert n > 1 and np.abs(xs - 1).max() < 1e-10
+    # exactly n steps are allowed: the point they reach is tested
+    assert critical_point(rs, x0, max_iter=n).tolist() == xs.tolist()
+    with pytest.raises(ConsistencyError, match=f"in {n - 1} iterations"):
+        critical_point(rs, x0, max_iter=n - 1)
 
 
 def test_bismut_nonzero_off_identity():

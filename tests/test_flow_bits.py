@@ -2,9 +2,9 @@
 
 `family_gradient` computes v and g with `ndarray.dot` and a 0-d array
 operand 1.0, with the formula for v that `family_values` shares, and guards
-v with `family._admissible` (v read at argmin and argmax); `flow._combine` forms an RKF45 stage from the nonzero tableau terms
-only, as `k * c`; `flow._rk4` and `flow._rkf45` form each stage and step as
-`k * c + x`, and `_rk4` doubles with `k + k`; `family.potential` sums
+v with `family._admissible` (v read at argmin and argmax); `flow._rk4` forms
+each stage and step as `k * c + x` and doubles with `k + k`; `flow._rkf45`
+forms them on Python floats from the nonzero tableau terms only; `family.potential` sums
 with `np.add.reduce`; and
 `flow._within` runs the convergence test's first clause on Python floats.
 These tests pin that each gives the bits of the plain formula it replaces,
@@ -30,7 +30,7 @@ from sktflow import (
     pluriclosed_family,
 )
 from sktflow.family import Violation as _Violation, _admissible, family_gradient, potential
-from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _combine, _rk4, _rkf45, _within
+from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _rk4, _rkf45, _within
 
 CATALOG = (
     [f"A{k}" for k in range(1, 9)]
@@ -123,16 +123,6 @@ def test_guard_refuses_a_non_finite_value(token, factor, bad):
 
 
 # ---------------------------------------------------------------- the RKF45 sums
-
-
-@pytest.mark.parametrize("coefs", [*_RKF_K, _RKF_B4, _RKF_B5])
-def test_rkf_combination_is_the_plain_sum_bit_for_bit(coefs):
-    rng = np.random.default_rng(len(coefs))
-    for n in (2, 4, 8):
-        for scale in (1e-6, 1.0, 1e3):
-            ks = list(scale * rng.standard_normal((len(coefs), n)))
-            plain = sum(c * k for c, k in zip(coefs, ks))
-            assert _combine(coefs, ks).tobytes() == plain.tobytes()
 
 
 def _vectors(rng, count, n, scale):

@@ -557,6 +557,23 @@ def test_jt_validation():
         canonical_jt(_rand_spd(np.random.default_rng(0), 3))  # odd rank
 
 
+def test_torus_metric_and_jt_keep_a_read_only_copy_of_the_caller_array():
+    g = _group("A2")
+    m = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    j = canonical_jt(m)
+    j_before = j.copy()
+    h = g.build(torus=m)
+    hj = g.build(torus=m, jt=j)
+    m[0, 1] = 50.0  # would make the metric asymmetric
+    j[0, 0] = 5.0  # would break J^2 = -1
+    for built in (h, hj):
+        assert built.gt.tolist() == [[2.0, -1.0], [-1.0, 2.0]]
+    assert np.array_equal(hj.jt.matrix, j_before)
+    for matrix in (h.gt, hj.gt, hj.jt.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 7.0
+
+
 @pytest.mark.parametrize("z", [1e-12, 1e-9, 1.0, 1e6, 1e12])
 @pytest.mark.parametrize("token", ["A2", "E6"])
 def test_jt_compatibility_does_not_depend_on_the_scale(token, z):
