@@ -179,3 +179,11 @@ def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 
             raise ConsistencyError("backtracking line search stalled")
         x, v, g = cand, v_c, g_c
     return x
+
+
+def sqrt_and_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric square root of a positive-definite g, and its inverse."""
+    w, v = np.linalg.eigh(g)
+    if w.min() <= 0:
+        raise ValueError("torus metric must be positive definite")
+    return v @ np.diag(np.sqrt(w)) @ v.T, v @ np.diag(1.0 / np.sqrt(w)) @ v.T

@@ -19,9 +19,8 @@ import numpy as np
 
 # family_values, grad_F and rhs stay module attributes: perfbench/tracing.py wraps them.
 from .family import (  # noqa: F401
-    QUIET, Violation, family_gradient, family_values, grad_F, potential,
+    QUIET, Violation, family_gradient, family_values, grad_F, potential, sqrt_and_inverse,
 )
-from .hermitian import sqrt_and_inverse
 from .roots import FactorLayout, check_count, check_positive, number_array
 
 F_RISE_TOL = 1e-10  # the most an accepted step may raise F; a larger rise halves it
@@ -409,11 +408,7 @@ def integrate(systems, x0, config: FlowConfig | None = None) -> Trajectory:
         "systems": " x ".join(
             f"{rs.stype}[{rs.normalization.value}]" for rs in evaluate.layout.systems
         ),
-        "integrator": cfg.integrator,
-        "h": repr(cfg.h),
-        "t_end": repr(cfg.t_end),
-        "tol": repr(cfg.tol),
-        "eps_pos": repr(cfg.eps_pos),
+        **{name: v if isinstance(v, str) else repr(v) for name, v in asdict(cfg).items()},
     }
     times, states, f_values, grads = (np.array(column) for column in zip(*rows))
     grad_inf = np.abs(grads).max(axis=1)

@@ -24,7 +24,7 @@ from .forms import (
     ChevalleyBasis, InvariantForm, computed_form, exterior_derivative, sort_sign, triple_sums,
     triple_terms,
 )
-from .family import QUIET, family_gradient, finite_positive, simple_array
+from .family import QUIET, family_gradient, finite_positive, simple_array, sqrt_and_inverse
 from .residuals import (
     PairRows, QuadRows, build_residual_tables, closed_form_scan, pair_rows, pair_values,
     quad_rows, quad_values, worst_row,
@@ -569,14 +569,6 @@ def is_irreducible(group: GroupSpec, jt, tol: float = 1e-12) -> bool:
     for k in range(len(slices)):  # transitive closure (Warshall)
         reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
     return bool(reach.all())
-
-
-def sqrt_and_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric square root of a positive-definite g, and its inverse."""
-    w, v = np.linalg.eigh(g)
-    if w.min() <= 0:
-        raise ValueError("torus metric must be positive definite")
-    return v @ np.diag(np.sqrt(w)) @ v.T, v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
 def canonical_jt(gt: np.ndarray) -> np.ndarray:

@@ -1,0 +1,65 @@
+"""Dynkin diagram automorphisms permute the flow.
+
+An automorphism of the Dynkin diagram permutes the simple roots and keeps
+the Cartan matrix, so it permutes the positive roots, their coefficient
+matrix and the potential F with them. The flow commutes with it: the
+velocity at permuted simple values is the permuted velocity, and a run from
+a permuted start is the permuted run, up to rounding, which takes the same
+steps and stops for the same reason.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import system
+from sktflow import FlowConfig, family_bound, integrate, rhs
+
+# perm[i] is the simple root that simple root i goes to (Bourbaki labels, from 0)
+AUTOMORPHISMS = {
+    "A3": [2, 1, 0],
+    "A4": [3, 2, 1, 0],
+    "D4": [2, 1, 3, 0],  # triality: the three outer nodes in a cycle
+    "D5": [0, 1, 2, 4, 3],
+    "E6": [5, 1, 4, 3, 2, 0],
+}
+
+
+def _permuted(x, perm):
+    """The simple values that read x[i] at simple root perm[i]."""
+    y = np.empty_like(x)
+    y[perm] = x
+    return y
+
+
+def _starts(rs, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(family_bound(rs) + 0.05, 2.5, rs.rank) for _ in range(3)]
+
+
+@pytest.mark.parametrize("token", sorted(AUTOMORPHISMS))
+def test_the_automorphism_keeps_the_cartan_matrix(token):
+    gram, perm = system(token).gram_int, AUTOMORPHISMS[token]
+    assert sorted(perm) == list(range(len(gram))) and perm != sorted(perm)
+    assert np.array_equal(gram[np.ix_(perm, perm)], gram)
+
+
+@pytest.mark.parametrize("token", sorted(AUTOMORPHISMS))
+def test_rhs_at_permuted_values_is_the_permuted_rhs(token):
+    rs, perm = system(token), AUTOMORPHISMS[token]
+    for x in _starts(rs, seed=1):
+        want = _permuted(rhs(rs, x), perm)
+        assert np.abs(rhs(rs, _permuted(x, perm)) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("integrator", ["rk4_fixed", "rkf45"])
+@pytest.mark.parametrize("token", sorted(AUTOMORPHISMS))
+def test_a_run_from_a_permuted_start_is_the_permuted_run(token, integrator):
+    rs, perm = system(token), AUTOMORPHISMS[token]
+    cfg = FlowConfig(integrator=integrator, t_end=50.0)
+    for x in _starts(rs, seed=2):
+        run = integrate(rs, x, cfg)
+        image = integrate(rs, _permuted(x, perm), cfg)
+        assert image.termination == run.termination
+        assert image.stats.accepted == run.stats.accepted
+        want = _permuted(run.states.T, perm).T
+        assert np.abs(image.states - want).max() <= 1e-8

@@ -216,6 +216,20 @@ def test_stats_round_trip_csv_and_json(tmp_path):
     assert Trajectory.from_json(data).stats == traj.stats
 
 
+def test_metadata_keeps_every_flow_setting_through_csv_and_json(tmp_path):
+    cfg = FlowConfig(integrator="rkf45", t_end=0.5, rel_tol=1e-4, min_step=1e-6)
+    traj = integrate(system("A2"), (1.5, 1.2), cfg)
+    assert traj.metadata == {
+        "systems": "A2[long2]", "integrator": "rkf45", "h": "0.01", "t_end": "0.5",
+        "tol": "1e-08", "eps_pos": "1e-08", "rel_tol": "0.0001", "min_step": "1e-06",
+    }
+    path = tmp_path / "t.csv"
+    traj.to_csv(path)
+    assert Trajectory.from_csv(path).metadata == traj.metadata
+    data = json.loads(json.dumps(traj.to_json()))
+    assert Trajectory.from_json(data).metadata == traj.metadata
+
+
 def test_trajectory_without_stats_round_trips():
     traj = integrate(system("A2"), (2.0, 1.3), FlowConfig(t_end=0.1))
     traj.stats = None

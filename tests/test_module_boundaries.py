@@ -1,7 +1,9 @@
 """Module boundaries of the package, checked on its source.
 
 No module of `sktflow` imports another module's underscore name: a name a
-module keeps private can change without its importers noticing. And every
+module keeps private can change without its importers noticing. The flow
+sits on the family layer alone: `flow.py` imports nothing from the form,
+residual, structure-constant or Hermitian layers. And every
 module attribute `perfbench/tracing.py` wraps for a traced benchmark run
 exists, or every traced run stops with AttributeError.
 """
@@ -36,6 +38,31 @@ def _private_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _package_modules(source: str) -> set[str]:
+    """The modules of the package that source imports from, by name;
+    "sktflow" for the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif node.level:
+            modules = ([f"sktflow.{node.module}"] if node.module
+                       else [f"sktflow.{alias.name}" for alias in node.names])
+        else:
+            modules = [node.module or ""]
+        names.update(m.split(".")[1] if "." in m else m
+                     for m in modules if m.split(".")[0] == "sktflow")
+    return names
+
+
+def test_flow_imports_nothing_above_the_family_layer():
+    imported = _package_modules((PACKAGE / "flow.py").read_text(encoding="utf-8"))
+    assert "family" in imported
+    assert imported.isdisjoint({"sktflow", "hermitian", "forms", "residuals", "structure"})
 
 
 def _attributes(modules):
