@@ -145,14 +145,22 @@ def cmd_check(path: str, tol: float, mode: str):
     """Check a structure file: pluriclosed, Kähler flag, CYT."""
     h = load_structure(path)
     rep = is_pluriclosed(h, mode=mode, tol=tol)
-    click.echo(f"pluriclosed: {str(rep.verdict).lower()}   (mode {rep.mode}, tol {_fmt(rep.tol)})")
-    click.echo(f"max residual: {_fmt(rep.max_residual)}")
+    click.echo(
+        f"pluriclosed: {str(rep.verdict).lower()}   "
+        f"(mode {rep.mode}, tol {_fmt(rep.tol)}, scale {_fmt(rep.scale)})"
+    )
+    click.echo(
+        f"max residual: {_fmt(rep.max_residual)}   relative {_fmt(rep.max_residual / rep.scale)}"
+    )
     if rep.witness is not None:
         click.echo(f"worst witness: {rep.witness}")
     click.echo(f"skt1 max: {_fmt(rep.skt1_max)}   skt2 max: {_fmt(rep.skt2_max)}")
     unit = "residual rows" if rep.mode == "closed_form" else "nonzero dd^c components"
     click.echo(f"checked: {rep.checked} {unit} in {_ms(rep.elapsed_s)}")
-    click.echo(f"kahler flag residual: {_fmt(kahler_flag_residual(h))}")
+    click.echo(
+        f"kahler flag residual: {_fmt(kahler_flag_residual(h))}"
+        f"   relative {_fmt(kahler_flag_residual(h, relative=True))}"
+    )
     cyt = is_cyt(h)
     click.echo(
         f"cyt: {str(cyt.verdict).lower()}   bismut vector {_vec(cyt.vector)}"

@@ -48,13 +48,19 @@ def _index_type(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0))
 
 
-class TripleTable(NamedTuple):
-    """The metric-free part of d^c omega on one factor's root triples
-    (eta, theta, -xi) and (-eta, -theta, xi), eta + theta = xi, interleaved
-    per sum and each sorted by basis element: the keys, then triple_terms'
-    fiber positions, -1j * sign factors and d^c coefficients."""
+class DcTable(NamedTuple):
+    """The metric-free part of d^c omega, in dc_form's component order: per
+    factor, each positive root's torus components (root, then torus
+    coordinate), then its root triples (eta, theta, -xi) and (-eta, -theta,
+    xi), eta + theta = xi, interleaved per sum and each sorted by basis
+    element. keys lists every torus candidate (a, e, e + 1), with torus their
+    positions in the row-major order of g_T k over the stacked positive
+    roots; triple holds the triple rows' positions, with triple_terms'
+    stacked fiber positions, -1j * sign factors and d^c coefficients."""
 
-    elems: np.ndarray
+    keys: np.ndarray  # int32, (candidates, 3)
+    torus: np.ndarray
+    triple: np.ndarray
     fiber: np.ndarray
     ysign: np.ndarray
     dc_coef: np.ndarray
@@ -73,7 +79,7 @@ class ChevalleyBasis:
     bracket() and nonzero_brackets() and the descriptors are built from
     them on first use. The basis also keeps what depends on it alone:
     exterior_derivative's plans, at most _PLANS_PER_DEGREE per degree, and
-    dc_form's triple tables.
+    dc_form's table.
     """
 
     def __init__(self, factors: list[tuple[RootSystem, StructureConstants]]):
@@ -109,19 +115,29 @@ class ChevalleyBasis:
         return values, index[: len(c)], index[len(c) :]
 
     @cached_property
-    def triple_tables(self) -> tuple[TripleTable, ...]:
-        """dc_form's triple table of each factor."""
-        out = []
-        for f, (rs, sc) in enumerate(self.factors):
+    def dc_table(self) -> DcTable:
+        """dc_form's table."""
+        r = self.layout.size
+        keys, parts = [], []
+        for f, ((rs, sc), rows) in enumerate(zip(self.factors, self.layout.row_slices)):
             n = rs.npositive
+            e = np.repeat(self.element_index(f, np.arange(n)), r)
+            keys.append(np.stack([np.tile(np.arange(r), n), e, e + 1], axis=1))
             eta, theta, xi = rs.positive_sums()
             rts = np.stack([eta, theta, n + xi, n + eta, n + theta, xi], axis=1).reshape(-1, 3)
             elems = self.element_index(f, rts)
             order = np.argsort(elems, axis=1)
-            rts = np.take_along_axis(rts, order, axis=1)
-            fiber, ysign, _, dc_coef = triple_terms(rs, sc, rts)
-            out.append(TripleTable(np.take_along_axis(elems, order, axis=1), fiber, ysign, dc_coef))
-        return tuple(out)
+            keys.append(np.take_along_axis(elems, order, axis=1))
+            fiber, ysign, _, dc_coef = triple_terms(rs, sc, np.take_along_axis(rts, order, axis=1))
+            parts.append((rows.start + fiber, ysign, dc_coef))
+        sizes = np.array([len(k) for k in keys])
+        at = [np.arange(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+        return DcTable(
+            np.concatenate(keys).astype(np.int32),
+            np.concatenate(at[0::2]),
+            np.concatenate(at[1::2]),
+            *(np.concatenate(col) for col in zip(*parts)),
+        )
 
     def derivative_plan(self, keys: np.ndarray) -> DerivativePlan:
         """exterior_derivative's plan for keys, the (n, degree) int32 keys of
@@ -388,9 +404,10 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
     # block at a time keeps the products' buffer small
     for start in range(0, len(src), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
+        c, at = np.take(values, coef[rows]), src[rows]
         for part, total in ((vals.real, re), (vals.imag, im)):
-            prod = np.take(part, src[rows])
-            prod *= np.take(values, coef[rows])
+            prod = np.take(part, at)
+            prod *= c
             np.add.at(total, slot[rows], prod)
     live = (re != 0) | (im != 0)
     value = np.empty(np.count_nonzero(live), dtype=complex)

@@ -84,6 +84,12 @@ class GroupSpec:
     def residual_tables(self) -> tuple[PairRows, QuadRows]:
         return build_residual_tables(self)
 
+    @cached_property
+    def row_labels(self) -> tuple[tuple[int, str], ...]:
+        """The factor and the label of each stacked positive root, as scan
+        witnesses name them."""
+        return tuple((f, root.label) for f, rs in enumerate(self.systems) for root in rs.positives)
+
     def build(self, x=None, torus="killing", jt=None) -> "HermitianStructure":
         return HermitianStructure(self, fiber=x, torus=torus, jt=jt)
 
@@ -226,6 +232,15 @@ class HermitianStructure:
         self.gt = self.torus.matrix
         self.q_full = group.q_full
 
+    @cached_property
+    def scale(self) -> float:
+        """The size of u = (fiber values, torus metric): the largest effective
+        fiber value or, if larger, the largest |entry| of the torus metric over
+        the largest |entry| of the layout's gram matrix. Every dd^c residual is
+        linear in u, and the bi-invariant metric at z has scale z."""
+        fiber = max(float(row.max()) for row in self.xhat)
+        return max(fiber, float(np.abs(self.gt).max() / np.abs(self.q_full).max()))
+
     def parse_argument(self, arg):
         """Root (single factor) or (factor, Root) as (factor, index in all_roots()),
         or a torus vector over H_a as a complex array."""
@@ -332,22 +347,23 @@ def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> In
 
 
 def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
-    """The 3-form d^c of the fundamental form, assembled componentwise: per
-    factor the torus components of each root, root then torus coordinate,
-    then its triple components, from the basis' triple table."""
+    """The 3-form d^c of the fundamental form, assembled componentwise from
+    the basis' dc_table: per factor the torus components of each root, root
+    then torus coordinate, then its triple components."""
     basis = basis or h.group.basis
-    keys, vals = [], []
-    for f, roots in enumerate(h.group.roots):
-        # one product per root: a stacked product differs in the last bit
-        gk = np.array([h.gt @ k for k in roots]).reshape(len(roots), h.group.total_rank)
-        t, a = np.nonzero(gk)
-        e = basis.element_index(f, t)
-        table = basis.triple_tables[f]
-        keys += [np.stack([a, e, e + 1], axis=1), table.elems]
-        vals += [-gk[t, a], table.dc_coef * triple_sums(table.fiber, table.ysign, h.xhat[f])]
-    return computed_form(
-        basis, 3, np.concatenate(keys).astype(np.int32), np.concatenate(vals).astype(complex)
+    table = basis.dc_table
+    # g_T @ k for every root in one batched matmul, each row with the bits of
+    # its own product (a 2-D product differs in the last bit)
+    gk = np.matmul(h.gt, h.group.layout.coefficient_matrix[:, :, None])[:, :, 0]
+    vals = np.empty(len(table.keys), dtype=complex)
+    vals[table.torus] = -gk.ravel()
+    vals[table.triple] = table.dc_coef * triple_sums(
+        table.fiber, table.ysign, np.concatenate(h.xhat)
     )
+    # a torus component is kept where g_T k is nonzero, every triple component
+    keep = vals != 0
+    keep[table.triple] = True
+    return computed_form(basis, 3, table.keys[keep], vals[keep])
 
 
 def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) -> InvariantForm:
@@ -372,7 +388,8 @@ def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     # pairing[m]: the invariant form of basis element m against x
     pairing = np.zeros(basis.dim, dtype=complex)
     if isinstance(parsed, np.ndarray):
-        pairing[: h.group.total_rank] = [row @ parsed for row in h.q_full]
+        # row @ x per row in one batched matmul, with the bits of the loop
+        pairing[: h.group.total_rank] = np.matmul(h.q_full[:, None, :], parsed)[:, 0]
     else:
         f, i = parsed
         pairing[basis.element_index(f, h.group.systems[f].neg_index[i])] = 1
@@ -405,8 +422,9 @@ def d_star_omega(h: HermitianStructure) -> np.ndarray:
 
 @dataclass
 class PluriclosedReport:
-    """A scan's verdict. checked counts the residual rows scanned in closed
-    form, or the nonzero dd^c components in brute force."""
+    """A scan's verdict: max_residual < tol * scale, with the residuals
+    absolute and scale the structure's. checked counts the residual rows
+    scanned in closed form, or the nonzero dd^c components in brute force."""
 
     verdict: bool
     max_residual: float
@@ -415,6 +433,7 @@ class PluriclosedReport:
     skt2_max: float
     mode: str
     tol: float
+    scale: float
     checked: int
     elapsed_s: float = field(compare=False)
 
@@ -440,37 +459,56 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
         names = ", ".join(basis.element_names[i] for i in exc.key)
         form = "d^c" if len(exc.key) == 3 else "dd^c"
         return np.inf, f"non-finite {form} component ({names})", np.inf, np.inf, 0
+    r = np.abs(values) / 2.0  # finite values, so no NaN
     pair = basis.pair_array[keys]
-    r = np.abs(values) / 2.0
-    skt1 = (pair[:, 0] >= 0) & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
-    skt2 = (pair[:, 0] >= 0) & ~skt1
+    fiber = pair[:, 0] >= 0
+    skt1 = fiber & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
     best, row = worst_row(r)
     witness = None
     if row >= 0:
         key = tuple(keys[row].tolist())
         names = ", ".join(basis.element_names[i] for i in key)
         witness = f"{_bucket(basis, key)} ({names})"
-    return best, witness, worst_row(r[skt1])[0], worst_row(r[skt2])[0], len(values)
+    skt1_max, skt2_max = (float(r.max(where=m, initial=0.0)) for m in (skt1, fiber ^ skt1))
+    return best, witness, skt1_max, skt2_max, len(values)
+
+
+# The largest structure scale the scans run at. Every value either scan
+# forms, partial sums included, is at most a few hundred times the scale
+# (612 on E8, the most over the catalog types and normalizations), so at or
+# below 2^-40 of the largest float none overflows. Above it both scans
+# report inf.
+SCAN_RANGE = 2.0**984
 
 
 def is_pluriclosed(
     h: HermitianStructure, mode: str = "closed_form", tol: float = 1e-8
 ) -> PluriclosedReport:
-    """Scan dd^c of the fundamental form and report the worst component / 2."""
+    """Scan dd^c of the fundamental form and report the worst component / 2.
+
+    The verdict compares the worst component with tol times the structure's
+    scale, so it does not change when the structure is scaled. A structure
+    whose scale exceeds SCAN_RANGE reports max_residual, skt1_max and
+    skt2_max inf in both modes, with the scan's own witness.
+    """
     scans = {"closed_form": closed_form_scan, "brute_force": _brute_force_scan}
     if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}; expected closed_form or brute_force")
     tol = check_positive(tol)
     start = time.perf_counter()
     max_res, witness, skt1_max, skt2_max, checked = scans[mode](h)
+    scale = h.scale
+    if scale > SCAN_RANGE:
+        max_res = skt1_max = skt2_max = np.inf
     return PluriclosedReport(
-        verdict=max_res < tol,
+        verdict=max_res < tol * scale,
         max_residual=max_res,
         witness=witness,
         skt1_max=skt1_max,
         skt2_max=skt2_max,
         mode=mode,
         tol=tol,
+        scale=scale,
         checked=checked,
         elapsed_s=time.perf_counter() - start,
     )
@@ -491,14 +529,15 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     return HermitianStructure(group, fiber=FiberMetric(xs), torus="killing")
 
 
-def kahler_flag_residual(h: HermitianStructure) -> float:
-    """Worst additivity defect of the fiber values over root sums."""
+def kahler_flag_residual(h: HermitianStructure, relative: bool = False) -> float:
+    """Worst additivity defect of the fiber values over root sums; with
+    relative, divided by the structure's scale, as a scan's verdict reads it."""
     worst = 0.0
     for f, rs in enumerate(h.group.systems):
         i, j, k = rs.positive_sums()
         x = h.xhat[f]
         worst = max(worst, float(np.abs(x[k] - x[i] - x[j]).max(initial=0.0)))
-    return worst
+    return worst / h.scale if relative else worst
 
 
 @dataclass

@@ -45,27 +45,30 @@ def _term(rs: RootSystem, sums: np.ndarray, coef: np.ndarray, offset: int) -> Te
 def _stack(tables):
     """One table holding the rows of tables in order."""
     return type(tables[0])(
-        *(_stack(parts) if isinstance(parts[0], Term) else np.concatenate(parts)
+        *(_stack(parts) if isinstance(parts[0], Term) else np.concatenate(parts, axis=-1)
           for parts in zip(*tables))
     )
 
 
 def _label(group: GroupSpec, row) -> tuple[int, str]:
     """The factor and the label of a stacked positive root."""
-    f, t = group.layout.locate(int(row), rows=True)
-    return f, group.systems[f].positives[t].label
+    return group.row_labels[row]
 
 
 class PairRows(NamedTuple):
     """dd^c on (E_a, E_-a, E_b, E_-b), per row: a, b = stacked positives i, j,
     a != b. Within one factor, up is the term of a + b, coef 2 N(a, b)^2, and
     down the term of a - b, coef 2 eps N(a, -b)^2; across factors both have
-    coef 0, at = i and eps = 1, so only the torus term remains."""
+    coef 0, at = i and eps = 1, so only the torus term remains. gather stacks
+    i, j, up.at and down.at, the fiber entries a row reads, and torus is each
+    row's entry i * (stacked positives) + j of the flattened k g_T k^T."""
 
     i: np.ndarray
     j: np.ndarray
     up: Term
     down: Term
+    gather: np.ndarray
+    torus: np.ndarray
 
     def witness(self, group: GroupSpec, row: int) -> str:
         (fa, a), (fb, b) = _label(group, self.i[row]), _label(group, self.j[row])
@@ -81,29 +84,29 @@ def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
     si, sj = offset + i, group.layout.row_slices[fb].start + j
     if fa != fb:
         # each term reads 0 * (x_a - x_a -/+ x_b), 0 times a finite value
-        none = Term(si, np.ones(len(si), dtype=np.int8), np.zeros(len(si)))
-        return PairRows(si, sj, none, none)
-    rs, sc = group.systems[fa], group.constants[fa]
-    # N(a, b)^2 and N(a, -b)^2 as floats, converted once per distinct square
-    values, inverse = np.unique(sc.sq[i, np.stack([j, rs.npositive + j])], return_inverse=True)
-    floats = np.array([float(sc.unit * v) for v in values.tolist()])
-    up, down = 2.0 * floats[inverse].reshape(2, -1)
-    return PairRows(
-        si, sj,
-        _term(rs, rs.sum_index[i, j], up, offset),
-        _term(rs, rs.diff_index[i, j], down, offset),
-    )
+        up = down = Term(si, np.ones(len(si), dtype=np.int8), np.zeros(len(si)))
+    else:
+        rs, sc = group.systems[fa], group.constants[fa]
+        # N(a, b)^2 and N(a, -b)^2 as floats, converted once per distinct square
+        values, inverse = np.unique(sc.sq[i, np.stack([j, rs.npositive + j])], return_inverse=True)
+        floats = np.array([float(sc.unit * v) for v in values.tolist()])
+        coef_up, coef_down = 2.0 * floats[inverse].reshape(2, -1)
+        up = _term(rs, rs.sum_index[i, j], coef_up, offset)
+        down = _term(rs, rs.diff_index[i, j], coef_down, offset)
+    npos = len(group.layout.coefficient_matrix)
+    return PairRows(si, sj, up, down, np.stack([si, sj, up.at, down.at]), si * np.intp(npos) + sj)
 
 
 def pair_values(h: HermitianStructure, t: PairRows) -> np.ndarray:
     """The rows' dd^c values; the torus term k_a g_T k_b is one matrix product."""
-    k, x = h.group.layout.coefficient_matrix, np.concatenate(h.xhat)
-    # one product per root: a stacked k @ g_T differs in the last bit on some types
-    kg = np.array([row @ h.gt for row in k])
-    val = 2.0 * (kg @ k.T)[t.i, t.j]
-    xi, xj = x[t.i], x[t.j]
-    val -= t.up.coef * (x[t.up.at] - xi - xj)
-    val -= t.down.coef * (t.down.eps * x[t.down.at] - xi + xj)
+    k = h.group.layout.coefficient_matrix
+    # k_a @ g_T per row: a batched matmul gives each row the bits of its own
+    # product, where the 2-D k @ g_T (one gemm) differs in the last bit
+    kg = np.matmul(k[:, None, :], h.gt)[:, 0, :]
+    val = 2.0 * (kg @ k.T).ravel()[t.torus]
+    xi, xj, x_up, x_down = np.concatenate(h.xhat)[t.gather]
+    val -= t.up.coef * (x_up - xi - xj)
+    val -= t.down.coef * (t.down.eps * x_down - xi + xj)
     return val
 
 
@@ -111,7 +114,9 @@ class QuadRows(NamedTuple):
     """dd^c on (E_a, E_b, E_-c, E_-d), per row: a, b, c, d = stacked positives
     i, j, m, l of one factor, with a + b = c + d and no opposite pair. ab is
     the term of a + b, coef N(a, b) N(-c, -d); ac that of a - c, coef
-    eps N(a, -c) N(b, -d); ad that of a - d, coef eps N(a, -d) N(b, -c)."""
+    eps N(a, -c) N(b, -d); ad that of a - d, coef eps N(a, -d) N(b, -c).
+    gather stacks i, j, m, l, ab.at, ac.at and ad.at, the fiber entries a
+    row reads."""
 
     i: np.ndarray
     j: np.ndarray
@@ -120,6 +125,7 @@ class QuadRows(NamedTuple):
     ab: Term
     ac: Term
     ad: Term
+    gather: np.ndarray
 
     def witness(self, group: GroupSpec, row: int) -> str:
         (f, a), (_, b), (_, c), (_, d) = (
@@ -134,20 +140,20 @@ def quad_rows(group: GroupSpec, f: int, i, j, m, l) -> QuadRows:
     rs, fl = group.systems[f], group.constants[f].float_array
     n, add, offset = rs.npositive, rs.sum_index, group.layout.row_slices[f].start
     a, b, c, d = i, j, n + m, n + l
-    return QuadRows(
-        *(offset + v for v in (i, j, m, l)),
+    rows = [offset + v for v in (i, j, m, l)]
+    terms = [
         _term(rs, add[a, b], fl[a, b] * fl[c, d], offset),
         _term(rs, add[a, c], fl[a, c] * fl[b, d], offset),
         _term(rs, add[a, d], fl[a, d] * fl[b, c], offset),
-    )
+    ]
+    return QuadRows(*rows, *terms, np.stack(rows + [t.at for t in terms]))
 
 
 def quad_values(h: HermitianStructure, t: QuadRows) -> np.ndarray:
-    x = np.concatenate(h.xhat)
-    xa, xb, xc, xd = x[t.i], x[t.j], x[t.m], x[t.l]
-    val = t.ab.coef * (xa + xb + xc + xd - 2.0 * x[t.ab.at])
-    val -= t.ac.coef * (-xa + xb + xc - xd + 2.0 * t.ac.eps * x[t.ac.at])
-    val += t.ad.coef * (-xa + xb - xc + xd + 2.0 * t.ad.eps * x[t.ad.at])
+    xa, xb, xc, xd, x_ab, x_ac, x_ad = np.concatenate(h.xhat)[t.gather]
+    val = t.ab.coef * (xa + xb + xc + xd - 2.0 * x_ab)
+    val -= t.ac.coef * (-xa + xb + xc - xd + 2.0 * t.ac.eps * x_ac)
+    val += t.ad.coef * (-xa + xb - xc + xd + 2.0 * t.ad.eps * x_ad)
     return val
 
 
@@ -188,8 +194,7 @@ def closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, f
     skt2, q = worst_row(np.abs(quad_values(h, quads)) / 2.0)
     pair_first = skt1 > skt2
     if skt1 == skt2 > 0:
-        rows = (pairs.i[p], pairs.j[p], quads.i[q])
-        fa, fb, fq = (group.layout.locate(int(r), rows=True)[0] for r in rows)
+        fa, fb, fq = (_label(group, r)[0] for r in (pairs.i[p], pairs.j[p], quads.i[q]))
         pair_first = fa == fb <= fq
     witness = pairs.witness(group, p) if pair_first else quads.witness(group, q) if skt2 else None
     return max(skt1, skt2), witness, skt1, skt2, len(pairs.i) + len(quads.i)
