@@ -391,28 +391,25 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
     component is summed over its rows in that order, starting from zero, and
     components are listed in the order of their first row: the same sums, in
     the same order, as a loop over terms and components. The rows depend on
-    the keys alone, so they are the basis' cached plan for the key set; the
-    real and imaginary parts of each row's product are summed apart.
+    the keys alone, so they are the basis' cached plan for the key set.
     """
     keys, vals = form.arrays()
     basis, deg = form.basis, form.degree
     nonzero = vals != 0
     keys, vals = keys[nonzero], vals[nonzero]
     src, coef, slot, merged, values = basis.derivative_plan(keys)
-    re, im = np.zeros(len(merged)), np.zeros(len(merged))
+    total = np.zeros(len(merged), dtype=complex)
     # add.at adds in index order: each slot sums its rows in row order; a
-    # block at a time keeps the products' buffer small
+    # block at a time keeps the products' buffer small. A complex value times
+    # a real coefficient c is (a c - b 0) + (a 0 + b c) i: a finite value
+    # makes each part a c or b c, or a zero whose sign no sum from zero keeps
     for start in range(0, len(src), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        c, at = np.take(values, coef[rows]), src[rows]
-        for part, total in ((vals.real, re), (vals.imag, im)):
-            prod = np.take(part, at)
-            prod *= c
-            np.add.at(total, slot[rows], prod)
-    live = (re != 0) | (im != 0)
-    value = np.empty(np.count_nonzero(live), dtype=complex)
-    value.real, value.imag = re[live], im[live]
-    return computed_form(basis, deg + 1, merged[live], value)
+        prod = np.take(vals, src[rows])
+        prod *= np.take(values, coef[rows])
+        np.add.at(total, slot[rows], prod)
+    live = total != 0
+    return computed_form(basis, deg + 1, merged[live], total[live])
 
 
 def _build_plan(basis: ChevalleyBasis, keys: np.ndarray) -> DerivativePlan:
