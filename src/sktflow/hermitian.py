@@ -474,10 +474,10 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
 
 
 # The largest structure scale the scans run at. Every value either scan
-# forms, partial sums included, is at most a few hundred times the scale
-# (612 on E8, the most over the catalog types and normalizations), so at or
-# below 2^-40 of the largest float none overflows. Above it both scans
-# report inf.
+# forms, partial sums included, is at most the sum of its terms' absolute
+# values, a few hundred times the scale (612 on E8, the most measured over
+# the catalog types and normalizations), so at or below 2^-40 of the largest
+# float none overflows. Above it both scans report inf.
 SCAN_RANGE = 2.0**984
 
 

@@ -50,11 +50,6 @@ def _stack(tables):
     )
 
 
-def _label(group: GroupSpec, row) -> tuple[int, str]:
-    """The factor and the label of a stacked positive root."""
-    return group.row_labels[row]
-
-
 class PairRows(NamedTuple):
     """dd^c on (E_a, E_-a, E_b, E_-b), per row: a, b = stacked positives i, j,
     a != b. Within one factor, up is the term of a + b, coef 2 N(a, b)^2, and
@@ -71,7 +66,7 @@ class PairRows(NamedTuple):
     torus: np.ndarray
 
     def witness(self, group: GroupSpec, row: int) -> str:
-        (fa, a), (fb, b) = _label(group, self.i[row]), _label(group, self.j[row])
+        (fa, a), (fb, b) = group.row_labels[self.i[row]], group.row_labels[self.j[row]]
         if fa == fb:
             return f"pair ({a}, {b}) in factor {fa}"
         return f"pair (factor {fa}: {a}, factor {fb}: {b})"
@@ -129,7 +124,7 @@ class QuadRows(NamedTuple):
 
     def witness(self, group: GroupSpec, row: int) -> str:
         (f, a), (_, b), (_, c), (_, d) = (
-            _label(group, k[row]) for k in (self.i, self.j, self.m, self.l)
+            group.row_labels[k[row]] for k in (self.i, self.j, self.m, self.l)
         )
         return f"quad ({a}, {b}, -{c}, -{d}) in factor {f}"
 
@@ -194,7 +189,7 @@ def closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, f
     skt2, q = worst_row(np.abs(quad_values(h, quads)) / 2.0)
     pair_first = skt1 > skt2
     if skt1 == skt2 > 0:
-        fa, fb, fq = (_label(group, r)[0] for r in (pairs.i[p], pairs.j[p], quads.i[q]))
+        fa, fb, fq = (group.row_labels[r][0] for r in (pairs.i[p], pairs.j[p], quads.i[q]))
         pair_first = fa == fb <= fq
     witness = pairs.witness(group, p) if pair_first else quads.witness(group, q) if skt2 else None
     return max(skt1, skt2), witness, skt1, skt2, len(pairs.i) + len(quads.i)
