@@ -149,18 +149,13 @@ def cmd_check(path: str, tol: float, mode: str):
         f"pluriclosed: {str(rep.verdict).lower()}   "
         f"(mode {rep.mode}, tol {_fmt(rep.tol)}, scale {_fmt(rep.scale)})"
     )
-    click.echo(
-        f"max residual: {_fmt(rep.max_residual)}   relative {_fmt(rep.max_residual / rep.scale)}"
-    )
+    click.echo(f"max residual: {_fmt(rep.max_residual)}")
     if rep.witness is not None:
         click.echo(f"worst witness: {rep.witness}")
     click.echo(f"skt1 max: {_fmt(rep.skt1_max)}   skt2 max: {_fmt(rep.skt2_max)}")
     unit = "residual rows" if rep.mode == "closed_form" else "nonzero dd^c components"
     click.echo(f"checked: {rep.checked} {unit} in {_ms(rep.elapsed_s)}")
-    click.echo(
-        f"kahler flag residual: {_fmt(kahler_flag_residual(h))}"
-        f"   relative {_fmt(kahler_flag_residual(h, relative=True))}"
-    )
+    click.echo(f"kahler flag residual: {_fmt(kahler_flag_residual(h))}")
     cyt = is_cyt(h)
     click.echo(
         f"cyt: {str(cyt.verdict).lower()}   bismut vector {_vec(cyt.vector)}"

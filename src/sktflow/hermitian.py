@@ -422,7 +422,7 @@ def d_star_omega(h: HermitianStructure) -> np.ndarray:
 
 @dataclass
 class PluriclosedReport:
-    """A scan's verdict: max_residual < tol * scale, with the residuals
+    """A scan's verdict: max_residual / scale < tol, with the residuals
     absolute and scale the structure's. checked counts the residual rows
     scanned in closed form, or the nonzero dd^c components in brute force."""
 
@@ -486,10 +486,13 @@ def is_pluriclosed(
 ) -> PluriclosedReport:
     """Scan dd^c of the fundamental form and report the worst component / 2.
 
-    The verdict compares the worst component with tol times the structure's
-    scale, so it does not change when the structure is scaled. A structure
+    The verdict compares the worst component over the structure's scale with
+    tol, so it does not change when the structure is scaled. A structure
     whose scale exceeds SCAN_RANGE reports max_residual, skt1_max and
-    skt2_max inf in both modes, with the scan's own witness.
+    skt2_max inf in both modes, with the scan's own witness. Below the
+    smallest normal float, 2^-1022, values round to a fixed step of 2^-1074
+    rather than to 53 bits, so there a residual can hold a few such steps of
+    rounding, a relative residual of a few 2^-1074 / scale.
     """
     scans = {"closed_form": closed_form_scan, "brute_force": _brute_force_scan}
     if mode not in scans:
@@ -501,7 +504,7 @@ def is_pluriclosed(
     if scale > SCAN_RANGE:
         max_res = skt1_max = skt2_max = np.inf
     return PluriclosedReport(
-        verdict=max_res < tol * scale,
+        verdict=max_res / scale < tol,  # tol * scale is subnormal below 2e-300
         max_residual=max_res,
         witness=witness,
         skt1_max=skt1_max,
@@ -529,15 +532,15 @@ def pluriclosed_family(group: GroupSpec, simple_values) -> HermitianStructure:
     return HermitianStructure(group, fiber=FiberMetric(xs), torus="killing")
 
 
-def kahler_flag_residual(h: HermitianStructure, relative: bool = False) -> float:
-    """Worst additivity defect of the fiber values over root sums; with
-    relative, divided by the structure's scale, as a scan's verdict reads it."""
+def kahler_flag_residual(h: HermitianStructure) -> float:
+    """Worst additivity defect of the fiber values over root sums, absolute;
+    over h.scale it reads as a scan's verdict reads a residual."""
     worst = 0.0
     for f, rs in enumerate(h.group.systems):
         i, j, k = rs.positive_sums()
         x = h.xhat[f]
         worst = max(worst, float(np.abs(x[k] - x[i] - x[j]).max(initial=0.0)))
-    return worst / h.scale if relative else worst
+    return worst
 
 
 @dataclass
