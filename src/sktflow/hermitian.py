@@ -53,9 +53,9 @@ class FactorSpec:
 class GroupSpec:
     """Product of simple factors with cached root data.
 
-    roots[f] is factor f's positive roots embedded in torus coordinates, one
-    per row. Structure constants, the basis and the residual tables are built
-    lazily; closed-form metric computations on large types never pay for the basis.
+    layout stacks every factor's positive roots in torus coordinates. Structure
+    constants, the basis and the residual tables are built lazily; closed-form
+    metric computations on large types never pay for the basis.
     """
 
     def __init__(self, factors: Sequence[FactorSpec]):
@@ -67,10 +67,9 @@ class GroupSpec:
         )
         self.layout = FactorLayout(self.systems)
         self.total_rank = self.layout.size
-        # the layout's block-diagonal gram matrix and embedded roots, shared
-        # read-only by every structure on the group
+        # the layout's block-diagonal gram matrix, shared read-only by every
+        # structure on the group
         self.q_full = self.layout.gram_float
-        self.roots = tuple(self.layout.coefficient_matrix[rows] for rows in self.layout.row_slices)
 
     @cached_property
     def constants(self) -> tuple[StructureConstants, ...]:
@@ -263,8 +262,9 @@ def _split_args(h: HermitianStructure, args):
 
 def _signed_root(group: GroupSpec, f: int, i: int) -> np.ndarray:
     """Root i of factor f in torus coordinates, with +0.0 in every zero entry."""
-    n = group.systems[f].npositive
-    return group.roots[f][i] if i < n else 0.0 - group.roots[f][i - n]
+    n, k = group.systems[f].npositive, group.layout.coefficient_matrix
+    row = k[group.layout.row_slices[f].start + i % n]
+    return row if i < n else 0.0 - row
 
 
 def _first_derivative(h: HermitianStructure, args, conjugate: bool) -> complex:

@@ -2,14 +2,13 @@
 
 Every dd^c component that can be nonzero on a product of simple factors is
 fixed by its roots: a pair (E_a, E_-a, E_b, E_-b) or a quad (E_a, E_b, E_-c,
-E_-d) with a + b = c + d. Its value is linear in the fiber values and the
-torus metric, with coefficients from the root tables and the structure
-constants. A group has one table per kind, built once. Its rows index the
-product's stacked positive roots: the rows of the layout's coefficient
-matrix and the entries of the stacked fiber vector. Each term spans every
-row, with coefficient 0 where its roots have no root sum; a pair across
-factors has none, so only its torus term remains. A scan evaluates each
-table once with elementwise numpy in the order of the scalar formula.
+E_-d) with a + b = c + d, and is linear in the fiber values and the torus
+metric. A group has one table per kind, built once: int32 rows holding each
+component's roots and root sums as stacked positive indices (rows of the
+layout's coefficient matrix, entries of the stacked fiber vector), one
+signed N-factor coefficient per term, 0 where the roots have no root sum,
+and the signs of the root differences the formula reads. A scan evaluates
+each table once with elementwise numpy in the order of the scalar formula.
 """
 
 from __future__ import annotations
@@ -26,47 +25,35 @@ if TYPE_CHECKING:
     from .hermitian import GroupSpec, HermitianStructure
 
 
-class Term(NamedTuple):
-    """What each row of a residual table reads where its roots have a root sum."""
-
-    at: np.ndarray  # stacked positive index of the sum's root
-    eps: np.ndarray  # 1 when the sum is positive, -1 when negative
-    coef: np.ndarray  # the N factor, multiplied in the scalar formula's order; 0 with no sum
-
-
-def _term(rs: RootSystem, sums: np.ndarray, coef: np.ndarray, offset: int) -> Term:
-    """The term of sums, root indices of rs or -1; coef holds the N factors
-    where sums is a root, and offset is rs's first stacked row."""
+def _term(rs: RootSystem, sums: np.ndarray, coef: np.ndarray, offset: int):
+    """(stacked row offset + sums % n, sign, signed coef or 0) of sums, root
+    indices of rs or -1, where coef holds the N factors and offset is rs's
+    first stacked row."""
     n = rs.npositive
     eps = np.where(sums < n, 1, -1).astype(np.int8)
-    return Term((offset + sums % n).astype(np.int32), eps, np.where(sums >= 0, eps * coef, 0.0))
+    return (offset + sums % n).astype(np.int32), eps, np.where(sums >= 0, eps * coef, 0.0)
 
 
 def _stack(tables):
     """One table holding the rows of tables in order."""
-    return type(tables[0])(
-        *(_stack(parts) if isinstance(parts[0], Term) else np.concatenate(parts, axis=-1)
-          for parts in zip(*tables))
-    )
+    return type(tables[0])(*(np.concatenate(parts, axis=-1) for parts in zip(*tables)))
 
 
 class PairRows(NamedTuple):
-    """dd^c on (E_a, E_-a, E_b, E_-b), per row: a, b = stacked positives i, j,
-    a != b. Within one factor, up is the term of a + b, coef 2 N(a, b)^2, and
-    down the term of a - b, coef 2 eps N(a, -b)^2; across factors both have
-    coef 0, at = i and eps = 1, so only the torus term remains. gather stacks
-    i, j, up.at and down.at, the fiber entries a row reads, and torus is each
-    row's entry i * (stacked positives) + j of the flattened k g_T k^T."""
+    """dd^c on (E_a, E_-a, E_b, E_-b), a != b: rows are the stacked positives
+    a, b, a + b and a - b. Within one factor up is 2 N(a, b)^2 and down
+    2 eps N(a, -b)^2, eps = down_eps; across factors both are 0 and the sums
+    read a, so only the torus term, entry a * (stacked positives) + b of the
+    flattened k g_T k^T, remains."""
 
-    i: np.ndarray
-    j: np.ndarray
-    up: Term
-    down: Term
-    gather: np.ndarray
+    rows: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    down_eps: np.ndarray
     torus: np.ndarray
 
     def witness(self, group: GroupSpec, row: int) -> str:
-        (fa, a), (fb, b) = group.row_labels[self.i[row]], group.row_labels[self.j[row]]
+        (fa, a), (fb, b) = (group.row_labels[k] for k in self.rows[:2, row])
         if fa == fb:
             return f"pair ({a}, {b}) in factor {fa}"
         return f"pair (factor {fa}: {a}, factor {fb}: {b})"
@@ -79,7 +66,7 @@ def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
     si, sj = offset + i, group.layout.row_slices[fb].start + j
     if fa != fb:
         # each term reads 0 * (x_a - x_a -/+ x_b), 0 times a finite value
-        up = down = Term(si, np.ones(len(si), dtype=np.int8), np.zeros(len(si)))
+        up = down = (si, np.ones(len(si), dtype=np.int8), np.zeros(len(si)))
     else:
         rs, sc = group.systems[fa], group.constants[fa]
         # N(a, b)^2 and N(a, -b)^2 as floats, converted once per distinct square
@@ -88,8 +75,8 @@ def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
         coef_up, coef_down = 2.0 * floats[inverse].reshape(2, -1)
         up = _term(rs, rs.sum_index[i, j], coef_up, offset)
         down = _term(rs, rs.diff_index[i, j], coef_down, offset)
-    npos = len(group.layout.coefficient_matrix)
-    return PairRows(si, sj, up, down, np.stack([si, sj, up.at, down.at]), si * np.intp(npos) + sj)
+    torus = si * np.intp(len(group.layout.coefficient_matrix)) + sj
+    return PairRows(np.stack([si, sj, up[0], down[0]]), up[2], down[2], down[1], torus)
 
 
 def pair_values(h: HermitianStructure, t: PairRows) -> np.ndarray:
@@ -99,34 +86,28 @@ def pair_values(h: HermitianStructure, t: PairRows) -> np.ndarray:
     # product, where the 2-D k @ g_T (one gemm) differs in the last bit
     kg = np.matmul(k[:, None, :], h.gt)[:, 0, :]
     val = 2.0 * (kg @ k.T).ravel()[t.torus]
-    xi, xj, x_up, x_down = np.concatenate(h.xhat)[t.gather]
-    val -= t.up.coef * (x_up - xi - xj)
-    val -= t.down.coef * (t.down.eps * x_down - xi + xj)
+    xi, xj, x_up, x_down = np.concatenate(h.xhat)[t.rows]
+    val -= t.up * (x_up - xi - xj)
+    val -= t.down * (t.down_eps * x_down - xi + xj)
     return val
 
 
 class QuadRows(NamedTuple):
-    """dd^c on (E_a, E_b, E_-c, E_-d), per row: a, b, c, d = stacked positives
-    i, j, m, l of one factor, with a + b = c + d and no opposite pair. ab is
-    the term of a + b, coef N(a, b) N(-c, -d); ac that of a - c, coef
-    eps N(a, -c) N(b, -d); ad that of a - d, coef eps N(a, -d) N(b, -c).
-    gather stacks i, j, m, l, ab.at, ac.at and ad.at, the fiber entries a
-    row reads."""
+    """dd^c on (E_a, E_b, E_-c, E_-d), a + b = c + d with no opposite pair:
+    rows are the stacked positives a, b, c, d of one factor, a + b, a - c and
+    a - d. ab is N(a, b) N(-c, -d), ac eps N(a, -c) N(b, -d) and ad
+    eps N(a, -d) N(b, -c), eps = ac_eps or ad_eps; a + b is always positive."""
 
-    i: np.ndarray
-    j: np.ndarray
-    m: np.ndarray
-    l: np.ndarray
-    ab: Term
-    ac: Term
-    ad: Term
-    gather: np.ndarray
+    rows: np.ndarray
+    ab: np.ndarray
+    ac: np.ndarray
+    ad: np.ndarray
+    ac_eps: np.ndarray
+    ad_eps: np.ndarray
 
     def witness(self, group: GroupSpec, row: int) -> str:
-        (f, a), (_, b), (_, c), (_, d) = (
-            group.row_labels[k[row]] for k in (self.i, self.j, self.m, self.l)
-        )
-        return f"quad ({a}, {b}, -{c}, -{d}) in factor {f}"
+        (f, a), (_, b), (_, c), (_, d) = (group.row_labels[k] for k in self.rows[:4, row])
+        return f"quad ({a}, {b}, -({c}), -({d})) in factor {f}"
 
 
 def quad_rows(group: GroupSpec, f: int, i, j, m, l) -> QuadRows:
@@ -135,35 +116,34 @@ def quad_rows(group: GroupSpec, f: int, i, j, m, l) -> QuadRows:
     rs, fl = group.systems[f], group.constants[f].float_array
     n, add, offset = rs.npositive, rs.sum_index, group.layout.row_slices[f].start
     a, b, c, d = i, j, n + m, n + l
-    rows = [offset + v for v in (i, j, m, l)]
-    terms = [
+    (ab, _, ab_coef), (ac, ac_eps, ac_coef), (ad, ad_eps, ad_coef) = (
         _term(rs, add[a, b], fl[a, b] * fl[c, d], offset),
         _term(rs, add[a, c], fl[a, c] * fl[b, d], offset),
         _term(rs, add[a, d], fl[a, d] * fl[b, c], offset),
-    ]
-    return QuadRows(*rows, *terms, np.stack(rows + [t.at for t in terms]))
+    )
+    rows = np.stack([offset + v for v in (i, j, m, l)] + [ab, ac, ad])
+    return QuadRows(rows, ab_coef, ac_coef, ad_coef, ac_eps, ad_eps)
 
 
 def quad_values(h: HermitianStructure, t: QuadRows) -> np.ndarray:
-    xa, xb, xc, xd, x_ab, x_ac, x_ad = np.concatenate(h.xhat)[t.gather]
-    val = t.ab.coef * (xa + xb + xc + xd - 2.0 * x_ab)
-    val -= t.ac.coef * (-xa + xb + xc - xd + 2.0 * t.ac.eps * x_ac)
-    val += t.ad.coef * (-xa + xb - xc + xd + 2.0 * t.ad.eps * x_ad)
+    xa, xb, xc, xd, x_ab, x_ac, x_ad = np.concatenate(h.xhat)[t.rows]
+    val = t.ab * (xa + xb + xc + xd - 2.0 * x_ab)
+    val -= t.ac * (-xa + xb + xc - xd + 2.0 * t.ac_eps * x_ac)
+    val += t.ad * (-xa + xb - xc + xd + 2.0 * t.ad_eps * x_ad)
     return val
 
 
 def build_residual_tables(group: GroupSpec) -> tuple[PairRows, QuadRows]:
-    """The group's pair rows and quad rows, each in scan order: per factor,
-    its pairs (i < j) then its quads; after every factor, the pairs across
-    factors."""
+    """The group's pair and quad rows in scan order: per factor, its pairs
+    (i < j) then its quads; after every factor, the pairs across factors."""
     pairs, quads = [], []
     for f, rs in enumerate(group.systems):
         i, j = np.triu_indices(rs.npositive, 1)
         pairs.append(pair_rows(group, f, i, f, j))
         quads.append(quad_rows(group, f, *rs.positive_quads().T))
     for fa, fb in itertools.combinations(range(len(group.systems)), 2):
-        ia, ib = np.indices((len(group.roots[fa]), len(group.roots[fb]))).reshape(2, -1)
-        pairs.append(pair_rows(group, fa, ia, fb, ib))
+        ia, ib = np.indices((group.systems[fa].npositive, group.systems[fb].npositive))
+        pairs.append(pair_rows(group, fa, ia.ravel(), fb, ib.ravel()))
     return _stack(pairs), _stack(quads)
 
 
@@ -189,7 +169,7 @@ def closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, f
     skt2, q = worst_row(np.abs(quad_values(h, quads)) / 2.0)
     pair_first = skt1 > skt2
     if skt1 == skt2 > 0:
-        fa, fb, fq = (group.row_labels[r][0] for r in (pairs.i[p], pairs.j[p], quads.i[q]))
+        fa, fb, fq = (group.row_labels[r][0] for r in (*pairs.rows[:2, p], quads.rows[0, q]))
         pair_first = fa == fb <= fq
     witness = pairs.witness(group, p) if pair_first else quads.witness(group, q) if skt2 else None
-    return max(skt1, skt2), witness, skt1, skt2, len(pairs.i) + len(quads.i)
+    return max(skt1, skt2), witness, skt1, skt2, pairs.rows.shape[1] + quads.rows.shape[1]

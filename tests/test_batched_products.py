@@ -59,10 +59,11 @@ def _structures(g, seed):
 def _reference_pair_values(h, t):
     k, x = h.group.layout.coefficient_matrix, np.concatenate(h.xhat)
     kg = np.array([row @ h.gt for row in k])
-    val = 2.0 * (kg @ k.T)[t.i, t.j]
-    xi, xj = x[t.i], x[t.j]
-    val -= t.up.coef * (x[t.up.at] - xi - xj)
-    val -= t.down.coef * (t.down.eps * x[t.down.at] - xi + xj)
+    i, j, up, down = t.rows
+    val = 2.0 * (kg @ k.T)[i, j]
+    xi, xj = x[i], x[j]
+    val -= t.up * (x[up] - xi - xj)
+    val -= t.down * (t.down_eps * x[down] - xi + xj)
     return val
 
 
@@ -70,7 +71,9 @@ def _reference_dc_torus(h):
     """dc_form's torus components, per factor and root, from one product per root."""
     basis = h.group.basis
     keys, vals = [], []
-    for f, roots in enumerate(h.group.roots):
+    layout = h.group.layout
+    for f, rows in enumerate(layout.row_slices):
+        roots = layout.coefficient_matrix[rows]
         gk = np.array([h.gt @ k for k in roots]).reshape(len(roots), h.group.total_rank)
         t, a = np.nonzero(gk)
         e = basis.element_index(f, t)

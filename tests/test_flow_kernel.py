@@ -31,6 +31,7 @@ from sktflow import (
 )
 from sktflow.family import Violation as _Violation, _refuse, family_gradient
 from sktflow.flow import _Evaluator
+from sktflow.hermitian import _signed_root
 
 CATALOG = (
     [f"A{k}" for k in range(1, 9)]
@@ -80,11 +81,12 @@ def test_group_reads_the_layout_arrays():
     group = GroupSpec([FactorSpec(parse_token(t)) for t in ("A1", "A2", "G2")])
     layout = group.layout
     assert group.q_full is layout.gram_float
-    for roots, rows in zip(group.roots, layout.row_slices):
-        assert roots.base is layout.coefficient_matrix
-        assert np.array_equal(roots, layout.coefficient_matrix[rows])
-        with pytest.raises(ValueError, match="read-only"):
-            roots[0, 0] = 2.0
+    # the component functions read each root, and its negative with +0.0 in
+    # every zero entry, from the layout's rows
+    for f, (rs, rows) in enumerate(zip(group.systems, layout.row_slices)):
+        for i, k in enumerate(layout.coefficient_matrix[rows]):
+            assert _signed_root(group, f, i).tobytes() == k.tobytes()
+            assert _signed_root(group, f, rs.npositive + i).tobytes() == (0.0 - k).tobytes()
 
 
 # ---------------------------------------------------------------- the kernel's bits

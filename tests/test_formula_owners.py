@@ -47,8 +47,9 @@ def _group(token):
 
 def _reference_d_star_omega(h):
     out = np.zeros(h.group.total_rank)
-    for f, roots in enumerate(h.group.roots):
-        for t, k in enumerate(roots):
+    layout = h.group.layout
+    for f, rows in enumerate(layout.row_slices):
+        for t, k in enumerate(layout.coefficient_matrix[rows]):
             out -= k / h.xhat[f][t]
     return out
 

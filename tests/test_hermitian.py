@@ -136,7 +136,7 @@ def test_cross_factor_torus_coupling_detected():
     [
         ("A2", [1.5, 1.2, 1.3], "pair (a2, a1+a2) in factor 0"),
         ("G2", [1.77, 1.04, 0.58, 0.53, 2.13, 2.33],
-         "quad (a1, 3a1+2a2, -a1+a2, -3a1+a2) in factor 0"),
+         "quad (a1, 3a1+2a2, -(a1+a2), -(3a1+a2)) in factor 0"),
     ],
 )
 def test_witness_of_an_exact_tie_across_factors_is_the_first_factor(token, row, witness):
@@ -154,10 +154,10 @@ def test_an_exact_tie_between_a_pair_and_a_quad_goes_to_the_earlier_row(monkeypa
     pairs, quads = g.residual_tables
     # the first row of each block; G2 has 15 pairs i < j
     pair_at = {"pairs 0": 0, "pairs 1": 15, "cross": 30}
-    quad_at = {"quads 0": 0, "quads 1": len(quads.i) // 2}
+    quad_at = {"quads 0": 0, "quads 1": quads.rows.shape[1] // 2}
     order = ["pairs 0", "quads 0", "pairs 1", "quads 1", "cross"]
     for (p_name, p), (q_name, q) in itertools.product(pair_at.items(), quad_at.items()):
-        pv, qv = np.zeros(len(pairs.i)), np.zeros(len(quads.i))
+        pv, qv = np.zeros(pairs.rows.shape[1]), np.zeros(quads.rows.shape[1])
         pv[p], qv[q] = 3.0, -3.0
         monkeypatch.setattr(residuals_module, "pair_values", lambda h, t, v=pv: v)
         monkeypatch.setattr(residuals_module, "quad_values", lambda h, t, v=qv: v)
@@ -330,11 +330,12 @@ def _per_row_pair_values(h, t):
         for f, rs in enumerate(h.group.systems)
         for root in rs.positives
     ]
-    val = 2.0 * np.array([float((k[a] @ h.gt) @ k[b]) for a, b in zip(t.i, t.j)])
+    i, j, up, down = t.rows
+    val = 2.0 * np.array([float((k[a] @ h.gt) @ k[b]) for a, b in zip(i, j)])
     x = np.concatenate(h.xhat)
-    xi, xj = x[t.i], x[t.j]
-    val -= t.up.coef * (x[t.up.at] - xi - xj)
-    val -= t.down.coef * (t.down.eps * x[t.down.at] - xi + xj)
+    xi, xj = x[i], x[j]
+    val -= t.up * (x[up] - xi - xj)
+    val -= t.down * (t.down_eps * x[down] - xi + xj)
     return val
 
 
@@ -351,7 +352,7 @@ def test_pair_torus_product_equals_per_row_dots_bit_for_bit(tokens):
     assert isinstance(pairs, PairRows) and isinstance(quads, QuadRows)
     npos = [rs.npositive for rs in g.systems]
     within = sum(n * (n - 1) // 2 for n in npos)
-    assert len(pairs.i) == within + sum(a * b for a, b in itertools.combinations(npos, 2))
+    assert pairs.rows.shape[1] == within + sum(a * b for a, b in itertools.combinations(npos, 2))
     for h in (on, coupled):
         assert pair_values(h, pairs).tobytes() == _per_row_pair_values(h, pairs).tobytes()
 
@@ -365,18 +366,20 @@ TERM_GROUPS = (
 )
 
 
-def _check_term(rs, offset, term, sums):
-    """term spans every row; its coef is nonzero exactly where sums is a root,
-    and there at and eps name the sum's stacked positive root and its sign."""
+def _check_term(rs, offset, at, coef, sums, eps=None):
+    """The term spans every row: coef is nonzero exactly where sums is a
+    root, and there at names the sum's stacked positive root and eps its
+    sign. A term without eps (a + b of two positive roots) is positive
+    wherever it is a root, which is why its table keeps no sign for it."""
     n, has = rs.npositive, sums >= 0
-    assert len(term.coef) == len(term.at) == len(term.eps) == len(sums)
-    assert np.array_equal(term.coef != 0, has)
-    assert np.array_equal(term.at[has], offset + sums[has] % n)
-    assert np.array_equal(term.eps[has], np.where(sums[has] < n, 1, -1))
-
-
-def _rows(term, mask):
-    return type(term)(*(v[mask] for v in term))
+    assert len(coef) == len(at) == len(sums)
+    assert np.array_equal(coef != 0, has)
+    assert np.array_equal(at[has], offset + sums[has] % n)
+    if eps is None:
+        assert (sums[has] < n).all()
+    else:
+        assert len(eps) == len(sums)
+        assert np.array_equal(eps[has], np.where(sums[has] < n, 1, -1))
 
 
 @pytest.mark.parametrize("token", TERM_GROUPS)
@@ -388,23 +391,28 @@ def test_every_term_spans_its_table(token):
         found = [g.layout.locate(int(v), rows=True) for v in rows]
         return np.array(found, dtype=int).reshape(-1, 2).T
 
-    (fa, ia), (fb, jb), (fq, _) = locate(pairs.i), locate(pairs.j), locate(quads.i)
+    assert pairs.rows.dtype == quads.rows.dtype == np.int32
+    (fa, ia), (fb, jb), (fq, _) = locate(pairs.rows[0]), locate(pairs.rows[1]), locate(quads.rows[0])
     for f, rs in enumerate(g.systems):
         offset, mine, quad = g.layout.row_slices[f].start, (fa == f) & (fb == f), fq == f
         i, j = ia[mine], jb[mine]
         assert len(i) == rs.npositive * (rs.npositive - 1) // 2 and (i < j).all()
-        _check_term(rs, offset, _rows(pairs.up, mine), rs.sum_index[i, j])
-        _check_term(rs, offset, _rows(pairs.down, mine), rs.diff_index[i, j])
-        qi, qj, qm, ql = (v[quad] - offset for v in (quads.i, quads.j, quads.m, quads.l))
+        _, _, up, down = pairs.rows[:, mine]
+        _check_term(rs, offset, up, pairs.up[mine], rs.sum_index[i, j])
+        _check_term(rs, offset, down, pairs.down[mine], rs.diff_index[i, j], pairs.down_eps[mine])
+        qa, qb, qc, qd, ab, ac, ad = quads.rows[:, quad]
+        qi, qj, qm, ql = (v - offset for v in (qa, qb, qc, qd))
         assert len(qi) == len(rs.positive_quads())
-        _check_term(rs, offset, _rows(quads.ab, quad), rs.sum_index[qi, qj])
-        _check_term(rs, offset, _rows(quads.ac, quad), rs.diff_index[qi, qm])
-        _check_term(rs, offset, _rows(quads.ad, quad), rs.diff_index[qi, ql])
-    # pairs across factors have no root sum: coef 0 on every such row
+        _check_term(rs, offset, ab, quads.ab[quad], rs.sum_index[qi, qj])
+        _check_term(rs, offset, ac, quads.ac[quad], rs.diff_index[qi, qm], quads.ac_eps[quad])
+        _check_term(rs, offset, ad, quads.ad[quad], rs.diff_index[qi, ql], quads.ad_eps[quad])
+    # pairs across factors have no root sum: coef 0 on every such row, whose
+    # sums read its own root a
     cross = fa != fb
     assert (fa[cross] < fb[cross]).all()
-    for term in (pairs.up, pairs.down):
-        assert len(term.coef) == len(pairs.i) and not term.coef[cross].any()
+    assert (pairs.rows[2:, cross] == pairs.rows[0, cross]).all()
+    for coef in (pairs.up, pairs.down):
+        assert len(coef) == pairs.rows.shape[1] and not coef[cross].any()
 
 
 def test_d_omega_matches_exterior_derivative_of_omega():

@@ -160,7 +160,7 @@ def _reference_closed_form_scan(h):
             if r > best[0]:
                 best = (
                     r,
-                    f"quad ({pos[i].label}, {pos[j].label}, -{pos[m].label}, -{pos[l].label})"
+                    f"quad ({pos[i].label}, {pos[j].label}, {(-pos[m]).label}, {(-pos[l]).label})"
                     f" in factor {f}",
                 )
     for fa in range(nfac):
