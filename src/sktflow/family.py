@@ -17,8 +17,8 @@ from .errors import ConsistencyError, PositivityError
 from .roots import FactorLayout, RootSystem, check_count, check_positive, number_array
 
 # A non-finite induced value is refused by family_gradient's guard (or, from
-# family_values, returned), and a residual of huge fiber values is inf, so numpy
-# need not warn: the per-point functions and the scans run under np.errstate(**QUIET).
+# family_values, returned), so numpy need not warn: the per-point functions run
+# under np.errstate(**QUIET).
 QUIET = {"invalid": "ignore", "over": "ignore"}
 
 

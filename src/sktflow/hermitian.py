@@ -17,9 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DynkinTypeError, MissingComplexStructureError, NonFiniteComponentError, PositivityError,
-)
+from .errors import DynkinTypeError, MissingComplexStructureError, PositivityError
 from .forms import (
     ChevalleyBasis, InvariantForm, computed_form, exterior_derivative, sort_sign, triple_sums,
     triple_terms,
@@ -316,8 +314,6 @@ def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
             fb, rb = keys[next(m for m in range(4) if m not in (i, j))]
             na, nb = h.group.systems[fi].npositive, h.group.systems[fb].npositive
             ia, ib = ri % na, rb % nb
-            if (fi, ia) == (fb, ib):
-                return 0.0
             dst = [(fi, ia), (fi, ia + na), (fb, ib), (fb, ib + nb)]
             sign = sort_sign([dst.index(k) for k in keys])
             return sign * float(pair_values(h, pair_rows(h.group, fi, [ia], fb, [ib]))[0])
@@ -424,7 +420,8 @@ def d_star_omega(h: HermitianStructure) -> np.ndarray:
 class PluriclosedReport:
     """A scan's verdict: max_residual / scale < tol, with the residuals
     absolute and scale the structure's. checked counts the residual rows
-    scanned in closed form, or the nonzero dd^c components in brute force."""
+    scanned in closed form, or the nonzero dd^c components in brute force;
+    it is 0 for a structure above SCAN_RANGE, where no scan runs."""
 
     verdict: bool
     max_residual: float
@@ -446,20 +443,12 @@ def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
     return "skt1" if p0 == p1 and p2 == p3 else "skt2"
 
 
-@np.errstate(**QUIET)
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     """(max residual, witness, skt1 max, skt2 max, components checked) over
-    dd^c omega. Huge fiber values can overflow d^c omega or dd^c omega: a
-    component that is not finite makes every residual inf, with none checked
-    and that component as the witness."""
+    dd^c omega, for a structure within SCAN_RANGE."""
     basis = h.group.basis
-    try:
-        keys, values = exterior_derivative(dc_form(h, basis)).arrays()
-    except NonFiniteComponentError as exc:
-        names = ", ".join(basis.element_names[i] for i in exc.key)
-        form = "d^c" if len(exc.key) == 3 else "dd^c"
-        return np.inf, f"non-finite {form} component ({names})", np.inf, np.inf, 0
-    r = np.abs(values) / 2.0  # finite values, so no NaN
+    keys, values = exterior_derivative(dc_form(h, basis)).arrays()
+    r = np.abs(values) / 2.0
     pair = basis.pair_array[keys]
     fiber = pair[:, 0] >= 0
     skt1 = fiber & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
@@ -477,7 +466,7 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
 # forms, partial sums included, is at most the sum of its terms' absolute
 # values, a few hundred times the scale (612 on E8, the most measured over
 # the catalog types and normalizations), so at or below 2^-40 of the largest
-# float none overflows. Above it both scans report inf.
+# float none overflows. Above it is_pluriclosed runs no scan and reports inf.
 SCAN_RANGE = 2.0**984
 
 
@@ -488,21 +477,23 @@ def is_pluriclosed(
 
     The verdict compares the worst component over the structure's scale with
     tol, so it does not change when the structure is scaled. A structure
-    whose scale exceeds SCAN_RANGE reports max_residual, skt1_max and
-    skt2_max inf in both modes, with the scan's own witness. Below the
-    smallest normal float, 2^-1022, values round to a fixed step of 2^-1074
-    rather than to 53 bits, so there a residual can hold a few such steps of
-    rounding, a relative residual of a few 2^-1074 / scale.
+    whose scale exceeds SCAN_RANGE is not scanned: in both modes it reports
+    verdict false, max_residual, skt1_max and skt2_max inf, no witness and
+    0 checked. Below the smallest normal float, 2^-1022, values round to a
+    fixed step of 2^-1074 rather than to 53 bits, so there a residual can
+    hold a few such steps of rounding, a relative residual of a few
+    2^-1074 / scale.
     """
     scans = {"closed_form": closed_form_scan, "brute_force": _brute_force_scan}
     if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}; expected closed_form or brute_force")
     tol = check_positive(tol)
     start = time.perf_counter()
-    max_res, witness, skt1_max, skt2_max, checked = scans[mode](h)
     scale = h.scale
     if scale > SCAN_RANGE:
-        max_res = skt1_max = skt2_max = np.inf
+        max_res, witness, skt1_max, skt2_max, checked = np.inf, None, np.inf, np.inf, 0
+    else:
+        max_res, witness, skt1_max, skt2_max, checked = scans[mode](h)
     return PluriclosedReport(
         verdict=max_res / scale < tol,  # tol * scale is subnormal below 2e-300
         max_residual=max_res,

@@ -6,7 +6,8 @@ E_-d) with a + b = c + d, and is linear in the fiber values and the torus
 metric. A group has one table per kind, built once: int32 rows holding each
 component's roots and root sums as stacked positive indices (rows of the
 layout's coefficient matrix, entries of the stacked fiber vector), one
-signed N-factor coefficient per term, 0 where the roots have no root sum,
+signed N-factor coefficient per term, 0 where the roots have no root sum
+(the term then reads the row's own root a, so it is 0 times a finite value),
 and the signs of the root differences the formula reads. A scan evaluates
 each table once with elementwise numpy in the order of the scalar formula.
 """
@@ -18,20 +19,20 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .family import QUIET
 from .roots import RootSystem
 
 if TYPE_CHECKING:
     from .hermitian import GroupSpec, HermitianStructure
 
 
-def _term(rs: RootSystem, sums: np.ndarray, coef: np.ndarray, offset: int):
-    """(stacked row offset + sums % n, sign, signed coef or 0) of sums, root
-    indices of rs or -1, where coef holds the N factors and offset is rs's
-    first stacked row."""
-    n = rs.npositive
+def _term(rs: RootSystem, sums: np.ndarray, coef: np.ndarray, offset: int, a: np.ndarray):
+    """(stacked row offset + (sums % n, or a where sums is -1), sign, signed
+    coef or 0) of sums, root indices of rs or -1, where coef holds the N
+    factors, offset is rs's first stacked row and a holds the rows' own root."""
+    n, has = rs.npositive, sums >= 0
     eps = np.where(sums < n, 1, -1).astype(np.int8)
-    return (offset + sums % n).astype(np.int32), eps, np.where(sums >= 0, eps * coef, 0.0)
+    rows = (offset + np.where(has, sums % n, a)).astype(np.int32)
+    return rows, eps, np.where(has, eps * coef, 0.0)
 
 
 def _stack(tables):
@@ -73,8 +74,8 @@ def pair_rows(group: GroupSpec, fa: int, i, fb: int, j) -> PairRows:
         values, inverse = np.unique(sc.sq[i, np.stack([j, rs.npositive + j])], return_inverse=True)
         floats = np.array([float(sc.unit * v) for v in values.tolist()])
         coef_up, coef_down = 2.0 * floats[inverse].reshape(2, -1)
-        up = _term(rs, rs.sum_index[i, j], coef_up, offset)
-        down = _term(rs, rs.diff_index[i, j], coef_down, offset)
+        up = _term(rs, rs.sum_index[i, j], coef_up, offset, i)
+        down = _term(rs, rs.diff_index[i, j], coef_down, offset, i)
     torus = si * np.intp(len(group.layout.coefficient_matrix)) + sj
     return PairRows(np.stack([si, sj, up[0], down[0]]), up[2], down[2], down[1], torus)
 
@@ -117,9 +118,9 @@ def quad_rows(group: GroupSpec, f: int, i, j, m, l) -> QuadRows:
     n, add, offset = rs.npositive, rs.sum_index, group.layout.row_slices[f].start
     a, b, c, d = i, j, n + m, n + l
     (ab, _, ab_coef), (ac, ac_eps, ac_coef), (ad, ad_eps, ad_coef) = (
-        _term(rs, add[a, b], fl[a, b] * fl[c, d], offset),
-        _term(rs, add[a, c], fl[a, c] * fl[b, d], offset),
-        _term(rs, add[a, d], fl[a, d] * fl[b, c], offset),
+        _term(rs, add[a, b], fl[a, b] * fl[c, d], offset, i),
+        _term(rs, add[a, c], fl[a, c] * fl[b, d], offset, i),
+        _term(rs, add[a, d], fl[a, d] * fl[b, c], offset, i),
     )
     rows = np.stack([offset + v for v in (i, j, m, l)] + [ab, ac, ad])
     return QuadRows(rows, ab_coef, ac_coef, ad_coef, ac_eps, ad_eps)
@@ -134,8 +135,9 @@ def quad_values(h: HermitianStructure, t: QuadRows) -> np.ndarray:
 
 
 def build_residual_tables(group: GroupSpec) -> tuple[PairRows, QuadRows]:
-    """The group's pair and quad rows in scan order: per factor, its pairs
-    (i < j) then its quads; after every factor, the pairs across factors."""
+    """The group's pair and quad rows in scan order: every pair row, then
+    every quad row. Pairs run per factor (i < j), then across factors; quads
+    run per factor."""
     pairs, quads = [], []
     for f, rs in enumerate(group.systems):
         i, j = np.triu_indices(rs.npositive, 1)
@@ -148,28 +150,25 @@ def build_residual_tables(group: GroupSpec) -> tuple[PairRows, QuadRows]:
 
 
 def worst_row(r: np.ndarray) -> tuple[float, int]:
-    """The largest residual, NaN skipped, and the first row holding it;
-    (0.0, -1) when none is positive."""
-    r = np.where(np.isnan(r), 0.0, r)
+    """The largest residual and the first row holding it; (0.0, -1) when none is positive."""
     row = int(np.argmax(r)) if r.size else -1
     return (float(r[row]), row) if row >= 0 and r[row] > 0 else (0.0, -1)
 
 
-@np.errstate(**QUIET)
 def closed_form_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
-    """(max residual, witness, skt1 max, skt2 max, rows checked) over every row.
+    """(max residual, witness, skt1 max, skt2 max, rows checked) over every
+    row of a structure within hermitian.SCAN_RANGE, where no value overflows.
 
-    The witness is the first row in scan order that holds the maximum. A tie
-    between the kinds goes to the pair when it lies within a factor no later
-    than the quad's, as every such pair comes before that quad.
+    The witness is the first row in scan order, every pair row then every
+    quad row, that holds the maximum; skt1 and skt2 are the pairs' and the
+    quads' maxima.
     """
     group = h.group
     pairs, quads = group.residual_tables
-    skt1, p = worst_row(np.abs(pair_values(h, pairs)) / 2.0)
-    skt2, q = worst_row(np.abs(quad_values(h, quads)) / 2.0)
-    pair_first = skt1 > skt2
-    if skt1 == skt2 > 0:
-        fa, fb, fq = (group.row_labels[r][0] for r in (*pairs.rows[:2, p], quads.rows[0, q]))
-        pair_first = fa == fb <= fq
-    witness = pairs.witness(group, p) if pair_first else quads.witness(group, q) if skt2 else None
-    return max(skt1, skt2), witness, skt1, skt2, pairs.rows.shape[1] + quads.rows.shape[1]
+    npairs = pairs.rows.shape[1]
+    r = np.abs(np.concatenate([pair_values(h, pairs), quad_values(h, quads)])) / 2.0
+    best, row = worst_row(r)
+    table, at = (pairs, row) if row < npairs else (quads, row - npairs)
+    witness = table.witness(group, at) if row >= 0 else None
+    skt1, skt2 = (float(part.max(initial=0.0)) for part in (r[:npairs], r[npairs:]))
+    return best, witness, skt1, skt2, len(r)

@@ -155,7 +155,7 @@ def test_an_exact_tie_between_a_pair_and_a_quad_goes_to_the_earlier_row(monkeypa
     # the first row of each block; G2 has 15 pairs i < j
     pair_at = {"pairs 0": 0, "pairs 1": 15, "cross": 30}
     quad_at = {"quads 0": 0, "quads 1": quads.rows.shape[1] // 2}
-    order = ["pairs 0", "quads 0", "pairs 1", "quads 1", "cross"]
+    order = ["pairs 0", "pairs 1", "cross", "quads 0", "quads 1"]
     for (p_name, p), (q_name, q) in itertools.product(pair_at.items(), quad_at.items()):
         pv, qv = np.zeros(pairs.rows.shape[1]), np.zeros(quads.rows.shape[1])
         pv[p], qv[q] = 3.0, -3.0
@@ -167,45 +167,69 @@ def test_an_exact_tie_between_a_pair_and_a_quad_goes_to_the_earlier_row(monkeypa
         assert rep.max_residual == rep.skt1_max == rep.skt2_max == 1.5
 
 
-@pytest.mark.parametrize("token", ["A2", "G2"])
-def test_closed_form_scan_of_huge_fiber_values_does_not_warn(token):
-    g = _group(token)
-    h = g.build([[1e308] * g.systems[0].npositive])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = is_pluriclosed(h)
-    assert not rep.verdict and rep.max_residual == np.inf
-    assert rep.witness == "pair (a2, a1) in factor 0"
+def _assert_not_scanned(monkeypatch, h, modes=("closed_form", "brute_force")):
+    """Above SCAN_RANGE is_pluriclosed runs neither scan, warns nothing and
+    reports (False, inf, None, inf, inf, 0) in every mode."""
+    def refuse(h):
+        raise AssertionError("a scan ran above SCAN_RANGE")
 
-
-@pytest.mark.parametrize("token", ["A2", "G2"])
-def test_brute_force_scan_of_huge_fiber_values_reports_an_inf_residual(token):
-    g = _group(token)
-    h = g.build([[1e308] * g.systems[0].npositive])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reps = [is_pluriclosed(h, mode=mode) for mode in ("closed_form", "brute_force")]
-    assert all(not rep.verdict and rep.max_residual == np.inf for rep in reps)
-    brute = reps[1]
-    assert brute.witness.startswith("non-finite d^c component (factor 0: ")
-    assert brute.skt1_max == brute.skt2_max == np.inf and brute.checked == 0
-
-
-def test_brute_force_scan_of_an_overflowing_dd_c_reports_an_inf_residual():
-    g = _group("A3")
-    rng = np.random.default_rng(0)
-    seen = 0
-    for _ in range(20):
-        h = g.build([10 ** rng.uniform(300, 308.25, g.systems[0].npositive)])
+    monkeypatch.setattr(hermitian_module, "closed_form_scan", refuse)
+    monkeypatch.setattr(hermitian_module, "_brute_force_scan", refuse)
+    assert h.scale > hermitian_module.SCAN_RANGE
+    for mode in modes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = is_pluriclosed(h, mode="brute_force")
-        assert not rep.verdict
-        if rep.witness.startswith("non-finite dd^c component (factor 0: "):
-            assert rep.max_residual == rep.skt1_max == rep.skt2_max == np.inf
-            assert rep.checked == 0
-            seen += 1
-    assert seen
+            rep = is_pluriclosed(h, mode=mode)
+        assert (rep.verdict, rep.max_residual, rep.witness) == (False, np.inf, None)
+        assert (rep.skt1_max, rep.skt2_max, rep.checked) == (np.inf, np.inf, 0)
+        assert rep.mode == mode and rep.scale == h.scale
+
+
+@pytest.mark.parametrize("token", ["A2", "G2"])
+def test_closed_form_scan_of_huge_fiber_values_does_not_warn(token, monkeypatch):
+    g = _group(token)
+    _assert_not_scanned(monkeypatch, g.build([[1e308] * g.systems[0].npositive]), ("closed_form",))
+
+
+@pytest.mark.parametrize("token", ["A2", "G2"])
+def test_brute_force_scan_of_huge_fiber_values_reports_an_inf_residual(token, monkeypatch):
+    g = _group(token)
+    _assert_not_scanned(monkeypatch, g.build([[1e308] * g.systems[0].npositive]))
+
+
+def test_brute_force_scan_of_an_overflowing_dd_c_reports_an_inf_residual(monkeypatch):
+    # these structures overflowed dd^c inside the brute-force scan before the
+    # range was checked first
+    g = _group("A3")
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        h = g.build([10 ** rng.uniform(300, 308.25, g.systems[0].npositive)])
+        _assert_not_scanned(monkeypatch, h)
+
+
+def test_a_structure_above_the_scan_range_is_not_scanned(monkeypatch):
+    h = A2.build([[np.nextafter(hermitian_module.SCAN_RANGE, np.inf), 1.0, 1.0]])
+    _assert_not_scanned(monkeypatch, h)
+
+
+@pytest.mark.parametrize(
+    "token,a,b,value",
+    [("A3", (0, 0, 1), (1, 0, 0), 0.0), ("B2", (1, 0), (1, 1), 2.0), ("G2", (0, 1), (1, 1), 2.0)],
+    ids=["A3", "B2", "G2"],
+)
+def test_ddc_omega_of_a_pair_near_the_float_ceiling_is_finite(token, a, b, value):
+    # with x_a = x_b = 1.7e308 a missing root sum read any other root's value
+    # and multiplied 0 by an overflowed difference; it reads a's own value
+    g = _group(token)
+    rs = g.systems[0]
+    a, b = rs.root(a), rs.root(b)
+    x = np.ones(rs.npositive)
+    x[[rs.index_of(a), rs.index_of(b)]] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = ddc_omega(g.build([x]), a, -a, b, -b)
+        small = ddc_omega(g.build([x / 1024], torus=g.q_full / 1024), a, -a, b, -b)
+    assert big.hex() == (1024 * small).hex() == value.hex()
 
 
 def test_kahler_flag_residual():

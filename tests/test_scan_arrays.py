@@ -2,8 +2,9 @@
 
 The references below are the loop implementations of the cochain
 differential, of d^c omega and of the closed-form and brute-force scans,
-kept verbatim apart from names. The array code must give the same keys, the same key
-order and the same float bits, and the same reports down to the witness.
+kept verbatim apart from names and the closed-form scan's row order (every pair,
+then every quad). The array code must give the same keys, the same key order and the
+same float bits, and the same reports down to the witness.
 """
 
 import itertools
@@ -152,6 +153,18 @@ def _reference_closed_form_scan(h):
                     skt1_max = r
                 if r > best[0]:
                     best = (r, f"pair ({pos[i].label}, {pos[j].label}) in factor {f}")
+    for fa in range(nfac):
+        for fb in range(fa + 1, nfac):
+            pa, pb = h.group.systems[fa].positives, h.group.systems[fb].positives
+            for i, j in itertools.product(range(len(pa)), range(len(pb))):
+                r = abs(_reference_pair_level_value(h, fa, i, fb, j)) / 2.0
+                if r > skt1_max:
+                    skt1_max = r
+                if r > best[0]:
+                    best = (r, f"pair (factor {fa}: {pa[i].label}, factor {fb}: {pb[j].label})")
+    for f in range(nfac):
+        rs = h.group.systems[f]
+        pos = rs.positives
         n = len(pos)
         for i, j, m, l in rs.positive_quads().tolist():
             r = abs(_reference_quad_level_value(h, f, i, j, n + m, n + l)) / 2.0
@@ -163,15 +176,6 @@ def _reference_closed_form_scan(h):
                     f"quad ({pos[i].label}, {pos[j].label}, {(-pos[m]).label}, {(-pos[l]).label})"
                     f" in factor {f}",
                 )
-    for fa in range(nfac):
-        for fb in range(fa + 1, nfac):
-            pa, pb = h.group.systems[fa].positives, h.group.systems[fb].positives
-            for i, j in itertools.product(range(len(pa)), range(len(pb))):
-                r = abs(_reference_pair_level_value(h, fa, i, fb, j)) / 2.0
-                if r > skt1_max:
-                    skt1_max = r
-                if r > best[0]:
-                    best = (r, f"pair (factor {fa}: {pa[i].label}, factor {fb}: {pb[j].label})")
     return best[0], best[1], skt1_max, skt2_max
 
 
