@@ -15,7 +15,7 @@ import numpy as np
 # grad_F stays a module attribute: perfbench/tracing.py wraps it.
 from .family import grad_F  # noqa: F401
 from .forms import ChevalleyBasis, InvariantForm
-from .hermitian import HermitianStructure, d_star_omega, sigma_form, z_vector
+from .hermitian import HermitianStructure, d_star_omega, sigma_form
 from .roots import check_positive, number_array
 
 
@@ -49,7 +49,7 @@ class RicciRep:
 
 
 def chern_ricci(h: HermitianStructure) -> RicciRep:
-    z = np.concatenate([z_vector(rs) for rs in h.group.systems])
+    z = h.group.layout.coefficient_matrix.sum(axis=0)
     return RicciRep(kind="chern", vector=TorusVector(-z), structure=h)
 
 

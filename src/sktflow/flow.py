@@ -241,26 +241,14 @@ def _rk4(f, x, h, k1):
     return (k1 + (k2 + k2) + (k3 + k3) + k4) * (h / 6.0) + x
 
 
-# The Fehlberg tableau (NASA TR R-315, 1969): stage rows, then the 4th- and
-# 5th-order weights. _rkf45 writes it out; the tests check it against these rows.
-_RKF_K = (
-    (0.25,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-
-
 def _rkf45(f, x, h, k1):
     """One Runge-Kutta-Fehlberg step given k1 = f(x): the 5th-order point and its error.
 
-    The tableau written out on the state's Python floats. Each stage input,
-    x4 and x5 is one comprehension (k1*c1 + k2*c2 + ...) * h + x, summed left
-    to right from the first nonzero term, zero terms skipped; each k is read
-    once with tolist(), and a, b, c, d, e, g are the entries of k1 to k6.
+    Fehlberg's tableau (NASA TR R-315, 1969) written out on the state's
+    Python floats. Each stage input, x4 and x5 is one comprehension
+    (k1*c1 + k2*c2 + ...) * h + x, summed left to right from the first
+    nonzero term, zero terms skipped; each k is read once with tolist(), and
+    a, b, c, d, e, g are the entries of k1 to k6.
     Python float * and + are the correctly rounded IEEE operations of numpy's
     elementwise ufuncs, so these are the bits of x + h * sum(c * k) in numpy,
     at a fraction of its calls on a small state; the evaluations stay in

@@ -32,15 +32,15 @@ _PLANS_PER_DEGREE = 2
 class DerivativePlan(NamedTuple):
     """exterior_derivative on one key set: per row, in row order, the
     component it reads (src), its signed bracket coefficient as an index into
-    values (coef) and its output slot (slot), and the merged key of each
-    slot, in first-touch order. The row arrays hold the smallest unsigned
-    integers that fit: on E7's d^c omega, 5 bytes per row."""
+    the values of the basis' signed_coefficients (coef) and its output slot
+    (slot), and the merged key of each slot, in first-touch order. The row
+    arrays hold the smallest unsigned integers that fit: on E7's d^c omega,
+    5 bytes per row."""
 
     src: np.ndarray
     coef: np.ndarray
     slot: np.ndarray
     keys: np.ndarray  # int32, (slots, degree + 1)
-    values: np.ndarray  # float64, the basis' signed_coefficients
 
 
 def _index_type(n: int) -> np.dtype:
@@ -85,13 +85,9 @@ class ChevalleyBasis:
     def __init__(self, factors: list[tuple[RootSystem, StructureConstants]]):
         self.factors = factors
         self.layout = FactorLayout([rs for rs, _ in factors])
-        self.fiber_offsets = []
-        e = self.layout.size
-        for rs, _ in factors:
-            self.fiber_offsets.append(e)
-            e += 2 * rs.npositive
-        self.dim = e
         size = self.layout.size
+        # the element of stacked positive row t is size + 2t, and size + 2t + 1 for -a
+        self.dim = size + 2 * self.layout.row_slices[-1].stop
         self.pair_of = [-1] * size + [(m - size) // 2 for m in range(size, self.dim)]
         self.bracket_arrays = self._bracket_arrays()
         i, j = self.bracket_arrays[:2]
@@ -180,7 +176,7 @@ class ChevalleyBasis:
     def element_index(self, factor: int, i: int) -> int:
         """Basis position of E for the root with index i in the factor's all_roots()."""
         n = self.factors[factor][0].npositive
-        return self.fiber_offsets[factor] + 2 * (i % n) + (i >= n)
+        return self.layout.size + 2 * (self.layout.row_slices[factor].start + i % n) + (i >= n)
 
     def _bracket_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero [X_i, X_j], i < j, one row per term [X_i, X_j] ∋ c X_m,
@@ -397,7 +393,8 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
     basis, deg = form.basis, form.degree
     nonzero = vals != 0
     keys, vals = keys[nonzero], vals[nonzero]
-    src, coef, slot, merged, values = basis.derivative_plan(keys)
+    src, coef, slot, merged = basis.derivative_plan(keys)
+    values = basis.signed_coefficients[0]
     total = np.zeros(len(merged), dtype=complex)
     # add.at adds in index order: each slot sums its rows in row order; a
     # block at a time keeps the products' buffer small. A complex value times
@@ -420,10 +417,10 @@ def _build_plan(basis: ChevalleyBasis, keys: np.ndarray) -> DerivativePlan:
     take 8 bytes a row, and the sort a few row-long index arrays more: on
     E8's d^c omega (358,925 rows) the build peaks at about 20 MB."""
     deg = keys.shape[1]
-    values, plus, minus = basis.signed_coefficients
+    _, plus, minus = basis.signed_coefficients
     if not keys.size:
         empty = np.zeros(0, dtype=np.uint8)
-        return DerivativePlan(empty, empty, empty, np.zeros((0, deg + 1), dtype=np.int32), values)
+        return DerivativePlan(empty, empty, empty, np.zeros((0, deg + 1), dtype=np.int32))
     # components by element, in insertion order: comp[at[e]:at[e + 1]]
     # hold element e at position pos
     flat = keys.ravel()
@@ -489,4 +486,4 @@ def _build_plan(basis: ChevalleyBasis, keys: np.ndarray) -> DerivativePlan:
     merged = np.empty((len(code), deg + 1), dtype=np.int32)
     for col, k in enumerate(place):
         merged[:, col] = code // k % basis.dim
-    return DerivativePlan(src_of[:nkept], coef_of[:nkept], slot[inverse], merged, values)
+    return DerivativePlan(src_of[:nkept], coef_of[:nkept], slot[inverse], merged)

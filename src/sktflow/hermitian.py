@@ -181,7 +181,11 @@ def _refuse_non_positive(rows, what: str) -> None:
 
 
 class HermitianStructure:
-    """Torus metric + fiber metric (+ optional torus complex structure)."""
+    """Torus metric + fiber metric (+ optional torus complex structure).
+
+    x holds the effective fiber values z*x of every factor, stacked in the
+    layout's row order, and xhat[f] is factor f's view of it; both are
+    read-only."""
 
     def __init__(self, group: GroupSpec, fiber=None, torus="killing", jt=None):
         self.group = group
@@ -217,15 +221,16 @@ class HermitianStructure:
             if np.abs(j.T @ g @ j - g).max() > 1e-8 * np.abs(g).max():
                 raise ValueError("jt is not compatible with the torus metric")
 
-        # effective fiber values: factor scale applied once, here; a product
-        # that overflows or underflows is refused below, not warned about
+        # effective fiber values z*x, stacked in the layout's row order: the
+        # factor scale applied once, here; a product that overflows or
+        # underflows is refused below, not warned about
         with np.errstate(over="ignore", under="ignore"):
-            self.xhat = tuple(
-                spec.z * np.array(row)
-                for spec, row in zip(group.factors, fiber.values)
+            self.x = np.concatenate(
+                [spec.z * np.array(row) for spec, row in zip(group.factors, fiber.values)]
             )
+        self.x.flags.writeable = False
+        self.xhat = tuple(self.x[rows] for rows in group.layout.row_slices)
         _refuse_non_positive(self.xhat, "effective fiber value z*x =")
-        self._x = tuple(row.tolist() for row in self.xhat)
         self.gt = self.torus.matrix
         self.q_full = group.q_full
 
@@ -235,8 +240,7 @@ class HermitianStructure:
         fiber value or, if larger, the largest |entry| of the torus metric over
         the largest |entry| of the layout's gram matrix. Every dd^c residual is
         linear in u, and the bi-invariant metric at z has scale z."""
-        fiber = max(float(row.max()) for row in self.xhat)
-        return max(fiber, float(np.abs(self.gt).max() / np.abs(self.q_full).max()))
+        return max(float(self.x.max()), float(np.abs(self.gt).max() / np.abs(self.q_full).max()))
 
     def parse_argument(self, arg):
         """Root (single factor) or (factor, Root) as (factor, index in all_roots()),
@@ -335,10 +339,8 @@ def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> In
     basis = basis or h.group.basis
     m = -(h.jt.matrix.T @ h.gt)
     comps = {(a, b): complex(m[a, b]) for a, b in np.argwhere(np.triu(m, 1)).tolist()}
-    for f, rs in enumerate(h.group.systems):
-        for t in range(rs.npositive):
-            e = basis.element_index(f, t)
-            comps[(e, e + 1)] = -1j * h._x[f][t]
+    for e, x in zip(range(h.group.total_rank, basis.dim, 2), h.x.tolist()):
+        comps[(e, e + 1)] = -1j * x
     return InvariantForm(basis=basis, degree=2, components=comps)
 
 
@@ -353,9 +355,7 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
     gk = np.matmul(h.gt, h.group.layout.coefficient_matrix[:, :, None])[:, :, 0]
     vals = np.empty(len(table.keys), dtype=complex)
     vals[table.torus] = -gk.ravel()
-    vals[table.triple] = table.dc_coef * triple_sums(
-        table.fiber, table.ysign, np.concatenate(h.xhat)
-    )
+    vals[table.triple] = table.dc_coef * triple_sums(table.fiber, table.ysign, h.x)
     # a torus component is kept where g_T k is nonzero, every triple component
     keep = vals != 0
     keep[table.triple] = True
@@ -373,7 +373,7 @@ def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
         f, i = parsed
         rs = h.group.systems[f]
         e = int(basis.element_index(f, rs.neg_index[i]))
-        comps = {(e,): complex(-h._x[f][i % rs.npositive])}
+        comps = {(e,): complex(-h.xhat[f][i % rs.npositive])}
     return InvariantForm(basis=basis, degree=1, components=comps)
 
 
@@ -413,7 +413,7 @@ def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
 
 def d_star_omega(h: HermitianStructure) -> np.ndarray:
     """Codifferential of the fundamental form as the torus vector it is dual to."""
-    return -np.concatenate([z_vector(rs, x) for rs, x in zip(h.group.systems, h.xhat)])
+    return -(h.group.layout.coefficient_matrix / h.x[:, None]).sum(axis=0)
 
 
 @dataclass
@@ -435,14 +435,6 @@ class PluriclosedReport:
     elapsed_s: float = field(compare=False)
 
 
-def _bucket(basis: ChevalleyBasis, key: tuple[int, ...]) -> str:
-    """mixed with a torus element, skt1 for two opposite pairs, else skt2; key sorted."""
-    p0, p1, p2, p3 = (basis.pair_of[m] for m in key)
-    if p0 < 0:
-        return "mixed"
-    return "skt1" if p0 == p1 and p2 == p3 else "skt2"
-
-
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     """(max residual, witness, skt1 max, skt2 max, components checked) over
     dd^c omega, for a structure within SCAN_RANGE."""
@@ -455,9 +447,9 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
     best, row = worst_row(r)
     witness = None
     if row >= 0:
-        key = tuple(keys[row].tolist())
-        names = ", ".join(basis.element_names[i] for i in key)
-        witness = f"{_bucket(basis, key)} ({names})"
+        word = "skt1" if skt1[row] else "skt2" if fiber[row] else "mixed"
+        names = ", ".join(basis.element_names[i] for i in keys[row].tolist())
+        witness = f"{word} ({names})"
     skt1_max, skt2_max = (float(r.max(where=m, initial=0.0)) for m in (skt1, fiber ^ skt1))
     return best, witness, skt1_max, skt2_max, len(values)
 

@@ -87,7 +87,7 @@ def pair_values(h: HermitianStructure, t: PairRows) -> np.ndarray:
     # product, where the 2-D k @ g_T (one gemm) differs in the last bit
     kg = np.matmul(k[:, None, :], h.gt)[:, 0, :]
     val = 2.0 * (kg @ k.T).ravel()[t.torus]
-    xi, xj, x_up, x_down = np.concatenate(h.xhat)[t.rows]
+    xi, xj, x_up, x_down = h.x[t.rows]
     val -= t.up * (x_up - xi - xj)
     val -= t.down * (t.down_eps * x_down - xi + xj)
     return val
@@ -127,7 +127,7 @@ def quad_rows(group: GroupSpec, f: int, i, j, m, l) -> QuadRows:
 
 
 def quad_values(h: HermitianStructure, t: QuadRows) -> np.ndarray:
-    xa, xb, xc, xd, x_ab, x_ac, x_ad = np.concatenate(h.xhat)[t.rows]
+    xa, xb, xc, xd, x_ab, x_ac, x_ad = h.x[t.rows]
     val = t.ab * (xa + xb + xc + xd - 2.0 * x_ab)
     val -= t.ac * (-xa + xb + xc - xd + 2.0 * t.ac_eps * x_ac)
     val += t.ad * (-xa + xb - xc + xd + 2.0 * t.ad_eps * x_ad)

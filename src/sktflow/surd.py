@@ -1,9 +1,10 @@
 """Exact arithmetic over quadratic surds c*sqrt(s).
 
-Structure constants have exactly rational squares, so every value the sign
-recursion touches is a rational multiple of a single square root. Keeping
-the pair (coefficient, squarefree core) exact lets the identity suite run
-without floating error.
+Structure constants have exactly rational squares, so each N(a, b) is a
+rational multiple of a single square root. Surd, the pair (coefficient,
+squarefree core), is the exact value type of StructureConstants.at, value
+and table; the sign recursion and the identity suite run on the integer
+sign and square arrays (structure._squarefree) instead.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ def _reference_triple(h, roots, conjugate):
     (f1, i1), (f2, i2), (f3, i3) = roots
     rs = h.group.systems[f1]
     n = float(h.group.constants[f1].float_array[i1, i2])
-    x, npos = h._x[f1], rs.npositive
+    x, npos = h.xhat[f1].tolist(), rs.npositive
     s1, s2, s3 = (1 if i < npos else -1 for i in (i1, i2, i3))
     y1, y2, y3 = (-1j * s * x[i % npos] for s, i in ((s1, i1), (s2, i2), (s3, i3)))
     ys = y1 + y2 + y3

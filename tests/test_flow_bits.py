@@ -30,7 +30,8 @@ from sktflow import (
     pluriclosed_family,
 )
 from sktflow.family import Violation as _Violation, _admissible, family_gradient, potential
-from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _rk4, _rkf45, _within
+from sktflow.flow import _rk4, _rkf45, _within
+from test_flow_reuse import _RKF_B4, _RKF_B5, _RKF_K
 
 CATALOG = (
     [f"A{k}" for k in range(1, 9)]

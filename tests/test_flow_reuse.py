@@ -29,6 +29,8 @@ from sktflow import (
 from sktflow.family import Violation as _Violation
 from sktflow.flow import _Evaluator
 
+# The Fehlberg tableau (NASA TR R-315, 1969): stage rows, then the 4th- and
+# 5th-order weights. flow._rkf45 writes it out; the tests check it against these rows.
 _RKF_K = (
     (0.25,),
     (3 / 32, 9 / 32),

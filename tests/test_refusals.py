@@ -1,6 +1,8 @@
 """Refusals and degenerate inputs that no other test reaches: each refusal
 raises its own type with its message, as a caller or a shell reads it."""
 
+import io
+import json
 import re
 
 import numpy as np
@@ -11,17 +13,25 @@ import sktflow.cli as cli_module
 from conftest import system
 from sktflow import (
     ConsistencyError,
+    FactorLayout,
     FactorSpec,
     GroupSpec,
+    InvariantForm,
     MissingComplexStructureError,
     SimpleType,
+    TorusVector,
+    Trajectory,
+    canonical_jt,
     d_omega,
     integrate,
     is_pluriclosed,
+    moduli_dimensions,
     omega_form,
+    structure_constants,
     structure_from_dict,
 )
 from sktflow.cli import main
+from sktflow.surd import Surd
 
 A2 = GroupSpec([FactorSpec(SimpleType("A", 2))])
 A2G2 = GroupSpec([FactorSpec(SimpleType("A", 2)), FactorSpec(SimpleType("G", 2))])
@@ -61,6 +71,29 @@ REFUSALS = {
         lambda: structure_from_dict({"factors": [{"family": "A", "rank": 2}], "torus": "flat"}),
         ValueError, "unknown torus entry 'flat'",
     ),
+    "torus_vector_shape": (
+        lambda: TorusVector(np.zeros((2, 2))), ValueError, "torus vector must be one-dimensional",
+    ),
+    "form_value_count": (
+        lambda: InvariantForm.from_arrays(A2.basis, 2, [[0, 1]], [1.0, 2.0]), ValueError,
+        "need (n, 2) keys for n values",
+    ),
+    "index_of_non_root": (
+        lambda: A2.systems[0].index_of((1, -1)), ValueError, "(1, -1) is not a root of A2",
+    ),
+    "root_of_non_root": (
+        lambda: A2.systems[0].root((2, 1)), ValueError, "(2, 1) is not a root of A2",
+    ),
+    "moduli_without_torus": (
+        lambda: moduli_dimensions(0, 1), ValueError, "need d >= 1 and nposroots >= 0",
+    ),
+    "layout_index": (
+        lambda: FactorLayout(A2.systems).locate(5), IndexError, "index 5 is outside the layout",
+    ),
+    "table_without_sum": (
+        lambda: structure_constants(A2.systems[0]).table[((1, 0), (1, 0))], KeyError,
+        "((1, 0), (1, 0))",
+    ),
 }
 
 
@@ -92,6 +125,35 @@ def test_a_command_maps_its_refusal_onto_the_exit_code(monkeypatch, args, patch,
     res = CliRunner().invoke(main, args)
     assert res.exit_code == code
     assert res.output.endswith(output)
+
+
+def test_classify_exits_1_when_no_factor_scaling_is_compatible(tmp_path):
+    gt = np.array([[2.0, 0.3], [0.3, 1.0]])
+    data = {"factors": [{"family": "A", "rank": 2}], "torus": {"blocks": [gt.tolist()]},
+            "jt": canonical_jt(gt).tolist()}
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    res = CliRunner().invoke(main, ["classify", str(path)])
+    assert res.exit_code == 1
+    assert res.output == (
+        "compatibility cone dimension: 0\n"
+        "no positive factor scaling is compatible with this complex structure\n"
+    )
+
+
+def test_a_pair_of_a_root_and_a_non_root_has_the_zero_structure_constant():
+    assert structure_constants(A2.systems[0]).value((1, 0), (2, 2)) == Surd.of(0)
+
+
+def test_from_csv_skips_blank_lines_and_round_trips_the_states_exactly():
+    traj = integrate(system("A2"), (1.3, 0.8))
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    text = "\n" + buf.getvalue().replace("\n", "\n\n")
+    back = Trajectory.from_csv(io.StringIO(text))
+    for name in ("times", "states", "f_values", "grad_inf"):
+        assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
+    assert len(traj.times) > 1 and back.termination == traj.termination == "converged"
 
 
 def test_d_omega_of_a_triple_across_two_factors_is_zero():

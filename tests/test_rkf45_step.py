@@ -19,7 +19,8 @@ import pytest
 import sktflow.flow as flow_module
 from conftest import system
 from sktflow import FlowConfig, family_bound, integrate
-from sktflow.flow import _RKF_B4, _RKF_B5, _RKF_K, _rkf45
+from sktflow.flow import _rkf45
+from test_flow_reuse import _RKF_B4, _RKF_B5, _RKF_K
 
 SIZES = (1, 3, 5, 16, 24)
 STEPS = (1e-300, 1e-3, 0.37, 1e300)

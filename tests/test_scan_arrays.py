@@ -89,7 +89,7 @@ def _reference_dc_form(h):
             for a in range(h.group.total_rank):
                 if gk[a]:
                     comps[(a, e, e + 1)] = complex(-gk[a])
-        n, fl, x = rs.npositive, h.group.constants[f].float_array.tolist(), h._x[f]
+        n, fl, x = rs.npositive, h.group.constants[f].float_array.tolist(), h.xhat[f].tolist()
         for eta, theta, xi in zip(*(v.tolist() for v in rs.positive_sums())):
             for triple in ((eta, theta, n + xi), (n + eta, n + theta, xi)):
                 idx = sorted((basis.element_index(f, r), r) for r in triple)
@@ -107,7 +107,7 @@ def _reference_pair_level_value(h, fa, i, fb, j):
     val = 2.0 * float(ka @ h.gt @ kb)
     if fa != fb:
         return val
-    rs, sc, x = h.group.systems[fa], h.group.constants[fa], h._x[fa]
+    rs, sc, x = h.group.systems[fa], h.group.constants[fa], h.xhat[fa].tolist()
     n = rs.npositive
     up = rs.sum_index[i, j]
     if up >= 0:
@@ -120,7 +120,7 @@ def _reference_pair_level_value(h, fa, i, fb, j):
 
 
 def _reference_quad_level_value(h, f, a, b, c, d):
-    rs, fl, x = h.group.systems[f], h.group.constants[f].float_array.tolist(), h._x[f]
+    rs, fl, x = h.group.systems[f], h.group.constants[f].float_array.tolist(), h.xhat[f].tolist()
     n, add = rs.npositive, rs.sum_index
     xa, xb, xc, xd = x[a], x[b], x[c - n], x[d - n]
     val = 0.0
