@@ -14,7 +14,7 @@ import numpy as np
 
 # grad_F stays a module attribute: perfbench/tracing.py wraps it.
 from .family import grad_F  # noqa: F401
-from .forms import ChevalleyBasis, InvariantForm
+from .forms import InvariantForm
 from .hermitian import HermitianStructure, d_star_omega, sigma_form
 from .roots import check_positive, number_array
 
@@ -44,8 +44,8 @@ class RicciRep:
     vector: TorusVector
     structure: HermitianStructure
 
-    def two_form(self, basis: ChevalleyBasis | None = None) -> InvariantForm:
-        return sigma_form(self.structure, self.vector.components, basis)
+    def two_form(self) -> InvariantForm:
+        return sigma_form(self.structure, self.vector.components)
 
 
 def chern_ricci(h: HermitianStructure) -> RicciRep:

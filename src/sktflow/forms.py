@@ -7,7 +7,7 @@ oracle for every closed-form expression elsewhere in the package.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -70,9 +70,9 @@ class ChevalleyBasis:
     """Ordered basis: all torus directions first, then (E_+, E_-) per positive root.
 
     Torus indices are global across factors; fiber indices are grouped by
-    factor. pair_of[m] is the global index of the positive-root pair
-    {E_a, E_-a} holding element m, or -1 for a torus element. Brackets
-    between different factors vanish.
+    factor, in the order of layout, the group's own. pair_of, read-only int32,
+    holds at m the global index of the positive-root pair {E_a, E_-a} holding
+    element m, or -1 at a torus element. Brackets between factors vanish.
 
     The bracket table is held as read-only arrays, bracket_arrays, with
     bracket_starts the first row of each key (i, j); the dict behind
@@ -82,24 +82,20 @@ class ChevalleyBasis:
     dc_form's table.
     """
 
-    def __init__(self, factors: list[tuple[RootSystem, StructureConstants]]):
-        self.factors = factors
-        self.layout = FactorLayout([rs for rs, _ in factors])
-        size = self.layout.size
+    def __init__(self, layout: FactorLayout, constants: Sequence[StructureConstants]):
+        self.layout = layout
+        self.factors = list(zip(layout.systems, constants))
+        size = layout.size
         # the element of stacked positive row t is size + 2t, and size + 2t + 1 for -a
-        self.dim = size + 2 * self.layout.row_slices[-1].stop
-        self.pair_of = [-1] * size + [(m - size) // 2 for m in range(size, self.dim)]
+        self.dim = size + 2 * layout.row_slices[-1].stop
+        self.pair_of = ((np.arange(self.dim, dtype=np.int32) - size) // 2).clip(min=-1)
+        self.pair_of.flags.writeable = False
         self.bracket_arrays = self._bracket_arrays()
         i, j = self.bracket_arrays[:2]
         new = np.ones(len(i), dtype=bool)
         new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
         self.bracket_starts = np.flatnonzero(new)
         self._plans: dict[int, dict[bytes, DerivativePlan]] = {}
-
-    @cached_property
-    def pair_array(self) -> np.ndarray:
-        """pair_of as an int32 array."""
-        return np.array(self.pair_of, dtype=np.int32)
 
     @cached_property
     def signed_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -52,8 +52,8 @@ class GroupSpec:
     """Product of simple factors with cached root data.
 
     layout stacks every factor's positive roots in torus coordinates. Structure
-    constants, the basis and the residual tables are built lazily; closed-form
-    metric computations on large types never pay for the basis.
+    constants, the basis on layout, the residual tables and the Killing torus
+    metric are built lazily, once per group; closed-form scans never pay for the basis.
     """
 
     def __init__(self, factors: Sequence[FactorSpec]):
@@ -75,7 +75,13 @@ class GroupSpec:
 
     @cached_property
     def basis(self) -> ChevalleyBasis:
-        return ChevalleyBasis(list(zip(self.systems, self.constants)))
+        return ChevalleyBasis(self.layout, self.constants)
+
+    @cached_property
+    def killing_torus(self) -> "TorusMetric":
+        """The torus metric of z * gram per factor, shared by every Killing structure."""
+        blocks = (f.z * rs.gram_float for f, rs in zip(self.factors, self.systems))
+        return TorusMetric(self.layout.blockdiag(blocks), is_killing=True)
 
     @cached_property
     def residual_tables(self) -> tuple[PairRows, QuadRows]:
@@ -116,11 +122,6 @@ class TorusMetric:
             raise ValueError("torus metric must be symmetric")
         if np.linalg.eigvalsh(m).min() <= 0:
             raise ValueError("torus metric must be positive definite")
-
-    @staticmethod
-    def killing(group: GroupSpec) -> "TorusMetric":
-        blocks = (f.z * rs.gram_float for f, rs in zip(group.factors, group.systems))
-        return TorusMetric(group.layout.blockdiag(blocks), is_killing=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +206,7 @@ class HermitianStructure:
         if isinstance(torus, TorusMetric):
             self.torus = torus
         elif isinstance(torus, str) and torus == "killing":
-            self.torus = TorusMetric.killing(group)
+            self.torus = group.killing_torus
         else:
             self.torus = TorusMetric(torus)
         if self.torus.matrix.shape[0] != group.total_rank:
@@ -332,11 +333,11 @@ def ddc_omega(h: HermitianStructure, a, b, c, d) -> float:
     return sort_sign(keys) * float(quad_values(h, row)[0])
 
 
-def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
-    """The fundamental 2-form on the full basis; needs jt for the torus block."""
+def omega_form(h: HermitianStructure) -> InvariantForm:
+    """The fundamental 2-form on the group's basis; needs jt for the torus block."""
     if h.jt is None:
         raise MissingComplexStructureError("the fundamental form needs a torus complex structure")
-    basis = basis or h.group.basis
+    basis = h.group.basis
     m = -(h.jt.matrix.T @ h.gt)
     comps = {(a, b): complex(m[a, b]) for a, b in np.argwhere(np.triu(m, 1)).tolist()}
     for e, x in zip(range(h.group.total_rank, basis.dim, 2), h.x.tolist()):
@@ -344,11 +345,11 @@ def omega_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> In
     return InvariantForm(basis=basis, degree=2, components=comps)
 
 
-def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> InvariantForm:
+def dc_form(h: HermitianStructure) -> InvariantForm:
     """The 3-form d^c of the fundamental form, assembled componentwise from
-    the basis' dc_table: per factor the torus components of each root, root
-    then torus coordinate, then its triple components."""
-    basis = basis or h.group.basis
+    the group basis' dc_table: per factor the torus components of each root,
+    root then torus coordinate, then its triple components."""
+    basis = h.group.basis
     table = basis.dc_table
     # g_T @ k for every root in one batched matmul, each row with the bits of
     # its own product (a 2-D product differs in the last bit)
@@ -362,9 +363,9 @@ def dc_form(h: HermitianStructure, basis: ChevalleyBasis | None = None) -> Invar
     return computed_form(basis, 3, table.keys[keep], vals[keep])
 
 
-def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) -> InvariantForm:
-    """Metric-dual 1-form of an algebra element."""
-    basis = basis or h.group.basis
+def theta_form(h: HermitianStructure, x) -> InvariantForm:
+    """Metric-dual 1-form of an algebra element, on the group's basis."""
+    basis = h.group.basis
     parsed = h.parse_argument(x)
     if isinstance(parsed, np.ndarray):
         gv = h.gt @ parsed
@@ -377,9 +378,9 @@ def theta_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) ->
     return InvariantForm(basis=basis, degree=1, components=comps)
 
 
-def sigma_form(h: HermitianStructure, x, basis: ChevalleyBasis | None = None) -> InvariantForm:
+def sigma_form(h: HermitianStructure, x) -> InvariantForm:
     """2-form pairing brackets against x through the invariant form."""
-    basis = basis or h.group.basis
+    basis = h.group.basis
     parsed = h.parse_argument(x)
     # pairing[m]: the invariant form of basis element m against x
     pairing = np.zeros(basis.dim, dtype=complex)
@@ -439,9 +440,9 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
     """(max residual, witness, skt1 max, skt2 max, components checked) over
     dd^c omega, for a structure within SCAN_RANGE."""
     basis = h.group.basis
-    keys, values = exterior_derivative(dc_form(h, basis)).arrays()
+    keys, values = exterior_derivative(dc_form(h)).arrays()
     r = np.abs(values) / 2.0
-    pair = basis.pair_array[keys]
+    pair = basis.pair_of[keys]
     fiber = pair[:, 0] >= 0
     skt1 = fiber & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
     best, row = worst_row(r)

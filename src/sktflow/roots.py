@@ -339,6 +339,13 @@ def _match_pair_sums(rs: "RootSystem") -> np.ndarray:
     return np.stack([i[p], j[p], i[q], j[q]], axis=1)
 
 
+def _find_positive_sums(rs: "RootSystem") -> np.ndarray:
+    """RootSystem.positive_sums, read off sum_index."""
+    n = rs.npositive
+    i, j = np.nonzero(np.triu(rs.sum_index[:n, :n] >= 0, 1))
+    return np.stack([i, j, rs.sum_index[i, j]])
+
+
 def _list_zero_sum_quads(rs: "RootSystem") -> np.ndarray:
     """RootSystem.zero_sum_quads, from positive_quads and positive triples."""
     n = rs.npositive
@@ -457,12 +464,10 @@ class RootSystem:
             raise ConsistencyError(f"non-integer Cartan number for {a}, {b}")
         return int(val)
 
-    def positive_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (i, j, k), i < j, with positives[i] + positives[j] = positives[k],
-        in row-major order of (i, j)."""
-        n = self.npositive
-        i, j = np.nonzero(np.triu(self.sum_index[:n, :n] >= 0, 1))
-        return i, j, self.sum_index[i, j]
+    def positive_sums(self) -> np.ndarray:
+        """Rows (i, j, k), i < j, with positives[i] + positives[j] = positives[k],
+        each in row-major order of (i, j); read-only, found once per system."""
+        return self._cached("positive_sums", _find_positive_sums)
 
     def _cached(self, name: str, build) -> np.ndarray:
         """The read-only array build(self), built on the first call for name

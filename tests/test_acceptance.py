@@ -236,8 +236,8 @@ def test_criterion_08_closed_form_vs_cochain_oracle():
             gt = _rand_spd(rng, rs.rank)
             jt = canonical_jt(gt)
             h = g.build(x=[tuple(x)], torus=gt, jt=jt)
-            dom = exterior_derivative(omega_form(h, basis))
-            dcf = dc_form(h, basis)
+            dom = exterior_derivative(omega_form(h))
+            dcf = dc_form(h)
             ddcf = exterior_derivative(dcf)
             for tri in combinations(range(basis.dim), 3):
                 args = [elems[i] for i in tri]

@@ -110,7 +110,7 @@ def test_bracket_arrays_equal_the_dict_builder(token, norm):
 
 def test_bracket_views_are_lazy():
     g = _group("B3xG2")
-    basis = ChevalleyBasis(list(zip(g.systems, g.constants)))
+    basis = ChevalleyBasis(g.layout, g.constants)
     view = basis.nonzero_brackets()
     assert len(view) == len(_reference_brackets(basis))
     assert "_brackets" not in vars(basis) and "descriptors" not in vars(basis)

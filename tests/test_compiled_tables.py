@@ -112,6 +112,8 @@ def test_positive_quads_and_sums(token):
     want_sums = [(i, j, index[add(pos[i], pos[j])])
                  for i in range(n) for j in range(i + 1, n) if add(pos[i], pos[j]) in index]
     assert list(zip(*(v.tolist() for v in rs.positive_sums()))) == want_sums
+    # found once per system: a repeat call returns the same read-only rows
+    assert rs.positive_sums() is rs.positive_sums() and not rs.positive_sums().flags.writeable
     want_quads = [(i, j, m, l)
                   for i in range(n) for j in range(i + 1, n)
                   for m in range(n) for l in range(m + 1, n)

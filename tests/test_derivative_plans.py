@@ -63,7 +63,7 @@ def test_alternating_key_sets_replay_the_bits_of_a_fresh_plan(token, monkeypatch
     builds = _count_builds(monkeypatch)
     for h in metrics + metrics[::-1]:
         got = exterior_derivative(dc_form(h))
-        fresh = exterior_derivative(dc_form(h, _fresh(token).basis))
+        fresh = exterior_derivative(dc_form(_on(_fresh(token), h)))
         assert _bits(got.components) == _bits(fresh.components)
         assert _bits(got.components) == _bits(_reference_exterior_derivative(dc_form(h)))
         report = _report_bits(is_pluriclosed(h, mode="brute_force"))

@@ -70,12 +70,12 @@ def test_bracket_table_matches_pairwise_root_arithmetic_on_large_types(tokens):
 
 def test_pair_of_follows_the_layout():
     basis = _basis("A1", "B2")
-    assert basis.pair_of[: basis.layout.size] == [-1, -1, -1]
+    assert basis.pair_of[: basis.layout.size].tolist() == [-1, -1, -1]
     for f, (rs, _) in enumerate(basis.factors):
         for root in rs.positives:
             i, j = basis.root_index(f, root), basis.root_index(f, -root)
             assert j == i + 1 and basis.pair_of[i] == basis.pair_of[j] >= 0
-    fiber = basis.pair_of[basis.layout.size :]
+    fiber = basis.pair_of[basis.layout.size :].tolist()
     assert fiber == sorted(fiber) and len(set(fiber)) == len(fiber) // 2
 
 

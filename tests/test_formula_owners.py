@@ -1,7 +1,7 @@
 """The family guard and the d*omega sum against the code they replaced.
 
 `pluriclosed_family` reads its fiber values through `family.family_gradient`,
-and `d_star_omega` and `bismut_ricci` through `hermitian.z_vector`. The
+and `d_star_omega` and `bismut_ricci` through `layout.coefficient_matrix`. The
 references below are the per-root codifferential loop, the Bismut vector built
 from two separate coefficient sums, and the family's two refusal blocks, kept
 verbatim apart from names. Values must agree byte for byte, refusals in

@@ -295,6 +295,14 @@ def test_d_star_oracles():
     assert np.allclose(d_star_omega(b2.build()), [-3.0, -4.0])
 
 
+def test_a_group_holds_one_layout_and_one_killing_torus():
+    g = _group("A2", "G2")
+    assert g.basis.layout is g.layout
+    family = pluriclosed_family(g, [(1.2, 1.3), (1.1, 1.4)])
+    assert g.build().torus is family.torus is g.killing_torus
+    assert not g.killing_torus.matrix.flags.writeable and g.killing_torus.is_killing
+
+
 def test_theta_sigma_and_derivative_relation():
     g = _group("B2")
     rng = np.random.default_rng(5)
@@ -303,8 +311,8 @@ def test_theta_sigma_and_derivative_relation():
     h = g.build(x=[tuple(x)], torus=gt)
     basis = g.basis
     v = rng.normal(size=2)
-    theta = theta_form(h, v, basis)
-    sigma = sigma_form(h, solve_p := np.linalg.solve(h.q_full, gt @ v), basis)
+    theta = theta_form(h, v)
+    sigma = sigma_form(h, solve_p := np.linalg.solve(h.q_full, gt @ v))
     dtheta = exterior_derivative(theta)
     keys = set(dtheta.components) | set(sigma.components)
     worst = max(
@@ -448,7 +456,7 @@ def test_d_omega_matches_exterior_derivative_of_omega():
     x = rng.uniform(0.5, 2.0, 3)
     h = g.build(x=[tuple(x)], torus=gt, jt=jt)
     basis = g.basis
-    om = omega_form(h, basis)
+    om = omega_form(h)
     dom = exterior_derivative(om)
     elems = []
     for i in range(basis.dim):
@@ -490,7 +498,7 @@ def test_brute_force_buckets_match_descriptor_reference(tokens):
         else:
             x = [tuple(rng.uniform(0.5, 2.5, rs.npositive)) for rs in g.systems]
             h = g.build(x=x, torus=_rand_spd(rng, g.total_rank))
-        four = exterior_derivative(dc_form(h, basis))
+        four = exterior_derivative(dc_form(h))
         for key in four.components:
             if key not in want:
                 want[key] = reference(key)

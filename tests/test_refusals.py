@@ -4,6 +4,7 @@ raises its own type with its message, as a caller or a shell reads it."""
 import io
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sktflow import (
     GroupSpec,
     InvariantForm,
     MissingComplexStructureError,
+    Root,
     SimpleType,
     TorusVector,
     Trajectory,
@@ -27,10 +29,12 @@ from sktflow import (
     is_pluriclosed,
     moduli_dimensions,
     omega_form,
+    squarefree_split,
     structure_constants,
     structure_from_dict,
 )
 from sktflow.cli import main
+from sktflow.family import sqrt_and_inverse
 from sktflow.surd import Surd
 
 A2 = GroupSpec([FactorSpec(SimpleType("A", 2))])
@@ -94,6 +98,20 @@ REFUSALS = {
         lambda: structure_constants(A2.systems[0]).table[((1, 0), (1, 0))], KeyError,
         "((1, 0), (1, 0))",
     ),
+    "squarefree_of_zero": (
+        lambda: squarefree_split(0), ValueError, "expected a positive integer, got 0",
+    ),
+    "squarefree_of_negative": (
+        lambda: squarefree_split(-12), ValueError, "expected a positive integer, got -12",
+    ),
+    "surd_by_zero_surd": (
+        lambda: Surd(Fraction(1), 2) / Surd.of(0), ZeroDivisionError, "division by zero surd",
+    ),
+    "root_sign": (lambda: Root((1, 0), sign=2), ValueError, "sign must be +1 or -1"),
+    "sqrt_of_indefinite": (
+        lambda: sqrt_and_inverse(np.diag([1.0, -1.0])), ValueError,
+        "torus metric must be positive definite",
+    ),
 }
 
 
@@ -143,6 +161,11 @@ def test_classify_exits_1_when_no_factor_scaling_is_compatible(tmp_path):
 
 def test_a_pair_of_a_root_and_a_non_root_has_the_zero_structure_constant():
     assert structure_constants(A2.systems[0]).value((1, 0), (2, 2)) == Surd.of(0)
+
+
+def test_a_root_prints_as_its_label():
+    root = A2.systems[0].positives[-1]
+    assert str(root) == root.label == "a1+a2" and str(-root) == "-(a1+a2)"
 
 
 def test_from_csv_skips_blank_lines_and_round_trips_the_states_exactly():

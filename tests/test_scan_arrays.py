@@ -10,6 +10,7 @@ same float bits, and the same reports down to the witness.
 import itertools
 from bisect import bisect_left
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -138,6 +139,50 @@ def _reference_quad_level_value(h, f, a, b, c, d):
     return val
 
 
+def _exact_quad_forms(g):
+    """Per row of a simple group's quad table, its dd^c value as an exact
+    linear form in the stacked fiber values, {(x row, squarefree core):
+    rational coefficient}, zeros dropped. Each table coefficient is replaced
+    by its product of two sc.at Surds, times its sign, after checking that
+    the float is that product of float_array entries, bit for bit."""
+    quads = g.residual_tables[1]
+    sc, n = g.constants[0], g.systems[0].npositive
+    fl = sc.float_array
+    forms = []
+    for r, (i, j, m, l, x_ab, x_ac, x_ad) in enumerate(quads.rows.T.tolist()):
+        a, b, c, d = i, j, n + m, n + l
+        eps_c, eps_d = int(quads.ac_eps[r]), int(quads.ad_eps[r])
+        form = defaultdict(Fraction)
+        for column, eps, p, q, sign, reads in (
+            (quads.ab, 1, (a, b), (c, d), 1, ((i, 1), (j, 1), (m, 1), (l, 1), (x_ab, -2))),
+            (quads.ac, eps_c, (a, c), (b, d), -1,
+             ((i, -1), (j, 1), (m, 1), (l, -1), (x_ac, 2 * eps_c))),
+            (quads.ad, eps_d, (a, d), (b, c), 1,
+             ((i, -1), (j, 1), (m, -1), (l, 1), (x_ad, 2 * eps_d))),
+        ):
+            assert float(column[r]).hex() == (eps * fl[p] * fl[q] + 0.0).hex()
+            if column[r] == 0:
+                continue
+            exact = sc.at(*p) * sc.at(*q) * eps
+            for row, k in reads:
+                form[(row, exact.core)] += sign * k * exact.coeff
+        forms.append({key: v for key, v in form.items() if v})
+    return forms
+
+
+@pytest.mark.parametrize("token", ["G2", "B3", "C3", "F4", "B4", "C4", "D5", "E6", "E7", "E8"])
+def test_every_quad_row_equals_its_conjugate_twin_exactly(token):
+    """The quad row (i, j, m, l) and its twin (m, l, i, j) are the same
+    linear form in the fiber values, in exact arithmetic."""
+    g = _group(token)
+    quads = g.residual_tables[1]
+    forms = _exact_quad_forms(g)
+    at = {tuple(key): r for r, key in enumerate(quads.rows[:4].T.tolist())}
+    for (i, j, m, l), r in at.items():
+        twin = at[(m, l, i, j)]
+        assert twin != r and forms[twin] == forms[r]
+
+
 def _reference_closed_form_scan(h):
     best = (0.0, None)
     skt1_max = 0.0
@@ -188,7 +233,7 @@ def _reference_bucket(basis, key):
 
 def _reference_brute_force_scan(h):
     basis = h.group.basis
-    four = _reference_exterior_derivative(dc_form(h, basis))
+    four = _reference_exterior_derivative(dc_form(h))
     best = (0.0, None)
     skt1_max = 0.0
     skt2_max = 0.0

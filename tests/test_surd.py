@@ -58,6 +58,23 @@ def test_add_same_core():
         a + Surd(Fraction(1), 2)
 
 
+@pytest.mark.parametrize(
+    "got,want",
+    [
+        (abs(Surd(Fraction(-3, 2), 3)), Surd(Fraction(3, 2), 3)),
+        (Surd(Fraction(3), 2) / 2, Surd(Fraction(3, 2), 2)),
+        (Surd(Fraction(3), 2) / Fraction(3, 4), Surd(Fraction(4), 2)),
+        (Surd(Fraction(1, 2)) + 1, Surd.of(Fraction(3, 2))),
+        (Surd(Fraction(1, 2)) - 1, Surd.of(Fraction(-1, 2))),
+        (str(Surd.of(Fraction(-3, 4))), "-3/4"),
+        (str(Surd(Fraction(2, 3), 5)), "2/3*sqrt(5)"),
+    ],
+    ids=["abs", "by_int", "by_fraction", "plus_int", "minus_int", "str_rational", "str_surd"],
+)
+def test_surd_operations_with_plain_numbers_and_printing(got, want):
+    assert got == want
+
+
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
