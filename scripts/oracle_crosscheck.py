@@ -117,7 +117,7 @@ def _run(args, path):
         g = GroupSpec([FactorSpec(stype, norm) for stype in stypes])
         passed = all(verify_identities(rs, structure_constants(rs)).passed for rs in g.systems)
         ident = "ok" if passed else "FAILED"
-        r = g.total_rank
+        r = g.layout.size
         worst = 0.0
         trips = kept = rebuilt = 0
         for k in range(args.samples):

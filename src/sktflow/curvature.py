@@ -54,7 +54,7 @@ def chern_ricci(h: HermitianStructure) -> RicciRep:
 
 
 def bismut_ricci(h: HermitianStructure) -> RicciRep:
-    correction = np.linalg.solve(h.q_full, h.gt @ -d_star_omega(h))
+    correction = np.linalg.solve(h.group.layout.gram_float, h.gt @ -d_star_omega(h))
     vec = chern_ricci(h).vector.components + correction
     return RicciRep(kind="bismut", vector=TorusVector(vec), structure=h)
 

@@ -133,6 +133,32 @@ class FlowStats:
         return cls(**found) if found else None
 
 
+def _csv_header(d: int) -> list[str]:
+    """The CSV header over rows of time, d state values, F and grad_inf."""
+    return ["t", *(f"x_{i + 1}" for i in range(d)), "F", "grad_inf"]
+
+
+def _columns(data) -> dict:
+    """The four columns of data as float arrays: times, f_values and grad_inf
+    of one length n, states of shape (n, d) with d >= 1. ValueError names a
+    missing column, a value that is no number, or a column of the wrong shape."""
+    names = ("times", "states", "f_values", "grad_inf")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"trajectory data has no {name!r} column")
+    cols = {name: number_array(data[name], what=name) for name in names}
+    times, states = cols["times"], cols["states"]
+    if times.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
+    n = len(times)
+    for name in ("f_values", "grad_inf"):
+        if cols[name].shape != (n,):
+            raise ValueError(f"{name} must have the shape of times, ({n},), got {cols[name].shape}")
+    if states.ndim != 2 or len(states) != n or states.shape[1] < 1:
+        raise ValueError(f"states must have shape ({n}, d) with d >= 1, got {states.shape}")
+    return cols
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -153,8 +179,7 @@ class Trajectory:
             stats = self.stats.to_meta() if self.stats is not None else {}
             for key, val in {**self.metadata, **stats, "termination": self.termination}.items():
                 buf.write(f"# {key} = {val}\n")
-            n = self.states.shape[1]
-            buf.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",F,grad_inf\n")
+            buf.write(",".join(_csv_header(self.states.shape[1])) + "\n")
             for i in range(len(self.times)):
                 row = [self.times[i], *self.states[i], self.f_values[i], self.grad_inf[i]]
                 buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
@@ -179,12 +204,20 @@ class Trajectory:
                 elif header is None:
                     header = line.split(",")
                 else:
-                    rows.append([float(v) for v in line.split(",")])
+                    row = [float(v) for v in line.split(",")]
+                    if len(row) != len(header):
+                        raise ValueError(f"trajectory row {len(rows)} has {len(row)} numbers"
+                                         f" under a header of {len(header)}")
+                    rows.append(row)
         finally:
             if buf is not path_or_buf:
                 buf.close()
         if header is None or not rows:
             raise ValueError("trajectory file has no data rows")
+        if len(header) < 4 or header != _csv_header(len(header) - 3):
+            raise ValueError(
+                f"trajectory header {','.join(header)!r} is not t,x_1,...,x_d,F,grad_inf"
+            )
         data = np.array(rows)
         termination = meta.pop("termination", "unknown")
         stats = FlowStats.pop_meta(meta)
@@ -213,12 +246,17 @@ class Trajectory:
 
     @staticmethod
     def from_json(data: dict) -> "Trajectory":
-        columns = ("times", "states", "f_values", "grad_inf")
+        stats = data.get("stats")
+        if stats is not None:
+            unknown = sorted(set(stats) - {f.name for f in fields(FlowStats)})
+            if unknown:
+                raise ValueError(f"unknown stats key {unknown[0]!r}")
+            stats = FlowStats(**stats)
         return Trajectory(
-            **{name: number_array(data[name], what=name) for name in columns},
+            **_columns(data),
             termination=data.get("termination", "unknown"),
             metadata=dict(data.get("metadata", {})),
-            stats=FlowStats(**data["stats"]) if "stats" in data else None,
+            stats=stats,
         )
 
     def to_csv_string(self) -> str:

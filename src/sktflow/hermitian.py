@@ -54,6 +54,8 @@ class GroupSpec:
     layout stacks every factor's positive roots in torus coordinates. Structure
     constants, the basis on layout, the residual tables and the Killing torus
     metric are built lazily, once per group; closed-form scans never pay for the basis.
+    A structure is Killing exactly when it holds the group's killing_torus, and
+    only such a structure serializes its torus as "killing".
     """
 
     def __init__(self, factors: Sequence[FactorSpec]):
@@ -64,10 +66,6 @@ class GroupSpec:
             build_root_system(f.stype, f.normalization) for f in self.factors
         )
         self.layout = FactorLayout(self.systems)
-        self.total_rank = self.layout.size
-        # the layout's block-diagonal gram matrix, shared read-only by every
-        # structure on the group
-        self.q_full = self.layout.gram_float
 
     @cached_property
     def constants(self) -> tuple[StructureConstants, ...]:
@@ -81,7 +79,7 @@ class GroupSpec:
     def killing_torus(self) -> "TorusMetric":
         """The torus metric of z * gram per factor, shared by every Killing structure."""
         blocks = (f.z * rs.gram_float for f, rs in zip(self.factors, self.systems))
-        return TorusMetric(self.layout.blockdiag(blocks), is_killing=True)
+        return TorusMetric(self.layout.blockdiag(blocks))
 
     @cached_property
     def residual_tables(self) -> tuple[PairRows, QuadRows]:
@@ -112,13 +110,12 @@ def _as_matrix(m, what: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TorusMetric:
     matrix: np.ndarray
-    is_killing: bool = False
 
     def __post_init__(self):
         m = _as_matrix(self.matrix, "torus metric")
         object.__setattr__(self, "matrix", m)
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-10 * scale:
+        # relative to the matrix' own size, so that scaling it keeps the verdict
+        if np.abs(m - m.T).max() > 1e-10 * np.abs(m).max():
             raise ValueError("torus metric must be symmetric")
         if np.linalg.eigvalsh(m).min() <= 0:
             raise ValueError("torus metric must be positive definite")
@@ -209,7 +206,7 @@ class HermitianStructure:
             self.torus = group.killing_torus
         else:
             self.torus = TorusMetric(torus)
-        if self.torus.matrix.shape[0] != group.total_rank:
+        if self.torus.matrix.shape[0] != group.layout.size:
             raise ValueError("torus metric size does not match the total rank")
 
         if not (jt is None or isinstance(jt, TorusComplexStructure)):
@@ -233,7 +230,6 @@ class HermitianStructure:
         self.xhat = tuple(self.x[rows] for rows in group.layout.row_slices)
         _refuse_non_positive(self.xhat, "effective fiber value z*x =")
         self.gt = self.torus.matrix
-        self.q_full = group.q_full
 
     @cached_property
     def scale(self) -> float:
@@ -241,7 +237,8 @@ class HermitianStructure:
         fiber value or, if larger, the largest |entry| of the torus metric over
         the largest |entry| of the layout's gram matrix. Every dd^c residual is
         linear in u, and the bi-invariant metric at z has scale z."""
-        return max(float(self.x.max()), float(np.abs(self.gt).max() / np.abs(self.q_full).max()))
+        q = self.group.layout.gram_float
+        return max(float(self.x.max()), float(np.abs(self.gt).max() / np.abs(q).max()))
 
     def parse_argument(self, arg):
         """Root (single factor) or (factor, Root) as (factor, index in all_roots()),
@@ -253,7 +250,7 @@ class HermitianStructure:
         if isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], Root):
             f = check_count(arg[0], "factor index", len(self.group.factors))
             return f, self.group.systems[f].index_of(arg[1])
-        return number_array(arg, self.group.total_rank, "torus vector", complex)
+        return number_array(arg, self.group.layout.size, "torus vector", complex)
 
 
 def _split_args(h: HermitianStructure, args):
@@ -340,7 +337,7 @@ def omega_form(h: HermitianStructure) -> InvariantForm:
     basis = h.group.basis
     m = -(h.jt.matrix.T @ h.gt)
     comps = {(a, b): complex(m[a, b]) for a, b in np.argwhere(np.triu(m, 1)).tolist()}
-    for e, x in zip(range(h.group.total_rank, basis.dim, 2), h.x.tolist()):
+    for e, x in zip(range(h.group.layout.size, basis.dim, 2), h.x.tolist()):
         comps[(e, e + 1)] = -1j * x
     return InvariantForm(basis=basis, degree=2, components=comps)
 
@@ -385,8 +382,9 @@ def sigma_form(h: HermitianStructure, x) -> InvariantForm:
     # pairing[m]: the invariant form of basis element m against x
     pairing = np.zeros(basis.dim, dtype=complex)
     if isinstance(parsed, np.ndarray):
+        q = h.group.layout.gram_float
         # row @ x per row in one batched matmul, with the bits of the loop
-        pairing[: h.group.total_rank] = np.matmul(h.q_full[:, None, :], parsed)[:, 0]
+        pairing[: len(q)] = np.matmul(q[:, None, :], parsed)[:, 0]
     else:
         f, i = parsed
         pairing[basis.element_index(f, h.group.systems[f].neg_index[i])] = 1
@@ -401,15 +399,6 @@ def sigma_form(h: HermitianStructure, x) -> InvariantForm:
     keep = val != 0
     rows = starts[keep]
     return computed_form(basis, 2, np.stack([i[rows], j[rows]], axis=1), val[keep])
-
-
-def z_vector(rs: RootSystem, weights=None) -> np.ndarray:
-    """Sum of positive-root coefficient vectors, optionally divided per root."""
-    k = rs.coefficient_matrix
-    if weights is None:
-        return k.sum(axis=0)
-    w = number_array(weights, rs.npositive, f"{rs.stype} weights")
-    return (k / w[:, None]).sum(axis=0)
 
 
 def d_star_omega(h: HermitianStructure) -> np.ndarray:
@@ -616,7 +605,7 @@ def structure_to_dict(h: HermitianStructure) -> dict:
         for spec, x in zip(h.group.factors, h.fiber.values)
     ]
     out: dict = {"factors": factors}
-    if h.torus.is_killing:
+    if h.torus is h.group.killing_torus:
         out["torus"] = "killing"
     else:
         blocks = [h.gt[sl, sl] for sl in h.group.layout.slices]

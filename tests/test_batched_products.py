@@ -48,7 +48,7 @@ def _structures(g, seed):
     product."""
     rng = np.random.default_rng(seed)
     out = [pluriclosed_family(g, [rng.uniform(1.0, 2.0, rs.rank).tolist() for rs in g.systems])]
-    r = g.total_rank
+    r = g.layout.size
     for _ in range(METRICS):
         a = rng.normal(size=(r, r))
         x = [rng.uniform(0.5, 2.5, rs.npositive).tolist() for rs in g.systems]
@@ -74,7 +74,7 @@ def _reference_dc_torus(h):
     layout = h.group.layout
     for f, rows in enumerate(layout.row_slices):
         roots = layout.coefficient_matrix[rows]
-        gk = np.array([h.gt @ k for k in roots]).reshape(len(roots), h.group.total_rank)
+        gk = np.array([h.gt @ k for k in roots]).reshape(len(roots), h.group.layout.size)
         t, a = np.nonzero(gk)
         e = basis.element_index(f, t)
         keys.append(np.stack([a, e, e + 1], axis=1))
@@ -83,14 +83,14 @@ def _reference_dc_torus(h):
 
 
 def _reference_pairing(h, parsed):
-    return np.array([row @ parsed for row in h.q_full])
+    return np.array([row @ parsed for row in h.group.layout.gram_float])
 
 
 def _reference_sigma_form(h, x):
     """sigma_form's keys and values, its pairing from one product per row."""
     basis = h.group.basis
     pairing = np.zeros(basis.dim, dtype=complex)
-    pairing[: h.group.total_rank] = _reference_pairing(h, h.parse_argument(x))
+    pairing[: h.group.layout.size] = _reference_pairing(h, h.parse_argument(x))
     i, j, m, c = basis.bracket_arrays
     starts = basis.bracket_starts
     key = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(c)))
@@ -116,7 +116,7 @@ def test_dc_form_torus_components_equal_the_per_root_loop(token):
     g = _group(token)
     for h in _structures(g, len(token) + 1):
         keys, vals = dc_form(h).arrays()
-        torus = keys[:, 0] < g.total_rank  # every triple key is three root elements
+        torus = keys[:, 0] < g.layout.size  # every triple key is three root elements
         want_keys, want_vals = _reference_dc_torus(h)
         assert keys[torus].tobytes() == want_keys.tobytes()
         assert vals[torus].real.tobytes() == want_vals.tobytes()
@@ -128,11 +128,11 @@ def test_sigma_form_equals_the_per_row_pairing(token):
     g = _group(token)
     h = g.build()
     rng = np.random.default_rng(len(token) + 2)
-    r = g.total_rank
+    r = g.layout.size
     for _ in range(METRICS):
         for v in (rng.normal(size=r), rng.normal(size=r) + 1j * rng.normal(size=r)):
             parsed = h.parse_argument(v)
-            got = np.matmul(h.q_full[:, None, :], parsed)[:, 0]
+            got = np.matmul(h.group.layout.gram_float[:, None, :], parsed)[:, 0]
             assert got.tobytes() == _reference_pairing(h, parsed).tobytes()
             for a, b in zip(sigma_form(h, v).arrays(), _reference_sigma_form(h, v)):
                 assert a.tobytes() == b.tobytes()

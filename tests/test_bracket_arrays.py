@@ -78,7 +78,7 @@ def _reference_sigma_form(h, x):
     parsed = h.parse_argument(x)
     pairing = [0] * basis.dim
     if isinstance(parsed, np.ndarray):
-        pairing[: h.group.total_rank] = [row @ parsed for row in h.q_full]
+        pairing[: h.group.layout.size] = [row @ parsed for row in h.group.layout.gram_float]
     else:
         f, i = parsed
         pairing[int(basis.element_index(f, h.group.systems[f].neg_index[i]))] = 1
@@ -125,7 +125,7 @@ def test_bracket_views_are_lazy():
 
 def _arguments(g, rng):
     """Real and complex torus vectors, and a positive and a negative root per factor."""
-    r = g.total_rank
+    r = g.layout.size
     args = [rng.normal(size=r), rng.normal(size=r) + 1j * rng.normal(size=r), np.eye(r)[0]]
     for f, rs in enumerate(g.systems):
         args += [(f, rs.positives[-1]), (f, -rs.positives[0])]

@@ -23,6 +23,7 @@ from sktflow import (
     FlowConfig,
     GroupSpec,
     TorusComplexStructure,
+    TorusMetric,
     TorusVector,
     Trajectory,
     canonical_jt,
@@ -35,7 +36,6 @@ from sktflow import (
     save_structure,
     sigma_form,
     theta_form,
-    z_vector,
 )
 
 PACKAGE = Path(sktflow.__file__).resolve().parent
@@ -77,12 +77,14 @@ REFUSED = {
     "cyt tol string": (lambda: is_cyt(_a2().build(), tol="1e-3"), f"tol {BOOLS_OR_STRINGS}"),
     "tol sequence": (lambda: is_cyt(_a2().build(), tol=[1e-8]),
                      "tol must be finite and positive"),
-    "complex weights": (lambda: z_vector(system("A2"), [1 + 1j, 1.0, 1.0]),
-                        "A2 weights must be real, got complex"),
     "complex torus vector": (lambda: TorusVector(np.array([1 + 1j, 2.0])),
                              "torus vector must be real, got complex"),
     "asymmetric metric": (lambda: canonical_jt([[2, 5], [0, 2]]),
                           "torus metric must be symmetric"),
+    # symmetry is judged against the matrix' own size: scaled down, this
+    # metric's lower triangle alone is positive, its symmetric part is not
+    "small asymmetric metric": (lambda: TorusMetric(1e-12 * np.array([[1, 50], [0, 1]])),
+                                "torus metric must be symmetric"),
     "bool torus argument": (lambda: dc_omega(_a2().build(), [True, False], *_roots()),
                             f"torus vector {BOOLS_OR_STRINGS}"),
     "string torus argument": (lambda: theta_form(_a2().build(), ["1", "0"]),
@@ -123,14 +125,20 @@ def test_accepted_structures_round_trip(z, tmp_path):
     group = GroupSpec([spec, FactorSpec(parse_token("G2"))])
     fiber = [[2, 3, 4], [1, 2, 3, 1, 2, 5]]  # integer rows
     blocks = [[[4, -2], [-2, 4]], [[2, -3], [-3, 6]]]  # integer torus blocks
-    for h in (group.build(fiber), group.build(fiber, torus=group.layout.blockdiag(blocks))):
+    # two tori that are not this group's killing_torus, so each saves as
+    # blocks: the Killing torus of the same factors at z = 1, and a copy of
+    # this group's own
+    at_one = GroupSpec([FactorSpec(A2), FactorSpec(parse_token("G2"))]).killing_torus
+    own_copy = TorusMetric(group.killing_torus.matrix)
+    for h in (group.build(fiber), group.build(fiber, torus=group.layout.blockdiag(blocks)),
+              group.build(fiber, torus=at_one), group.build(fiber, torus=own_copy)):
         path = tmp_path / "structure.json"
         save_structure(h, path)
         back = load_structure(path)
         assert back.fiber.values == h.fiber.values
         assert [f.z for f in back.group.factors] == [f.z for f in h.group.factors]
-        assert back.torus.is_killing == h.torus.is_killing
-        assert np.array_equal(back.gt, h.gt)
+        assert (back.torus is back.group.killing_torus) == (h.torus is h.group.killing_torus)
+        assert back.gt.tobytes() == h.gt.tobytes()
 
 
 def test_flow_settings_are_kept_as_python_floats():

@@ -24,7 +24,6 @@ from sktflow import (
     is_cyt,
     pluriclosed_family,
     sigma_form,
-    z_vector,
 )
 
 
@@ -33,16 +32,6 @@ def _group(*tokens, **kw):
 
 
 A2 = _group("A2")
-
-
-def test_z_vector_oracles():
-    assert np.allclose(z_vector(system("A2")), [2, 2])
-    assert np.allclose(z_vector(system("G2")), [10, 6])
-    rs = system("B2")
-    assert np.allclose(z_vector(rs), [3, 4])
-    # weights are fiber values entering reciprocally
-    w = z_vector(rs, weights=[1.0, 1.0, 0.5, 0.25])
-    assert np.allclose(w, [1 + 2 + 4, 1 + 2 + 8])
 
 
 def test_chern_ricci_oracles():

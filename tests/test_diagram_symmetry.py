@@ -91,14 +91,14 @@ def _same_scans(h, image):
 @pytest.mark.parametrize("token", ["A3", "D4", "D5", "E6"])
 def test_the_scans_of_a_permuted_structure_are_the_scans(token):
     g, perm = GroupSpec([FactorSpec(parse_token(token))]), AUTOMORPHISMS[token]
-    rs, r = g.systems[0], g.total_rank
+    rs, r = g.systems[0], g.layout.size
     sigma, rng = _root_permutation(rs, perm), np.random.default_rng(3)
     assert sorted(sigma) == list(range(rs.npositive))
     for _ in range(2):
         x = rng.uniform(0.5, 2.5, rs.npositive)
         # near the bi-invariant metric, so the fiber terms hold the maximum
         a = 0.1 * rng.normal(size=(r, r))
-        gt = g.q_full + a @ a.T
+        gt = g.layout.gram_float + a @ a.T
         image = np.empty_like(gt)
         image[np.ix_(perm, perm)] = gt  # P g P^T
         assert not _same_scans(g.build([x], torus=gt), g.build([_permuted(x, sigma)], torus=image))

@@ -200,4 +200,4 @@ def test_bismut_vector_is_minus_gradient_and_drives_the_flow(tokens, z):
         grad = total_gradient(group, s)
         tol = 1e-13 * max(1.0, float(np.abs(grad).max()))
         assert np.abs(bismut + grad).max() <= tol
-        assert np.abs(rhs(group, s) - group.q_full @ bismut).max() <= tol
+        assert np.abs(rhs(group, s) - group.layout.gram_float @ bismut).max() <= tol

@@ -97,7 +97,7 @@ def test_rhs_zero_at_identity_multi_factor():
 
 def test_gram_matrix_blockdiag():
     g = GroupSpec([FactorSpec(SimpleType("A", 1)), FactorSpec(SimpleType("B", 2))])
-    Q = g.q_full
+    Q = g.layout.gram_float
     assert Q.shape == (3, 3)
     assert Q[0, 0] == pytest.approx(2.0)
     assert np.abs(Q[0, 1:]).max() == 0

@@ -80,7 +80,6 @@ def test_layout_stacks_embedded_roots_and_block_diagonal_gram(token):
 def test_group_reads_the_layout_arrays():
     group = GroupSpec([FactorSpec(parse_token(t)) for t in ("A1", "A2", "G2")])
     layout = group.layout
-    assert group.q_full is layout.gram_float
     # the component functions read each root, and its negative with +0.0 in
     # every zero entry, from the layout's rows
     for f, (rs, rows) in enumerate(zip(group.systems, layout.row_slices)):

@@ -46,7 +46,7 @@ def _group(token):
 # ---------------------------------------------------------------- references
 
 def _reference_d_star_omega(h):
-    out = np.zeros(h.group.total_rank)
+    out = np.zeros(h.group.layout.size)
     layout = h.group.layout
     for f, rows in enumerate(layout.row_slices):
         for t, k in enumerate(layout.coefficient_matrix[rows]):
@@ -58,7 +58,7 @@ def _reference_bismut_vector(h):
     k = [rs.coefficient_matrix for rs in h.group.systems]
     z = np.concatenate([kf.sum(axis=0) for kf in k])
     zw = np.concatenate([(kf / x[:, None]).sum(axis=0) for kf, x in zip(k, h.xhat)])
-    return -z + np.linalg.solve(h.q_full, h.gt @ zw)
+    return -z + np.linalg.solve(h.group.layout.gram_float, h.gt @ zw)
 
 
 def _reference_family_values(group, rows):
@@ -84,9 +84,9 @@ def _metrics(g, seed):
     fiber values, and the bi-invariant metric."""
     rng = np.random.default_rng(seed)
     yield pluriclosed_family(g, [rng.uniform(1.0, 2.0, rs.rank).tolist() for rs in g.systems])
-    a = rng.normal(size=(g.total_rank, g.total_rank))
-    gt = a @ a.T + g.total_rank * np.eye(g.total_rank)
-    jt = canonical_jt(gt) if g.total_rank % 2 == 0 else None
+    a = rng.normal(size=(g.layout.size, g.layout.size))
+    gt = a @ a.T + g.layout.size * np.eye(g.layout.size)
+    jt = canonical_jt(gt) if g.layout.size % 2 == 0 else None
     yield g.build([rng.uniform(0.05, 20.0, rs.npositive).tolist() for rs in g.systems], gt, jt)
     yield g.build()
 

@@ -121,7 +121,7 @@ def test_off_family_detected():
 
 def test_cross_factor_torus_coupling_detected():
     g = _group("A1", "A1")
-    gt = g.q_full.astype(float)
+    gt = g.layout.gram_float.astype(float)
     gt[0, 1] = gt[1, 0] = 0.3
     h = g.build(torus=gt)
     rep = is_pluriclosed(h)
@@ -228,7 +228,7 @@ def test_ddc_omega_of_a_pair_near_the_float_ceiling_is_finite(token, a, b, value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         big = ddc_omega(g.build([x]), a, -a, b, -b)
-        small = ddc_omega(g.build([x / 1024], torus=g.q_full / 1024), a, -a, b, -b)
+        small = ddc_omega(g.build([x / 1024], torus=g.layout.gram_float / 1024), a, -a, b, -b)
     assert big.hex() == (1024 * small).hex() == value.hex()
 
 
@@ -293,6 +293,8 @@ def test_d_star_oracles():
     assert np.allclose(d_star_omega(h), [-5 / 6, -5 / 6])
     b2 = _group("B2")
     assert np.allclose(d_star_omega(b2.build()), [-3.0, -4.0])
+    # fiber values enter reciprocally
+    assert d_star_omega(b2.build([1.0, 1.0, 0.5, 0.25])).tolist() == [-7.0, -11.0]
 
 
 def test_a_group_holds_one_layout_and_one_killing_torus():
@@ -300,7 +302,7 @@ def test_a_group_holds_one_layout_and_one_killing_torus():
     assert g.basis.layout is g.layout
     family = pluriclosed_family(g, [(1.2, 1.3), (1.1, 1.4)])
     assert g.build().torus is family.torus is g.killing_torus
-    assert not g.killing_torus.matrix.flags.writeable and g.killing_torus.is_killing
+    assert not g.killing_torus.matrix.flags.writeable
 
 
 def test_theta_sigma_and_derivative_relation():
@@ -312,7 +314,7 @@ def test_theta_sigma_and_derivative_relation():
     basis = g.basis
     v = rng.normal(size=2)
     theta = theta_form(h, v)
-    sigma = sigma_form(h, solve_p := np.linalg.solve(h.q_full, gt @ v))
+    sigma = sigma_form(h, solve_p := np.linalg.solve(h.group.layout.gram_float, gt @ v))
     dtheta = exterior_derivative(theta)
     keys = set(dtheta.components) | set(sigma.components)
     worst = max(
@@ -339,7 +341,7 @@ def test_closed_form_matches_brute_on_random_metrics():
             for i in range(dim):
                 d = basis.descriptors[i]
                 if d[0] == "H":
-                    ev = np.zeros(g.total_rank)
+                    ev = np.zeros(g.layout.size)
                     ev[basis.torus_index(d[1], d[2])] = 1.0
                     elems.append(ev)
                 else:
@@ -379,7 +381,7 @@ def test_pair_torus_product_equals_per_row_dots_bit_for_bit(tokens):
     g = _group(*tokens)
     rng = np.random.default_rng(3)
     on = pluriclosed_family(g, [rng.uniform(1.0, 2.0, rs.rank).tolist() for rs in g.systems])
-    coupled = g.build(on.fiber, torus=_rand_spd(rng, g.total_rank))
+    coupled = g.build(on.fiber, torus=_rand_spd(rng, g.layout.size))
     pairs, quads = g.residual_tables
     assert isinstance(pairs, PairRows) and isinstance(quads, QuadRows)
     npos = [rs.npositive for rs in g.systems]
@@ -497,7 +499,7 @@ def test_brute_force_buckets_match_descriptor_reference(tokens):
             h = pluriclosed_family(g, [tuple(rng.uniform(1.0, 1.05, rs.rank)) for rs in g.systems])
         else:
             x = [tuple(rng.uniform(0.5, 2.5, rs.npositive)) for rs in g.systems]
-            h = g.build(x=x, torus=_rand_spd(rng, g.total_rank))
+            h = g.build(x=x, torus=_rand_spd(rng, g.layout.size))
         four = exterior_derivative(dc_form(h))
         for key in four.components:
             if key not in want:
@@ -603,7 +605,7 @@ def test_fiber_metric_refuses_a_complex_row():
 
 def test_jt_validation():
     g = _group("A2")
-    gt = g.q_full.astype(float)
+    gt = g.layout.gram_float.astype(float)
     with pytest.raises(ValueError, match="compatible"):
         g.build(jt=np.array([[0.0, -2.0], [0.5, 0.0]]))
     ok = canonical_jt(gt)
@@ -742,7 +744,7 @@ def test_irreducibility_by_coupling_graph():
     for tokens in (("A1",), ("A1", "A2"), ("A2", "A1", "B2"), ("A1", "A1", "G2", "A1")):
         g = _group(*tokens)
         for _ in range(25):
-            j = np.zeros((g.total_rank, g.total_rank))
+            j = np.zeros((g.layout.size, g.layout.size))
             for sa, sb in itertools.product(g.layout.slices, repeat=2):
                 if rng.random() < 0.4:
                     j[sb, sa] = rng.normal(size=(sb.stop - sb.start, sa.stop - sa.start))
@@ -868,7 +870,7 @@ def test_family_refuses_non_finite_simple_value(bad):
 
 def test_save_refuses_cross_factor_coupling(tmp_path):
     g = _group("A1", "A1")
-    gt = g.q_full.astype(float)
+    gt = g.layout.gram_float.astype(float)
     gt[0, 1] = gt[1, 0] = 0.25
     h = g.build(torus=gt)
     with pytest.raises(ValueError, match="couples different factors"):
@@ -880,7 +882,7 @@ def test_refused_save_leaves_the_file_as_it_was(tmp_path):
     path = tmp_path / "s.json"
     save_structure(g.build(), path)
     before = path.read_bytes()
-    gt = g.q_full.astype(float)
+    gt = g.layout.gram_float.astype(float)
     gt[0, 1] = gt[1, 0] = 0.25
     with pytest.raises(ValueError, match="couples different factors"):
         save_structure(g.build(torus=gt), path)
@@ -895,7 +897,7 @@ def test_saved_bytes_are_those_json_dump_wrote(tmp_path, tokens):
     g = _group(*tokens)
     rng = np.random.default_rng(len(tokens))
     gt = g.layout.blockdiag([_rand_spd(rng, rs.rank) for rs in g.systems])
-    jt = canonical_jt(gt) if g.total_rank % 2 == 0 else None
+    jt = canonical_jt(gt) if g.layout.size % 2 == 0 else None
     for h in (g.build(), g.build(torus=TorusMetric(gt), jt=jt)):
         path = tmp_path / "s.json"
         save_structure(h, path)
@@ -936,9 +938,9 @@ def test_tolerances_must_be_finite_and_positive(name, tol):
 )
 def test_pluriclosed_kernel_has_dimension_rank_plus_one_per_factor(tokens):
     g = _group(*tokens)
-    r = g.total_rank
+    r = g.layout.size
     x0 = [np.full(rs.npositive, 1.5) for rs in g.systems]
-    gt0 = g.q_full.astype(float)
+    gt0 = g.layout.gram_float.astype(float)
 
     def ddc(x, gt):
         return exterior_derivative(dc_form(g.build(x=x, torus=gt))).components
@@ -990,7 +992,7 @@ def test_factor_index_must_be_an_integer(bad):
 
 def test_numpy_integer_factor_index_reads_as_the_int():
     b, c, bc = _g2_args()
-    gt = _rand_spd(np.random.default_rng(3), A2G2.total_rank)
+    gt = _rand_spd(np.random.default_rng(3), A2G2.layout.size)
     x = [(1.0, 2.0, 1.5), (0.7, 1.2, 2.4, 2.2, 0.9, 1.4)]
     h = A2G2.build(x=x, torus=gt, jt=canonical_jt(gt))
     one = np.int64(1)
@@ -1072,11 +1074,12 @@ def test_load_accepts_only_numbers_in_torus_blocks_and_jt(case):
 
 def test_load_takes_number_matrices_for_torus_blocks_and_jt():
     g = _group("A2")
-    jt = canonical_jt(g.q_full)
-    data = {"factors": [{"family": "A", "rank": 2}], "torus": {"blocks": [g.q_full.tolist()]},
+    q = g.layout.gram_float
+    jt = canonical_jt(q)
+    data = {"factors": [{"family": "A", "rank": 2}], "torus": {"blocks": [q.tolist()]},
             "jt": jt.tolist()}
     h = structure_from_dict(data)
-    assert h.gt.tobytes() == g.q_full.tobytes() and h.jt.matrix.tobytes() == jt.tobytes()
+    assert h.gt.tobytes() == q.tobytes() and h.jt.matrix.tobytes() == jt.tobytes()
 
 
 @pytest.mark.parametrize("where", ["z", "x", "torus", "jt"])

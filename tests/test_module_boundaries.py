@@ -5,7 +5,9 @@ module keeps private can change without its importers noticing. The flow
 sits on the family layer alone: `flow.py` imports nothing from the form,
 residual, structure-constant or Hermitian layers. And every
 module attribute `perfbench/tracing.py` wraps for a traced benchmark run
-exists, or every traced run stops with AttributeError.
+exists, or every traced run stops with AttributeError. The package exports
+every public name its `__init__.py` imports, and each exported name resolves,
+so that `from sktflow import *` runs.
 """
 
 import ast
@@ -86,3 +88,16 @@ def test_every_attribute_the_benchmark_tracer_wraps_exists():
         ("sktflow.hermitian", "dc_form"),
     }
     assert _attributes(modules) == before
+
+
+def test_the_export_list_is_what_the_package_imports():
+    exported = sktflow.__all__
+    assert len(set(exported)) == len(exported)
+    assert all(hasattr(sktflow, name) for name in exported)
+    namespace: dict = {}
+    exec("from sktflow import *", namespace)
+    assert set(exported) <= set(namespace)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} <= set(exported)

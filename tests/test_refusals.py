@@ -41,6 +41,12 @@ A2 = GroupSpec([FactorSpec(SimpleType("A", 2))])
 A2G2 = GroupSpec([FactorSpec(SimpleType("A", 2)), FactorSpec(SimpleType("G", 2))])
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+
+def _trajectory():
+    return {"times": [0.0, 1.0], "states": [[1.0, 1.0]] * 2, "f_values": [2.0, 2.0],
+            "grad_inf": [0.0, 0.0]}
+
+
 REFUSALS = {
     "no_factor": (lambda: GroupSpec([]), ValueError, "a group needs at least one factor"),
     "torus_not_square": (
@@ -108,6 +114,38 @@ REFUSALS = {
         lambda: Surd(Fraction(1), 2) / Surd.of(0), ZeroDivisionError, "division by zero surd",
     ),
     "root_sign": (lambda: Root((1, 0), sign=2), ValueError, "sign must be +1 or -1"),
+    "trajectory_without_states": (
+        lambda: Trajectory.from_json({"times": [0.0], "f_values": [2.0], "grad_inf": [0.0]}),
+        ValueError, "trajectory data has no 'states' column",
+    ),
+    "trajectory_stats_key": (
+        lambda: Trajectory.from_json({**_trajectory(), "stats": {"steps": 3}}), ValueError,
+        "unknown stats key 'steps'",
+    ),
+    "trajectory_flat_states": (
+        lambda: Trajectory.from_json({**_trajectory(), "states": [1.0, 1.0]}), ValueError,
+        "states must have shape (2, d) with d >= 1, got (2,)",
+    ),
+    "trajectory_short_times": (
+        lambda: Trajectory.from_json({**_trajectory(), "times": [0.0]}), ValueError,
+        "f_values must have the shape of times, (1,), got (2,)",
+    ),
+    "trajectory_short_states": (
+        lambda: Trajectory.from_json({**_trajectory(), "states": [[1.0, 1.0]]}), ValueError,
+        "states must have shape (2, d) with d >= 1, got (1, 2)",
+    ),
+    "trajectory_csv_header": (
+        lambda: Trajectory.from_csv(io.StringIO("t,x_1,F,grad_inf\n0,1,1,2,0\n")), ValueError,
+        "trajectory row 0 has 5 numbers under a header of 4",
+    ),
+    "trajectory_csv_names": (
+        lambda: Trajectory.from_csv(io.StringIO("t,y,F,grad_inf\n0,1,2,0\n")), ValueError,
+        "trajectory header 't,y,F,grad_inf' is not t,x_1,...,x_d,F,grad_inf",
+    ),
+    "trajectory_csv_row": (
+        lambda: Trajectory.from_csv(io.StringIO("t,x_1,F,grad_inf\n0,1,2,0\n1,1,2\n")),
+        ValueError, "trajectory row 1 has 3 numbers under a header of 4",
+    ),
     "sqrt_of_indefinite": (
         lambda: sqrt_and_inverse(np.diag([1.0, -1.0])), ValueError,
         "torus metric must be positive definite",

@@ -94,7 +94,7 @@ def test_a_normalization_name_builds_that_normalization():
     assert rs.gram_scale == Fraction(1, 6)
     group = GroupSpec([FactorSpec(a2, "killing")])
     assert group.factors[0].normalization is Normalization.KILLING
-    assert group.q_full[0, 0] == 1 / 3
+    assert group.layout.gram_float[0, 0] == 1 / 3
     assert structure_to_dict(group.build())["factors"][0]["normalization"] == "killing"
 
 

@@ -80,7 +80,7 @@ def test_the_bi_invariant_metric_at_z_has_scale_z(token, norm):
 def test_the_scale_reads_the_larger_of_the_fiber_and_the_torus_parts():
     g = _group("A2")
     assert g.build([1.0, 3.0, 2.0]).scale == 3.0
-    assert g.build([1.0, 1.0, 1.0], torus=5.0 * g.q_full).scale == 5.0
+    assert g.build([1.0, 1.0, 1.0], torus=5.0 * g.layout.gram_float).scale == 5.0
     coupled = np.array([[2.0, -7.0], [-7.0, 30.0]])
     assert g.build([1.0, 1.0, 1.0], torus=coupled).scale == 30.0 / 2.0
 
@@ -193,10 +193,10 @@ def test_finiteness_follows_the_scale_across_the_range_bound(token):
 def test_a_structure_at_the_range_bound_scans_without_overflow(token, mode):
     g = _group(token)
     rng = np.random.default_rng(7)
-    r = g.total_rank
+    r = g.layout.size
     a = rng.normal(size=(r, r))
     spd = a @ a.T + r * np.eye(r)
-    torus = spd * (SCAN_RANGE / np.abs(spd).max()) * np.abs(g.q_full).max()
+    torus = spd * (SCAN_RANGE / np.abs(spd).max()) * np.abs(g.layout.gram_float).max()
     x = [SCAN_RANGE * rng.uniform(0.5, 1.0, rs.npositive) for rs in g.systems]
     for h in (g.build(x), g.build(x, torus=torus)):
         assert h.scale <= SCAN_RANGE

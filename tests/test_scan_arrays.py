@@ -49,8 +49,8 @@ def _metrics(g, seed):
     """One structure on the affine family, one off it with a coupled torus."""
     rng = np.random.default_rng(seed)
     on = pluriclosed_family(g, [rng.uniform(1.0, 2.0, rs.rank).tolist() for rs in g.systems])
-    gt = _rand_spd(rng, g.total_rank)
-    jt = canonical_jt(gt) if g.total_rank % 2 == 0 else None
+    gt = _rand_spd(rng, g.layout.size)
+    jt = canonical_jt(gt) if g.layout.size % 2 == 0 else None
     off = g.build([rng.uniform(0.5, 2.5, rs.npositive).tolist() for rs in g.systems], gt, jt)
     return on, off
 
@@ -87,7 +87,7 @@ def _reference_dc_form(h):
         for t, root in enumerate(rs.positives):
             gk = h.gt @ h.group.layout.embed(f, root.coeffs)
             e = basis.element_index(f, t)
-            for a in range(h.group.total_rank):
+            for a in range(h.group.layout.size):
                 if gk[a]:
                     comps[(a, e, e + 1)] = complex(-gk[a])
         n, fl, x = rs.npositive, h.group.constants[f].float_array.tolist(), h.xhat[f].tolist()
@@ -275,10 +275,10 @@ def _forms(h, seed):
     rng = np.random.default_rng(seed)
     g = h.group
     forms = {
-        "theta_torus": theta_form(h, rng.normal(size=g.total_rank)),
+        "theta_torus": theta_form(h, rng.normal(size=g.layout.size)),
         "theta_root": theta_form(h, (len(g.factors) - 1, g.systems[-1].positives[-1])),
     }
-    two = omega_form(h) if h.jt is not None else sigma_form(h, rng.normal(size=g.total_rank))
+    two = omega_form(h) if h.jt is not None else sigma_form(h, rng.normal(size=g.layout.size))
     forms["omega"] = two
     forms["d_omega"] = InvariantForm(g.basis, 3, _reference_exterior_derivative(two))
     forms["dc_omega"] = dc_form(h)
