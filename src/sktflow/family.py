@@ -5,6 +5,9 @@ On a root system with positive-root coefficient matrix K, simple values s
 induce the fiber values v = 1 + K(s - 1). F = sum(v - log v) has gradient
 Kᵀ(1 - 1/v) and Hessian Kᵀ diag(1/v²) K, and is defined where every v is
 finite and positive. Simple values are read by roots.number_array.
+
+The factors are given as a RootSystem, a sequence of them, a GroupSpec or a
+FactorLayout; FactorLayout.of resolves all four, and K stacks every factor's rows.
 """
 
 from __future__ import annotations
@@ -49,10 +52,17 @@ def _induced(k: np.ndarray, s: np.ndarray) -> np.ndarray:
     return k.dot(s - _ONE) + _ONE
 
 
+def _state(systems, x) -> tuple[FactorLayout, np.ndarray]:
+    """The layout of systems, and x read as its state."""
+    layout = FactorLayout.of(systems)
+    return layout, number_array(x, layout.size, "state")
+
+
 @np.errstate(**QUIET)
-def family_values(rs: RootSystem, simple_values) -> np.ndarray:
+def family_values(systems, x) -> np.ndarray:
     """Fiber values induced by values on the simple roots, affinely through 1."""
-    return _induced(rs.coefficient_matrix, simple_array(rs, simple_values))
+    layout, x = _state(systems, x)
+    return _induced(layout.coefficient_matrix, x)
 
 
 class Violation(Exception):
@@ -133,45 +143,47 @@ def potential(v: np.ndarray) -> float:
     return float(np.add.reduce(v - np.log(v)))
 
 
-def _hessian(rs: RootSystem, v: np.ndarray) -> np.ndarray:
-    k = rs.coefficient_matrix
+def _hessian(layout: FactorLayout, v: np.ndarray) -> np.ndarray:
+    k = layout.coefficient_matrix
     return (k / v[:, None] ** 2).T @ k
 
 
 @np.errstate(**QUIET)
-def functional_F(rs: RootSystem, simple_values) -> float:
+def functional_F(systems, x) -> float:
     """Strictly convex potential whose only critical point is all ones."""
-    return potential(family_gradient(rs, simple_array(rs, simple_values))[0])
+    return potential(family_gradient(*_state(systems, x))[0])
 
 
 @np.errstate(**QUIET)
-def grad_F(rs: RootSystem, simple_values) -> np.ndarray:
-    return family_gradient(rs, simple_array(rs, simple_values))[1]
+def grad_F(systems, x) -> np.ndarray:
+    return family_gradient(*_state(systems, x))[1]
 
 
 @np.errstate(**QUIET)
-def hessian_F(rs: RootSystem, simple_values) -> np.ndarray:
-    return _hessian(rs, family_gradient(rs, simple_array(rs, simple_values))[0])
+def hessian_F(systems, x) -> np.ndarray:
+    layout, x = _state(systems, x)
+    return _hessian(layout, family_gradient(layout, x)[0])
 
 
 @np.errstate(**QUIET)
-def critical_point(rs: RootSystem, x0=None, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def critical_point(systems, x0=None, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Damped Newton minimizer of the potential over the positive family domain."""
     tol, max_iter = check_positive(tol), check_count(max_iter, "max_iter")
-    x = np.ones(rs.rank) if x0 is None else simple_array(rs, x0).copy()
-    v, g = family_gradient(rs, x)
+    layout = FactorLayout.of(systems)
+    x = np.ones(layout.size) if x0 is None else _state(layout, x0)[1].copy()
+    v, g = family_gradient(layout, x)
     steps = 0
     while not np.abs(g).max() < tol:  # tested before the first step and after the last
         if steps == max_iter:
             raise ConsistencyError(f"Newton did not reach tolerance {tol} in {max_iter} iterations")
         steps += 1
-        step = np.linalg.solve(_hessian(rs, v), -g)
+        step = np.linalg.solve(_hessian(layout, v), -g)
         f0 = potential(v)
         t = 1.0
         while t > 1e-14:
             cand = x + t * step
             with suppress(PositivityError):  # cand is outside the domain
-                v_c, g_c = family_gradient(rs, cand)
+                v_c, g_c = family_gradient(layout, cand)
                 if potential(v_c) <= f0 + 1e-12 * (1.0 + abs(f0)):
                     break
             t /= 2

@@ -4,8 +4,7 @@ State vectors are the simple-root values of every factor concatenated; the
 state evolves under minus the block-diagonal gram matrix applied to the
 gradient, so each factor evolves under its own gram matrix and gradient,
 which is exactly the induced flow of the geometric evolution on this family.
-The factors are given as a RootSystem, a sequence of them, a GroupSpec or a
-FactorLayout; FactorLayout.of resolves all four.
+The factors are given in any form that family.py's functions take.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -41,22 +41,10 @@ class _Evaluator:
 
 
 @np.errstate(**QUIET)
-def _evaluate(systems, x):
-    evaluate = _Evaluator(systems)
-    return evaluate(number_array(x, evaluate.layout.size, "state"), 0.0)
-
-
-def total_functional(systems, x) -> float:
-    return potential(_evaluate(systems, x)[1][0])
-
-
-def total_gradient(systems, x) -> np.ndarray:
-    return _evaluate(systems, x)[1][1]
-
-
 def rhs(systems, x) -> np.ndarray:
     """Flow velocity: minus the block-diagonal gram matrix applied to the gradient."""
-    return _evaluate(systems, x)[0]
+    evaluate = _Evaluator(systems)
+    return evaluate(number_array(x, evaluate.layout.size, "state"), 0.0)[0]
 
 
 @np.errstate(**QUIET)
@@ -71,7 +59,7 @@ def per_root_rhs(systems, x, factor: int, root) -> float:
     factor = check_count(factor, "factor index", len(layout.systems))
     rs = layout.systems[factor]
     vals = family_gradient(layout, x)[0][layout.row_slices[factor]]
-    j = rs.index_of(root)
+    j = rs.index_of(root) % rs.npositive  # a root and its negative share one fiber value
     total = 0.0
     for t in range(rs.npositive):
         total -= (1.0 - 1.0 / vals[t]) * float(rs.gram_scale * rs.inner_at(t, j))
@@ -123,14 +111,34 @@ class FlowStats:
         return {f"stats.{f.name}": repr(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def pop_meta(cls, meta: dict) -> "FlowStats | None":
-        """Take the `stats.<name>` entries out of parsed metadata, if present."""
-        found = {
-            f.name: type(f.default)(meta.pop(f"stats.{f.name}"))
-            for f in fields(cls)
-            if f"stats.{f.name}" in meta
-        }
-        return cls(**found) if found else None
+    def parse(cls, stats) -> "FlowStats":
+        """FlowStats from a mapping of field names to numbers or their reprs.
+
+        ValueError names stats.<name> for an unknown name, a bool, a value
+        that does not parse, and a count that is not an integer.
+        """
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        found = {}
+        for name, value in _mapping(stats, "stats").items():
+            if name not in kinds:
+                raise ValueError(f"unknown stats key {name!r}")
+            kind = kinds[name]
+            try:
+                found[name] = kind(value)
+                ok = not isinstance(value, bool) and (kind is float or found[name] == float(value))
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"stats.{name} must be {noun}, got {value!r}")
+        return cls(**found)
+
+
+def _mapping(value, what: str) -> Mapping:
+    """value, the trajectory's field what; ValueError unless it is a mapping."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"trajectory {what} must be a mapping, got {value!r}")
+    return value
 
 
 def _csv_header(d: int) -> list[str]:
@@ -219,17 +227,17 @@ class Trajectory:
                 f"trajectory header {','.join(header)!r} is not t,x_1,...,x_d,F,grad_inf"
             )
         data = np.array(rows)
-        termination = meta.pop("termination", "unknown")
-        stats = FlowStats.pop_meta(meta)
-        return Trajectory(
-            times=data[:, 0],
-            states=data[:, 1:-2],
-            f_values=data[:, -2],
-            grad_inf=data[:, -1],
-            termination=termination,
-            metadata=meta,
-            stats=stats,
-        )
+        stats = {f.name: meta.pop(f"stats.{f.name}") for f in fields(FlowStats)
+                 if f"stats.{f.name}" in meta}
+        return Trajectory.from_json({
+            "times": data[:, 0],
+            "states": data[:, 1:-2],
+            "f_values": data[:, -2],
+            "grad_inf": data[:, -1],
+            "termination": meta.pop("termination", "unknown"),
+            "metadata": meta,
+            "stats": stats or None,
+        })
 
     def to_json(self) -> dict:
         out = {
@@ -246,17 +254,17 @@ class Trajectory:
 
     @staticmethod
     def from_json(data: dict) -> "Trajectory":
+        """The trajectory that to_json wrote; from_csv reads through here too.
+        ValueError names a column, stats entry or other field that is malformed."""
+        termination = data.get("termination", "unknown")
+        if not isinstance(termination, str):
+            raise ValueError(f"trajectory termination must be a string, got {termination!r}")
         stats = data.get("stats")
-        if stats is not None:
-            unknown = sorted(set(stats) - {f.name for f in fields(FlowStats)})
-            if unknown:
-                raise ValueError(f"unknown stats key {unknown[0]!r}")
-            stats = FlowStats(**stats)
         return Trajectory(
             **_columns(data),
-            termination=data.get("termination", "unknown"),
-            metadata=dict(data.get("metadata", {})),
-            stats=stats,
+            termination=termination,
+            metadata=dict(_mapping(data.get("metadata", {}), "metadata")),
+            stats=None if stats is None else FlowStats.parse(stats),
         )
 
     def to_csv_string(self) -> str:

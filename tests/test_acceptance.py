@@ -202,13 +202,13 @@ def test_criterion_07_newton_and_bismut_rigidity():
             assert np.abs(xs - 1).max() < 1e-8, (token, x0)
         # Bismut vector vanishes only at the fixed point on the family
         h1 = pluriclosed_family(g, tuple(np.ones(rs.rank)))
-        assert bismut_ricci(h1).vector.sup_norm < 1e-12
+        assert np.abs(bismut_ricci(h1)).max() < 1e-12
         for _ in range(50):
             vals = rng.uniform(0.8, 2.0, rs.rank)
             if np.abs(vals - 1).max() < 0.05:
                 continue
             h = pluriclosed_family(g, tuple(vals))
-            assert bismut_ricci(h).vector.sup_norm > 1e-10, (token, vals)
+            assert np.abs(bismut_ricci(h)).max() > 1e-10, (token, vals)
     _announce(7, "Newton always lands at ones; Bismut vector rigid", t0)
 
 

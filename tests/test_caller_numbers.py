@@ -24,7 +24,6 @@ from sktflow import (
     GroupSpec,
     TorusComplexStructure,
     TorusMetric,
-    TorusVector,
     Trajectory,
     canonical_jt,
     critical_point,
@@ -77,8 +76,6 @@ REFUSED = {
     "cyt tol string": (lambda: is_cyt(_a2().build(), tol="1e-3"), f"tol {BOOLS_OR_STRINGS}"),
     "tol sequence": (lambda: is_cyt(_a2().build(), tol=[1e-8]),
                      "tol must be finite and positive"),
-    "complex torus vector": (lambda: TorusVector(np.array([1 + 1j, 2.0])),
-                             "torus vector must be real, got complex"),
     "asymmetric metric": (lambda: canonical_jt([[2, 5], [0, 2]]),
                           "torus metric must be symmetric"),
     # symmetry is judged against the matrix' own size: scaled down, this

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import parse_token, system
 from sktflow import (
+    FactorLayout,
     FactorSpec,
     FlowConfig,
     GroupSpec,
@@ -18,6 +19,7 @@ from sktflow import (
     bismut_ricci,
     critical_point,
     family_bound,
+    family_values,
     functional_F,
     grad_F,
     gradient_flow_check,
@@ -26,10 +28,9 @@ from sktflow import (
     per_root_rhs,
     pluriclosed_family,
     rhs,
-    total_functional,
-    total_gradient,
 )
 import sktflow.flow
+from sktflow.family import family_gradient, potential
 
 MONOTONE_SLACK = 1e-10  # as in the acceptance suite
 
@@ -37,11 +38,12 @@ MONOTONE_SLACK = 1e-10  # as in the acceptance suite
 
 HUGE = np.array([1e308, 1e308])  # the induced value on a1+a2 overflows to +inf
 
-PER_FACTOR = (functional_F, grad_F, hessian_F, critical_point)
-PER_LAYOUT = (
+EVERY = (
+    functional_F,
+    grad_F,
+    hessian_F,
+    critical_point,
     rhs,
-    total_functional,
-    total_gradient,
     integrate,
     gradient_flow_check,
     lambda rs, x: per_root_rhs(rs, x, 0, rs.positives[2]),
@@ -52,7 +54,7 @@ def _ids(fns):
     return [getattr(fn, "__name__", "?").replace("<lambda>", "per_root_rhs") for fn in fns]
 
 
-@pytest.mark.parametrize("fn", PER_FACTOR + PER_LAYOUT, ids=_ids(PER_FACTOR + PER_LAYOUT))
+@pytest.mark.parametrize("fn", EVERY, ids=_ids(EVERY))
 def test_infinite_induced_value_is_refused_everywhere(fn):
     rs = system("A2")
     with np.errstate(over="ignore"), pytest.raises(PositivityError) as exc:
@@ -76,10 +78,56 @@ def test_non_finite_simple_value_is_named(fn, bad):
     assert np.array_equal(exc.value.value, bad, equal_nan=True)
 
 
-@pytest.mark.parametrize("fn", PER_LAYOUT, ids=_ids(PER_LAYOUT))
+@pytest.mark.parametrize("fn", EVERY, ids=_ids(EVERY))
 def test_state_of_the_wrong_length_is_refused(fn):
     with pytest.raises(ValueError, match="state must have length 2, got shape \\(3,\\)"):
         fn(system("A2"), [1.0, 1.0, 5.0])
+
+
+# -- the family layer takes any set of factors ------------------------------
+
+FORMS = {
+    "sequence": lambda tokens: [system(t) for t in tokens],
+    "group": lambda tokens: GroupSpec([FactorSpec(parse_token(t)) for t in tokens]),
+    "layout": lambda tokens: FactorLayout([system(t) for t in tokens]),
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("tokens", [("A2", "G2"), ("B3", "G2")], ids=["A2xG2", "B3xG2"])
+def test_on_a_product_the_family_layer_is_its_factors(tokens, form):
+    factors = FORMS[form](tokens)
+    systems = [system(t) for t in tokens]
+    ends = np.cumsum([0] + [rs.rank for rs in systems])
+    blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.uniform(0.9, 2.2, ends[-1])
+        total = sum(functional_F(rs, x[sl]) for rs, sl in zip(systems, blocks))
+        assert functional_F(factors, x) == pytest.approx(total, rel=0.0, abs=1e-13)
+        joint = np.concatenate([grad_F(rs, x[sl]) for rs, sl in zip(systems, blocks)])
+        assert np.abs(grad_F(factors, x) - joint).max() <= 1e-14
+        hess = hessian_F(factors, x)
+        for sl in blocks:
+            assert not np.delete(hess[sl], sl, axis=1).any()  # off-diagonal blocks are 0
+        assert np.abs(critical_point(factors, x) - 1).max() < 1e-10
+    bad = np.full(ends[-1], 1.5)
+    bad[ends[1]] = np.nan
+    for fn in (functional_F, grad_F, hessian_F, critical_point):
+        with pytest.raises(PositivityError, match="induced value for root a1 in factor 1 is nan"):
+            fn(factors, bad)
+
+
+@pytest.mark.parametrize("token", ["A1", "A2", "G2", "B3", "F4"])
+def test_on_one_system_the_family_layer_keeps_the_systems_bits(token):
+    rs = system(token)
+    k = rs.coefficient_matrix
+    for x in np.random.default_rng(2).uniform(0.9, 2.2, (5, rs.rank)):
+        v, g = family_gradient(rs, x)
+        assert family_values(rs, x).tobytes() == v.tobytes()
+        assert functional_F(rs, x).hex() == potential(v).hex()
+        assert grad_F(rs, x).tobytes() == g.tobytes()
+        assert hessian_F(rs, x).tobytes() == ((k / v[:, None] ** 2).T @ k).tobytes()
 
 
 # -- gradient_flow_check takes only a finite, positive t_end and h ----------
@@ -196,8 +244,8 @@ def test_bismut_vector_is_minus_gradient_and_drives_the_flow(tokens, z):
     for _ in range(3):
         rows = [rng.uniform(0.9, 2.5, rs.rank) for rs in group.systems]
         s = np.concatenate(rows)
-        bismut = bismut_ricci(pluriclosed_family(group, rows)).vector.components
-        grad = total_gradient(group, s)
+        bismut = bismut_ricci(pluriclosed_family(group, rows))
+        grad = grad_F(group, s)
         tol = 1e-13 * max(1.0, float(np.abs(grad).max()))
         assert np.abs(bismut + grad).max() <= tol
         assert np.abs(rhs(group, s) - group.layout.gram_float @ bismut).max() <= tol

@@ -17,12 +17,12 @@ from sktflow import (
     PositivityError,
     SimpleType,
     Trajectory,
+    functional_F,
+    grad_F,
     gradient_flow_check,
     integrate,
     per_root_rhs,
     rhs,
-    total_functional,
-    total_gradient,
 )
 
 
@@ -87,12 +87,27 @@ def test_per_root_extends_to_non_simple_roots():
     assert v == pytest.approx(full.sum())
 
 
+@pytest.mark.parametrize(
+    "tokens,factor", [(("A2",), 0), (("G2",), 0), (("A2", "G2"), 1)], ids=["A2", "G2", "A2xG2-1"]
+)
+def test_a_root_and_its_negative_have_one_velocity(tokens, factor):
+    # g(E_a, E_-a) = -x_a: a root and its negative share one fiber value
+    systems = [system(t) for t in tokens]
+    rs = systems[factor]
+    x = np.random.default_rng(4).uniform(0.9, 2.2, sum(r.rank for r in systems))
+    own = rhs(systems, x)[sum(r.rank for r in systems[:factor]):][: rs.rank]
+    for i, root in enumerate(rs.positives):
+        v = per_root_rhs(systems, x, factor, root)
+        assert per_root_rhs(systems, x, factor, -root).hex() == v.hex()
+        assert v == pytest.approx(rs.coefficient_matrix[i] @ own, abs=1e-12)
+
+
 def test_rhs_zero_at_identity_multi_factor():
     g = GroupSpec([FactorSpec(SimpleType("A", 2)), FactorSpec(SimpleType("G", 2))])
     x = np.ones(4)
     assert np.abs(rhs(g, x)).max() == 0
-    assert total_functional(g, x) == pytest.approx(3 + 6)
-    assert np.abs(total_gradient(g, x)).max() == 0
+    assert functional_F(g, x) == pytest.approx(3 + 6)
+    assert np.abs(grad_F(g, x)).max() == 0
 
 
 def test_gram_matrix_blockdiag():

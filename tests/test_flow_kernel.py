@@ -27,7 +27,6 @@ from sktflow import (
     grad_F,
     integrate,
     rhs,
-    total_functional,
 )
 from sktflow.family import Violation as _Violation, _refuse, family_gradient
 from sktflow.flow import _Evaluator
@@ -96,7 +95,6 @@ def test_single_factor_rhs_is_the_factor_formula_bit_for_bit(token):
     rs = system(token)
     for x in _starts(token):
         assert np.array_equal(rhs(rs, x), -rs.gram_float @ grad_F(rs, x))
-        assert total_functional(rs, x) == functional_F(rs, x)
 
 
 @pytest.mark.parametrize("token", PRODUCTS)
@@ -110,7 +108,7 @@ def test_product_rhs_agrees_with_the_per_factor_pieces(token):
         atol = 1e-14 * max(1.0, float(np.abs(joint).max()))
         assert np.allclose(rhs(systems, x), joint, rtol=0.0, atol=atol)
         total = sum(functional_F(rs, p) for rs, p in zip(systems, pieces))
-        assert total_functional(systems, x) == pytest.approx(total, rel=0.0, abs=1e-13)
+        assert functional_F(systems, x) == pytest.approx(total, rel=0.0, abs=1e-13)
 
 
 def test_integrate_evaluates_the_whole_layout_once_per_stage(monkeypatch):

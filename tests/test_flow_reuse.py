@@ -16,15 +16,14 @@ import pytest
 from conftest import system
 from sktflow import (
     FlowConfig,
-    FlowStats,
     PositivityError,
     Trajectory,
     family_bound,
     family_values,
+    functional_F,
+    grad_F,
     integrate,
     rhs,
-    total_functional,
-    total_gradient,
 )
 from sktflow.family import Violation as _Violation
 from sktflow.flow import _Evaluator
@@ -48,8 +47,8 @@ class _Halve(Exception):
 
 def reference_integrate(sys_list, x0, cfg):
     """Every stage and new point through a guard and the public rhs (five rhs
-    calls per rk4 step, seven per rkf45 step); rows from total_functional and
-    total_gradient."""
+    calls per rk4 step, seven per rkf45 step); rows from functional_F and
+    grad_F."""
 
     def guarded(x):
         off = 0
@@ -113,8 +112,8 @@ def reference_integrate(sys_list, x0, cfg):
     return Trajectory(
         times=np.array([r[0] for r in rows]),
         states=states,
-        f_values=np.array([total_functional(sys_list, s) for s in states]),
-        grad_inf=np.array([float(np.abs(total_gradient(sys_list, s)).max()) for s in states]),
+        f_values=np.array([functional_F(sys_list, s) for s in states]),
+        grad_inf=np.array([float(np.abs(grad_F(sys_list, s)).max()) for s in states]),
         termination=termination,
     )
 
@@ -136,8 +135,8 @@ def test_recorded_rows_are_the_per_point_reference(group, integrator):
     traj = integrate(sys_list, x0, FlowConfig(integrator=integrator, t_end=400.0, tol=1e-7))
     assert traj.termination == "converged"
     for i, x in enumerate(traj.states):
-        assert traj.f_values[i] == total_functional(sys_list, x)
-        assert traj.grad_inf[i] == float(np.abs(total_gradient(sys_list, x)).max())
+        assert traj.f_values[i] == functional_F(sys_list, x)
+        assert traj.grad_inf[i] == float(np.abs(grad_F(sys_list, x)).max())
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
@@ -172,7 +171,7 @@ def test_start_within_eps_pos_of_zero_ends_positivity_violation():
     assert traj.termination == "positivity_violation"
     assert len(traj.times) == 1
     assert traj.stats.accepted == 0 and traj.stats.halvings > 0
-    assert traj.f_values[0] == total_functional([rs], x0)
+    assert traj.f_values[0] == functional_F([rs], x0)
 
 
 def test_rkf45_error_control_underflow_is_step_underflow():
@@ -237,4 +236,3 @@ def test_trajectory_without_stats_round_trips():
     traj.stats = None
     assert Trajectory.from_csv(io.StringIO(traj.to_csv_string())).stats is None
     assert Trajectory.from_json(traj.to_json()).stats is None
-    assert FlowStats.pop_meta({"integrator": "rk4_fixed"}) is None

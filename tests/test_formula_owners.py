@@ -96,7 +96,7 @@ def test_d_star_omega_and_bismut_are_bit_identical_to_the_loop(token):
     for h in _metrics(_group(token), sum(map(ord, token))):
         got, want = d_star_omega(h), _reference_d_star_omega(h)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        got, want = bismut_ricci(h).vector.components, _reference_bismut_vector(h)
+        got, want = bismut_ricci(h), _reference_bismut_vector(h)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -27,15 +27,11 @@ from sktflow import (
     per_root_rhs,
     pluriclosed_family,
     rhs,
-    total_functional,
-    total_gradient,
 )
 
 ENTRY_POINTS = {
     "integrate": integrate,
     "rhs": rhs,
-    "total_functional": total_functional,
-    "total_gradient": total_gradient,
     "per_root_rhs": lambda rs, x: per_root_rhs(rs, x, 0, rs.positives[-1]),
     "gradient_flow_check": gradient_flow_check,
     "functional_F": functional_F,

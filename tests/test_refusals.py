@@ -21,7 +21,6 @@ from sktflow import (
     MissingComplexStructureError,
     Root,
     SimpleType,
-    TorusVector,
     Trajectory,
     canonical_jt,
     d_omega,
@@ -45,6 +44,11 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 def _trajectory():
     return {"times": [0.0, 1.0], "states": [[1.0, 1.0]] * 2, "f_values": [2.0, 2.0],
             "grad_inf": [0.0, 0.0]}
+
+
+def _csv_with(line):
+    """A one-row trajectory CSV under the metadata line `# line`."""
+    return io.StringIO(f"# {line}\nt,x_1,F,grad_inf\n0,1,2,0\n")
 
 
 REFUSALS = {
@@ -80,9 +84,6 @@ REFUSALS = {
     "torus_entry": (
         lambda: structure_from_dict({"factors": [{"family": "A", "rank": 2}], "torus": "flat"}),
         ValueError, "unknown torus entry 'flat'",
-    ),
-    "torus_vector_shape": (
-        lambda: TorusVector(np.zeros((2, 2))), ValueError, "torus vector must be one-dimensional",
     ),
     "form_value_count": (
         lambda: InvariantForm.from_arrays(A2.basis, 2, [[0, 1]], [1.0, 2.0]), ValueError,
@@ -121,6 +122,42 @@ REFUSALS = {
     "trajectory_stats_key": (
         lambda: Trajectory.from_json({**_trajectory(), "stats": {"steps": 3}}), ValueError,
         "unknown stats key 'steps'",
+    ),
+    "trajectory_stats_string": (
+        lambda: Trajectory.from_json({**_trajectory(), "stats": {"evaluations": "x"}}),
+        ValueError, "stats.evaluations must be an integer, got 'x'",
+    ),
+    "trajectory_stats_bool": (
+        lambda: Trajectory.from_json({**_trajectory(), "stats": {"evaluations": True}}),
+        ValueError, "stats.evaluations must be an integer, got True",
+    ),
+    "trajectory_stats_fraction": (
+        lambda: Trajectory.from_json({**_trajectory(), "stats": {"evaluations": 1.5}}),
+        ValueError, "stats.evaluations must be an integer, got 1.5",
+    ),
+    "trajectory_stats_float_string": (
+        lambda: Trajectory.from_json({**_trajectory(), "stats": {"wall_s": "fast"}}),
+        ValueError, "stats.wall_s must be a number, got 'fast'",
+    ),
+    "trajectory_stats_list": (
+        lambda: Trajectory.from_json({**_trajectory(), "stats": [1, 2]}), ValueError,
+        "trajectory stats must be a mapping, got [1, 2]",
+    ),
+    "trajectory_metadata_list": (
+        lambda: Trajectory.from_json({**_trajectory(), "metadata": [1, 2]}), ValueError,
+        "trajectory metadata must be a mapping, got [1, 2]",
+    ),
+    "trajectory_termination": (
+        lambda: Trajectory.from_json({**_trajectory(), "termination": 3}), ValueError,
+        "trajectory termination must be a string, got 3",
+    ),
+    "trajectory_csv_stats": (
+        lambda: Trajectory.from_csv(_csv_with("stats.evaluations = x")),
+        ValueError, "stats.evaluations must be an integer, got 'x'",
+    ),
+    "trajectory_csv_fraction": (
+        lambda: Trajectory.from_csv(_csv_with("stats.accepted = 2.5")),
+        ValueError, "stats.accepted must be an integer, got '2.5'",
     ),
     "trajectory_flat_states": (
         lambda: Trajectory.from_json({**_trajectory(), "states": [1.0, 1.0]}), ValueError,
