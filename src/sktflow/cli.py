@@ -153,7 +153,7 @@ def cmd_check(path: str, tol: float, mode: str):
     if rep.witness is not None:
         click.echo(f"worst witness: {rep.witness}")
     click.echo(f"skt1 max: {_fmt(rep.skt1_max)}   skt2 max: {_fmt(rep.skt2_max)}")
-    unit = "residual rows" if rep.mode == "closed_form" else "nonzero dd^c components"
+    unit = "residual rows" if rep.mode == "closed_form" else "dd^c components"
     click.echo(f"checked: {rep.checked} {unit} in {_ms(rep.elapsed_s)}")
     click.echo(f"kahler flag residual: {_fmt(kahler_flag_residual(h))}")
     cyt = is_cyt(h)

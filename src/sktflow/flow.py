@@ -9,7 +9,6 @@ The factors are given in any form that family.py's functions take.
 
 from __future__ import annotations
 
-import io
 import math
 import time
 from collections.abc import Mapping
@@ -266,11 +265,6 @@ class Trajectory:
             metadata=dict(_mapping(data.get("metadata", {}), "metadata")),
             stats=None if stats is None else FlowStats.parse(stats),
         )
-
-    def to_csv_string(self) -> str:
-        out = io.StringIO()
-        self.to_csv(out)
-        return out.getvalue()
 
 
 def _rk4(f, x, h, k1):

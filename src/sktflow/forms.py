@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteComponentError
-from .roots import FactorLayout, Root, RootSystem, number_array
+from .roots import FactorLayout, RootSystem, check_count, number_array
 from .structure import StructureConstants
 
 BracketTerms = tuple[tuple[int, complex], ...]
@@ -163,16 +163,16 @@ class ChevalleyBasis:
             for dd in self.descriptors
         )
 
-    def torus_index(self, factor: int, local: int) -> int:
-        return self.layout.slices[factor].start + local
-
-    def root_index(self, factor: int, root: Root) -> int:
-        return self.element_index(factor, self.factors[factor][0].index_of(root))
-
-    def element_index(self, factor: int, i: int) -> int:
-        """Basis position of E for the root with index i in the factor's all_roots()."""
-        n = self.factors[factor][0].npositive
-        return self.layout.size + 2 * (self.layout.row_slices[factor].start + i % n) + (i >= n)
+    def element_index(self, factor: int, i):
+        """Basis position of E for the root with index i in the factor's
+        all_roots(), or of each in an integer array; ValueError on a factor
+        or a root index outside the basis."""
+        f = check_count(factor, "factor index", len(self.factors))
+        n = self.factors[f][0].npositive
+        i = np.asarray(i)
+        if i.dtype.kind not in "iu" or ((i < 0) | (i >= 2 * n)).any():
+            raise ValueError(f"root index {i} of factor {f} is not an integer in [0, {2 * n})")
+        return self.layout.size + 2 * (self.layout.row_slices[f].start + i % n) + (i >= n)
 
     def _bracket_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero [X_i, X_j], i < j, one row per term [X_i, X_j] ∋ c X_m,
@@ -306,12 +306,6 @@ class InvariantForm:
         """The keys as an (n, degree) int32 array and the values as complex,
         in insertion order."""
         return self.components.arrays
-
-    def set(self, indices: tuple[int, ...], value: complex):
-        """Make the form again with one component set, or raise and leave it."""
-        comps = dict(self.components)
-        comps[indices] = value
-        self.__init__(self.basis, self.degree, comps)
 
     def value(self, *indices: int) -> complex:
         if len(set(indices)) != len(indices):

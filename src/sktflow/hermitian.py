@@ -410,8 +410,9 @@ def d_star_omega(h: HermitianStructure) -> np.ndarray:
 class PluriclosedReport:
     """A scan's verdict: max_residual / scale < tol, with the residuals
     absolute and scale the structure's. checked counts the residual rows
-    scanned in closed form, or the nonzero dd^c components in brute force;
-    it is 0 for a structure above SCAN_RANGE, where no scan runs."""
+    scanned in closed form, or in brute force the dd^c components the
+    differential sums, zero or not; it is 0 for a structure above
+    SCAN_RANGE, where no scan runs."""
 
     verdict: bool
     max_residual: float
@@ -427,9 +428,11 @@ class PluriclosedReport:
 
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     """(max residual, witness, skt1 max, skt2 max, components checked) over
-    dd^c omega, for a structure within SCAN_RANGE."""
+    dd^c omega, for a structure within SCAN_RANGE. The count is the slot
+    count of the derivative's plan, so a component that sums to 0 counts."""
     basis = h.group.basis
-    keys, values = exterior_derivative(dc_form(h)).arrays()
+    dc = dc_form(h)
+    keys, values = exterior_derivative(dc).arrays()
     r = np.abs(values) / 2.0
     pair = basis.pair_of[keys]
     fiber = pair[:, 0] >= 0
@@ -441,7 +444,9 @@ def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, 
         names = ", ".join(basis.element_names[i] for i in keys[row].tolist())
         witness = f"{word} ({names})"
     skt1_max, skt2_max = (float(r.max(where=m, initial=0.0)) for m in (skt1, fiber ^ skt1))
-    return best, witness, skt1_max, skt2_max, len(values)
+    dc_keys, dc_values = dc.arrays()
+    checked = len(basis.derivative_plan(dc_keys[dc_values != 0]).keys)
+    return best, witness, skt1_max, skt2_max, checked
 
 
 # The largest structure scale the scans run at. Every value either scan

@@ -147,25 +147,27 @@ class Normalization(str, enum.Enum):
 class Root:
     """A root as its integer coefficient vector over the simple roots.
 
-    Negative roots carry nonpositive coefficients and sign -1, so coeffs is
-    always the root itself rather than its positive representative.
+    coeffs is the root itself rather than its positive representative: a
+    negative root has nonpositive coefficients, and sign -1.
     """
 
     coeffs: tuple[int, ...]
-    sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if all(c == 0 for c in self.coeffs) or any(c * self.sign < 0 for c in self.coeffs):
-            raise ValueError(f"coefficients {self.coeffs} do not match sign {self.sign:+d}")
+        if not any(self.coeffs) or min(self.coeffs) < 0 < max(self.coeffs):
+            raise ValueError(f"coefficients {self.coeffs} of a root mix signs or are all 0")
 
     @property
     def height(self) -> int:
         return sum(self.coeffs)
 
+    @property
+    def sign(self) -> int:
+        """+1 for a positive root, -1 for a negative one."""
+        return 1 if self.height > 0 else -1
+
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs), -self.sign)
+        return Root(tuple(-c for c in self.coeffs))
 
     @property
     def positive(self) -> "Root":
@@ -202,7 +204,10 @@ class ModuliDimensions(NamedTuple):
 
 
 def moduli_dimensions(d: int, nposroots: int) -> ModuliDimensions:
-    if d < 1 or nposroots < 0:
+    """The counts for rank 2d and nposroots positive roots; ValueError unless
+    both are integers, d >= 1 and nposroots >= 0, a bool refused."""
+    d, nposroots = check_count(d, "d"), check_count(nposroots, "nposroots")
+    if d < 1:
         raise ValueError("need d >= 1 and nposroots >= 0")
     return ModuliDimensions(
         metrics=d * (d + 1) // 2 + nposroots,
@@ -501,10 +506,7 @@ class RootSystem:
         coeffs = tuple(coeffs)
         if not self.is_root(coeffs):
             raise ValueError(f"{coeffs} is not a root of {self.stype}")
-        return Root(coeffs, 1 if sum(coeffs) > 0 else -1)
-
-    def positive_index(self, root: Root) -> int:
-        return self._index[root.positive.coeffs]
+        return Root(coeffs)
 
     def all_roots(self) -> tuple[Root, ...]:
         return self._roots
@@ -550,9 +552,10 @@ class FactorLayout:
 
     def locate(self, index: int, rows: bool = False) -> tuple[int, int]:
         """The factor owning a torus coordinate, or with rows a row of
-        coefficient_matrix, and the index within that factor."""
+        coefficient_matrix, and the index within that factor; IndexError on
+        an index outside the layout."""
         for f, sl in enumerate(self.row_slices if rows else self.slices):
-            if index < sl.stop:
+            if sl.start <= index < sl.stop:
                 return f, index - sl.start
         raise IndexError(f"index {index} is outside the layout")
 

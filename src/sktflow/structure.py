@@ -117,9 +117,6 @@ class StructureConstants:
         ij = self._index(a, b)
         return Fraction(0) if ij is None else self.unit * int(self.sq[ij])
 
-    def as_float(self, a, b) -> float:
-        return float(self.value(a, b))
-
     @property
     def table(self) -> Mapping:
         """Read-only view {(coeffs a, coeffs b): N(a, b)} over the held pairs."""

@@ -12,14 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from numbers import Integral
 
 from .errors import ConsistencyError
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = k^2 * s with s squarefree; returns (s, k)."""
-    if n <= 0:
-        raise ValueError(f"expected a positive integer, got {n}")
+    """Write n = k^2 * s with s squarefree; returns (s, k). ValueError unless
+    n is a positive integer, a bool refused."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"expected a positive integer, got {n!r}")
     s, k, m, d = 1, 1, n, 2
     while d * d <= m:
         if m % d == 0:

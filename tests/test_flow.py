@@ -262,7 +262,9 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 def test_csv_string_round_trip():
     traj = integrate(system("B2"), (1.4, 1.2), FlowConfig(t_end=0.2))
-    s = traj.to_csv_string()
+    out = io.StringIO()
+    traj.to_csv(out)
+    s = out.getvalue()
     assert s.startswith("#")
     header = [ln for ln in s.splitlines() if not ln.startswith("#")][0]
     assert header == "t,x_1,x_2,F,grad_inf"

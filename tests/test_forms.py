@@ -33,11 +33,11 @@ def _reference_bracket(basis, i, j):
         return ((j, c),) if c else ()
     total = tuple(a + b for a, b in zip(ri.coeffs, rj.coeffs))
     if not any(total):
-        start = basis.torus_index(fi, 0)
+        start = basis.layout.slices[fi].start
         return tuple((start + k, float(c)) for k, c in enumerate(ri.coeffs) if c)
     if not rs.is_root(total):
         return ()
-    return ((basis.root_index(fi, rs.root(total)), sc.as_float(ri, rj)),)
+    return ((basis.element_index(fi, rs.index_of(total)), float(sc.value(ri, rj))),)
 
 
 def _hex_table(items):
@@ -73,7 +73,7 @@ def test_pair_of_follows_the_layout():
     assert basis.pair_of[: basis.layout.size].tolist() == [-1, -1, -1]
     for f, (rs, _) in enumerate(basis.factors):
         for root in rs.positives:
-            i, j = basis.root_index(f, root), basis.root_index(f, -root)
+            i, j = (basis.element_index(f, rs.index_of(r)) for r in (root, -root))
             assert j == i + 1 and basis.pair_of[i] == basis.pair_of[j] >= 0
     fiber = basis.pair_of[basis.layout.size :].tolist()
     assert fiber == sorted(fiber) and len(set(fiber)) == len(fiber) // 2
@@ -95,8 +95,9 @@ def test_sort_sign_is_the_permutation_parity():
 def test_layout_single_factor():
     basis = _basis("A2")
     assert basis.dim == 2 + 2 * 3
-    i = basis.root_index(0, basis.factors[0][0].positives[0])
-    j = basis.root_index(0, -basis.factors[0][0].positives[0])
+    rs = basis.factors[0][0]
+    i = basis.element_index(0, rs.index_of(rs.positives[0]))
+    j = basis.element_index(0, rs.index_of(-rs.positives[0]))
     assert j == i + 1
 
 
@@ -112,10 +113,10 @@ def test_bracket_antisymmetry():
 def test_cross_factor_brackets_vanish():
     basis = _basis("A1", "A2")
     rs0, rs1 = basis.factors[0][0], basis.factors[1][0]
-    i = basis.root_index(0, rs0.positives[0])
-    j = basis.root_index(1, rs1.positives[0])
+    i = basis.element_index(0, rs0.index_of(rs0.positives[0]))
+    j = basis.element_index(1, rs1.index_of(rs1.positives[0]))
     assert basis.bracket(i, j) == ()
-    assert basis.bracket(basis.torus_index(0, 0), j) == ()
+    assert basis.bracket(basis.layout.slices[0].start, j) == ()
 
 
 def test_jacobi_identity_sampled():
@@ -142,8 +143,7 @@ def test_jacobi_identity_sampled():
 
 def test_form_value_parity():
     basis = _basis("A2")
-    f = InvariantForm(basis, 2, {})
-    f.set((0, 3), 2.5)
+    f = InvariantForm(basis, 2, {(0, 3): 2.5})
     assert f.value(0, 3) == 2.5
     assert f.value(3, 0) == -2.5
     assert f.value(3, 3) == 0.0
@@ -153,10 +153,8 @@ def test_form_value_parity():
 def test_exterior_derivative_degree_and_d_squared():
     basis = _basis("B2")
     rng = np.random.default_rng(1)
-    f = InvariantForm(basis, 2, {})
     idx = [tuple(sorted(rng.choice(basis.dim, 2, replace=False))) for _ in range(8)]
-    for key in idx:
-        f.set(key, complex(rng.normal(), rng.normal()))
+    f = InvariantForm(basis, 2, {key: complex(rng.normal(), rng.normal()) for key in idx})
     df = exterior_derivative(f)
     assert df.degree == 3
     ddf = exterior_derivative(df)
@@ -166,10 +164,11 @@ def test_exterior_derivative_degree_and_d_squared():
 def test_d_squared_on_three_forms():
     basis = _basis("A2")
     rng = np.random.default_rng(2)
-    f = InvariantForm(basis, 3, {})
+    comps = {}
     for _ in range(10):
         key = tuple(sorted(int(v) for v in rng.choice(basis.dim, 3, replace=False)))
-        f.set(key, complex(rng.normal(), rng.normal()))
+        comps[key] = complex(rng.normal(), rng.normal())
+    f = InvariantForm(basis, 3, comps)
     assert exterior_derivative(exterior_derivative(f)).max_abs() < 1e-12
 
 
@@ -177,9 +176,7 @@ def test_exterior_derivative_of_killing_dual_is_closed():
     # B(x, [y, z]) as a 3-form component pattern: d of invariant 0-forms is 0,
     # and d applied twice to any stored form vanishes; spot a 1-form too.
     basis = _basis("A2")
-    f = InvariantForm(basis, 1, {})
-    f.set((0,), 1.0)
-    f.set((2,), 0.5 + 0.25j)
+    f = InvariantForm(basis, 1, {(0,): 1.0, (2,): 0.5 + 0.25j})
     ddf = exterior_derivative(exterior_derivative(f))
     assert ddf.max_abs() < 1e-12
 

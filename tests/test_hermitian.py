@@ -246,7 +246,7 @@ def test_d_dc_on_root_triples():
     sc = A2.constants[0]
     a1, a2 = rs.simples
     ab = rs.root((1, 1))
-    n = sc.as_float(a1, a2)
+    n = float(sc.value(a1, a2))
     # same-factor triple summing to zero
     val_d = d_omega(h, a1, a2, -ab)
     val_dc = dc_omega(h, a1, a2, -ab)
@@ -342,7 +342,7 @@ def test_closed_form_matches_brute_on_random_metrics():
                 d = basis.descriptors[i]
                 if d[0] == "H":
                     ev = np.zeros(g.layout.size)
-                    ev[basis.torus_index(d[1], d[2])] = 1.0
+                    ev[basis.layout.slices[d[1]].start + d[2]] = 1.0
                     elems.append(ev)
                 else:
                     elems.append(d[2])

@@ -114,7 +114,45 @@ REFUSALS = {
     "surd_by_zero_surd": (
         lambda: Surd(Fraction(1), 2) / Surd.of(0), ZeroDivisionError, "division by zero surd",
     ),
-    "root_sign": (lambda: Root((1, 0), sign=2), ValueError, "sign must be +1 or -1"),
+    "root_sign": (
+        lambda: Root((1, -1)), ValueError, "coefficients (1, -1) of a root mix signs or are all 0",
+    ),
+    "element_factor_below": (
+        lambda: A2G2.basis.element_index(-1, 0), ValueError, "factor index -1 out of range",
+    ),
+    "element_factor_above": (
+        lambda: A2G2.basis.element_index(2, 0), ValueError, "factor index 2 out of range",
+    ),
+    "element_root_above": (
+        lambda: A2.basis.element_index(0, 6), ValueError,
+        "root index 6 of factor 0 is not an integer in [0, 6)",
+    ),
+    "element_root_below": (
+        lambda: A2.basis.element_index(0, -1), ValueError,
+        "root index -1 of factor 0 is not an integer in [0, 6)",
+    ),
+    "element_root_array": (
+        lambda: A2.basis.element_index(0, np.array([0, 6])), ValueError,
+        "root index [0 6] of factor 0 is not an integer in [0, 6)",
+    ),
+    "layout_negative_index": (
+        lambda: FactorLayout(A2.systems).locate(-1), IndexError, "index -1 is outside the layout",
+    ),
+    "moduli_fractional": (
+        lambda: moduli_dimensions(1.5, 2), ValueError, "d must be an integer, got 1.5",
+    ),
+    "moduli_bool": (
+        lambda: moduli_dimensions(True, 2), ValueError, "d must be an integer, got True",
+    ),
+    "moduli_fractional_roots": (
+        lambda: moduli_dimensions(2, 2.5), ValueError, "nposroots must be an integer, got 2.5",
+    ),
+    "squarefree_of_fraction": (
+        lambda: squarefree_split(2.5), ValueError, "expected a positive integer, got 2.5",
+    ),
+    "squarefree_of_bool": (
+        lambda: squarefree_split(True), ValueError, "expected a positive integer, got True",
+    ),
     "trajectory_without_states": (
         lambda: Trajectory.from_json({"times": [0.0], "f_values": [2.0], "grad_inf": [0.0]}),
         ValueError, "trajectory data has no 'states' column",

@@ -147,6 +147,12 @@ def test_root_negation_and_labels():
         Root((1, -1))
 
 
+def test_a_root_is_its_coefficients():
+    assert Root((-1, 0)) == -Root((1, 0)) == system("A2").root((-1, 0))
+    assert Root((-1, 0)).sign == -1 and Root((0, 2)).sign == 1
+    assert Root((-1, -1)).positive == Root((1, 1))
+
+
 DUAL_COXETER = {
     "A1": 2, "A2": 3, "A5": 6,
     "B2": 3, "B4": 7,
@@ -223,7 +229,7 @@ def test_is_root_and_index():
     assert rs.is_root((1, 1)) and rs.is_root((-1, -1))
     assert not rs.is_root((2, 1)) and not rs.is_root((0, 0))
     for i, r in enumerate(rs.positives):
-        assert rs.positive_index(r) == i
+        assert rs.index_of(r) == i and rs.index_of(-r) == rs.npositive + i
     assert len(rs.all_roots()) == 2 * rs.npositive
 
 

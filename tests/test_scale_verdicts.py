@@ -106,6 +106,18 @@ def test_verdicts_do_not_depend_on_z(token, mode):
             )
 
 
+def test_the_brute_force_count_does_not_depend_on_z():
+    # checked counts every dd^c component the differential sums, zero or not,
+    # so rounding at another z cannot move it
+    s = np.random.default_rng(0).uniform(0.9, 1.6, 4)
+    on = [pluriclosed_family(_group("F4", z), [s]) for z in (1.0, 3.0, 0.1)]
+    x = np.random.default_rng(1).uniform(1.0, 2.0, 6)
+    off = [_group("G2", z).build(x=[x]) for z in (1.0, 7.0)]
+    for points in (on, off):
+        counts = [is_pluriclosed(h, "brute_force").checked for h in points]
+        assert len(set(counts)) == 1 and counts[0] > 0, counts
+
+
 @pytest.mark.parametrize("token", METAMORPHIC)
 def test_the_kahler_flag_residual_scales_with_z(token):
     ref = [kahler_flag_residual(h) for h in _points(token, 1.0)]

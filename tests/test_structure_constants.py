@@ -46,7 +46,7 @@ def test_zero_on_non_pairs():
     # sum leaves the root set
     assert sc.value(Root((1, 1)), Root((1, 0))).is_zero
     # opposite pair: bracket lands in the torus, not handled by this table
-    assert sc.value(Root((1, 0)), Root((-1, 0), -1)).is_zero
+    assert sc.value(Root((1, 0)), Root((-1, 0))).is_zero
 
 
 def test_extraspecial_sign_positive():
@@ -106,7 +106,7 @@ def _decompositions(rs, gamma):
     for i, a in enumerate(rs.positives):
         rest = tuple(g - x for g, x in zip(gamma.coeffs, a.coeffs))
         if all(c >= 0 for c in rest) and rs.is_root(rest):
-            if rs.positive_index(rs.root(rest)) > i:
+            if rs.index_of(rest) > i:
                 out.append((a, rs.root(rest)))
     return out
 
