@@ -78,8 +78,9 @@ class ChevalleyBasis:
     bracket_starts the first row of each key (i, j); the dict behind
     bracket() and nonzero_brackets() and the descriptors are built from
     them on first use. The basis also keeps what depends on it alone:
-    exterior_derivative's plans, at most _PLANS_PER_DEGREE per degree, and
-    dc_form's table.
+    exterior_derivative's plans, at most _PLANS_PER_DEGREE per degree,
+    dc_form's table and ddc_plan, the one plan the brute-force scan replays
+    over every candidate component of d^c omega, whatever the structure.
     """
 
     def __init__(self, layout: FactorLayout, constants: Sequence[StructureConstants]):
@@ -130,6 +131,38 @@ class ChevalleyBasis:
             np.concatenate(at[1::2]),
             *(np.concatenate(col) for col in zip(*parts)),
         )
+
+    @cached_property
+    def ddc_plan(self) -> tuple[DerivativePlan, np.ndarray, np.ndarray]:
+        """The brute-force scan's plan, over every dc_table candidate key,
+        zeros included, and per slot whether its key is an skt1 component
+        (two opposite root pairs) or an skt2 one (any other four root
+        elements); all read-only."""
+        plan = _build_plan(self, self.dc_table.keys)
+        pair = self.pair_of[plan.keys]
+        fiber = pair[:, 0] >= 0
+        skt1 = fiber & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
+        skt2 = fiber & ~skt1
+        for v in (*plan, skt1, skt2):
+            v.flags.writeable = False
+        return plan, skt1, skt2
+
+    def replay(self, plan: DerivativePlan, values: np.ndarray) -> np.ndarray:
+        """Each slot of plan summed over values, the complex values of the
+        plan's components in order. A zero value adds only a signed zero,
+        which changes no nonzero sum."""
+        coefficients = self.signed_coefficients[0]
+        total = np.zeros(len(plan.keys), dtype=complex)
+        # add.at adds in index order: each slot sums its rows in row order; a
+        # block at a time keeps the products' buffer small. A complex value times
+        # a real coefficient c is (a c - b 0) + (a 0 + b c) i: a finite value
+        # makes each part a c or b c, or a zero whose sign no sum from zero keeps
+        for start in range(0, len(plan.src), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            prod = np.take(values, plan.src[rows])
+            prod *= np.take(coefficients, plan.coef[rows])
+            np.add.at(total, plan.slot[rows], prod)
+        return total
 
     def derivative_plan(self, keys: np.ndarray) -> DerivativePlan:
         """exterior_derivative's plan for keys, the (n, degree) int32 keys of
@@ -380,23 +413,12 @@ def exterior_derivative(form: InvariantForm) -> InvariantForm:
     the keys alone, so they are the basis' cached plan for the key set.
     """
     keys, vals = form.arrays()
-    basis, deg = form.basis, form.degree
+    basis = form.basis
     nonzero = vals != 0
-    keys, vals = keys[nonzero], vals[nonzero]
-    src, coef, slot, merged = basis.derivative_plan(keys)
-    values = basis.signed_coefficients[0]
-    total = np.zeros(len(merged), dtype=complex)
-    # add.at adds in index order: each slot sums its rows in row order; a
-    # block at a time keeps the products' buffer small. A complex value times
-    # a real coefficient c is (a c - b 0) + (a 0 + b c) i: a finite value
-    # makes each part a c or b c, or a zero whose sign no sum from zero keeps
-    for start in range(0, len(src), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        prod = np.take(vals, src[rows])
-        prod *= np.take(values, coef[rows])
-        np.add.at(total, slot[rows], prod)
+    plan = basis.derivative_plan(keys[nonzero])
+    total = basis.replay(plan, vals[nonzero])
     live = total != 0
-    return computed_form(basis, deg + 1, merged[live], total[live])
+    return computed_form(basis, form.degree + 1, plan.keys[live], total[live])
 
 
 def _build_plan(basis: ChevalleyBasis, keys: np.ndarray) -> DerivativePlan:

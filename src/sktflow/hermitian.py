@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DynkinTypeError, MissingComplexStructureError, PositivityError
+# exterior_derivative stays a name of this module: perfbench/tracing.py wraps it here
 from .forms import (
     ChevalleyBasis, InvariantForm, computed_form, exterior_derivative, sort_sign, triple_sums,
     triple_terms,
@@ -342,18 +343,26 @@ def omega_form(h: HermitianStructure) -> InvariantForm:
     return InvariantForm(basis=basis, degree=2, components=comps)
 
 
-def dc_form(h: HermitianStructure) -> InvariantForm:
-    """The 3-form d^c of the fundamental form, assembled componentwise from
-    the group basis' dc_table: per factor the torus components of each root,
-    root then torus coordinate, then its triple components."""
-    basis = h.group.basis
-    table = basis.dc_table
+def _dc_values(h: HermitianStructure) -> np.ndarray:
+    """d^c omega on every candidate key of the group basis' dc_table, in its
+    order, zeros included."""
+    table = h.group.basis.dc_table
     # g_T @ k for every root in one batched matmul, each row with the bits of
     # its own product (a 2-D product differs in the last bit)
     gk = np.matmul(h.gt, h.group.layout.coefficient_matrix[:, :, None])[:, :, 0]
     vals = np.empty(len(table.keys), dtype=complex)
     vals[table.torus] = -gk.ravel()
     vals[table.triple] = table.dc_coef * triple_sums(table.fiber, table.ysign, h.x)
+    return vals
+
+
+def dc_form(h: HermitianStructure) -> InvariantForm:
+    """The 3-form d^c of the fundamental form, assembled componentwise from
+    the group basis' dc_table: per factor the torus components of each root,
+    root then torus coordinate, then its triple components."""
+    basis = h.group.basis
+    table = basis.dc_table
+    vals = _dc_values(h)
     # a torus component is kept where g_T k is nonzero, every triple component
     keep = vals != 0
     keep[table.triple] = True
@@ -410,9 +419,11 @@ def d_star_omega(h: HermitianStructure) -> np.ndarray:
 class PluriclosedReport:
     """A scan's verdict: max_residual / scale < tol, with the residuals
     absolute and scale the structure's. checked counts the residual rows
-    scanned in closed form, or in brute force the dd^c components the
-    differential sums, zero or not; it is 0 for a structure above
-    SCAN_RANGE, where no scan runs."""
+    scanned in closed form, or in brute force the dd^c components of the
+    basis' one d^c plan, which the scan replays over every candidate
+    component, zero or not: the group's count, the same for every structure
+    of the group. It is 0 for a structure above SCAN_RANGE, where no scan
+    runs."""
 
     verdict: bool
     max_residual: float
@@ -428,25 +439,21 @@ class PluriclosedReport:
 
 def _brute_force_scan(h: HermitianStructure) -> tuple[float, str | None, float, float, int]:
     """(max residual, witness, skt1 max, skt2 max, components checked) over
-    dd^c omega, for a structure within SCAN_RANGE. The count is the slot
-    count of the derivative's plan, so a component that sums to 0 counts."""
+    dd^c omega, for a structure within SCAN_RANGE: the basis' one ddc_plan
+    replayed over d^c omega's every candidate component, zeros included.
+    The witness is the first slot holding the maximum, and the count is the
+    plan's slot count, the same for every structure of the group."""
     basis = h.group.basis
-    dc = dc_form(h)
-    keys, values = exterior_derivative(dc).arrays()
-    r = np.abs(values) / 2.0
-    pair = basis.pair_of[keys]
-    fiber = pair[:, 0] >= 0
-    skt1 = fiber & (pair[:, 0] == pair[:, 1]) & (pair[:, 2] == pair[:, 3])
+    plan, skt1, skt2 = basis.ddc_plan
+    r = np.abs(basis.replay(plan, _dc_values(h))) / 2.0
     best, row = worst_row(r)
     witness = None
     if row >= 0:
-        word = "skt1" if skt1[row] else "skt2" if fiber[row] else "mixed"
-        names = ", ".join(basis.element_names[i] for i in keys[row].tolist())
+        word = "skt1" if skt1[row] else "skt2" if skt2[row] else "mixed"
+        names = ", ".join(basis.element_names[i] for i in plan.keys[row].tolist())
         witness = f"{word} ({names})"
-    skt1_max, skt2_max = (float(r.max(where=m, initial=0.0)) for m in (skt1, fiber ^ skt1))
-    dc_keys, dc_values = dc.arrays()
-    checked = len(basis.derivative_plan(dc_keys[dc_values != 0]).keys)
-    return best, witness, skt1_max, skt2_max, checked
+    skt1_max, skt2_max = (float(r.max(where=m, initial=0.0)) for m in (skt1, skt2))
+    return best, witness, skt1_max, skt2_max, len(r)
 
 
 # The largest structure scale the scans run at. Every value either scan

@@ -154,8 +154,10 @@ class Root:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if not any(self.coeffs) or min(self.coeffs) < 0 < max(self.coeffs):
-            raise ValueError(f"coefficients {self.coeffs} of a root mix signs or are all 0")
+        coeffs = _integer_tuple(self.coeffs)
+        if not any(coeffs) or min(coeffs) < 0 < max(coeffs):
+            raise ValueError(f"coefficients {coeffs} of a root mix signs or are all 0")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def height(self) -> int:
@@ -319,8 +321,20 @@ _POSITIVE_COUNTS = {
 }
 
 
+def _integer_tuple(values) -> tuple[int, ...]:
+    """values as a tuple of Python ints, numpy integers included; ValueError
+    naming the first bool or non-integer among them."""
+    out = tuple(values)
+    if all(type(c) is int for c in out):
+        return out
+    for bad in out:
+        if isinstance(bad, bool) or not isinstance(bad, (int, np.integer)):
+            raise ValueError(f"coefficients {out} of a root must be integers, got {bad!r}")
+    return tuple(map(int, out))
+
+
 def _coeffs(x) -> tuple[int, ...]:
-    return x.coeffs if isinstance(x, Root) else tuple(x)
+    return x.coeffs if isinstance(x, Root) else _integer_tuple(x)
 
 
 def _key_matches(keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -552,8 +566,12 @@ class FactorLayout:
 
     def locate(self, index: int, rows: bool = False) -> tuple[int, int]:
         """The factor owning a torus coordinate, or with rows a row of
-        coefficient_matrix, and the index within that factor; IndexError on
-        an index outside the layout."""
+        coefficient_matrix, and the index within that factor; ValueError on
+        an index that is a bool or not an integer, IndexError on one outside
+        the layout."""
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"layout index must be an integer, got {index!r}")
+        index = int(index)
         for f, sl in enumerate(self.row_slices if rows else self.slices):
             if sl.start <= index < sl.stop:
                 return f, index - sl.start

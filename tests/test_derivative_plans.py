@@ -3,9 +3,11 @@
 exterior_derivative replays a plan that the basis caches per degree and key
 set. A replayed plan must give the bits of a fresh plan and of the reference
 loop in tests/test_scan_arrays.py, and a key set must never be replayed
-against another key set's plan. dc_form, d_omega and dc_omega read the
-triple row formula `forms.triple_terms`; the scalar three-root branch that
-d_omega and dc_omega used before is kept below as their reference.
+against another key set's plan. The brute-force scan builds none of these: it
+replays the basis' one ddc_plan, over every d^c candidate. dc_form, d_omega
+and dc_omega read the triple row formula `forms.triple_terms`; the scalar
+three-root branch that d_omega and dc_omega used before is kept below as
+their reference.
 """
 
 import pytest
@@ -58,19 +60,25 @@ def _count_builds(monkeypatch):
 @pytest.mark.parametrize("token", ["F4", "E6", "B3xG2"])
 def test_alternating_key_sets_replay_the_bits_of_a_fresh_plan(token, monkeypatch):
     g = _fresh(token)
-    # on the family (Killing torus), off it, on, off: two key sets in turn
-    metrics = [h for seed in (1, 2) for h in _metrics(g, seed)]
+    # on the family, the Killing torus off it and a coupled torus, in turn:
+    # two key sets for exterior_derivative, as the Killing torus' structures
+    # share its zero candidates and a coupled torus has none
+    (on1, off1), (on2, off2) = _metrics(g, 1), _metrics(g, 2)
+    metrics = [on1, g.build(off1.fiber), off1, on2, off2]
     builds = _count_builds(monkeypatch)
+    for h in metrics + metrics[::-1]:
+        report = _report_bits(is_pluriclosed(h, mode="brute_force"))
+        assert report == _report_bits(is_pluriclosed(_on(_fresh(token), h), mode="brute_force"))
+        assert report == _reference_bits(_reference_brute_force_scan(h))
+    # the scan builds the basis' one plan, whatever the structure
+    assert sum(basis is g.basis for basis in builds) == 1 and g.basis._plans == {}
     for h in metrics + metrics[::-1]:
         got = exterior_derivative(dc_form(h))
         fresh = exterior_derivative(dc_form(_on(_fresh(token), h)))
         assert _bits(got.components) == _bits(fresh.components)
         assert _bits(got.components) == _bits(_reference_exterior_derivative(dc_form(h)))
-        report = _report_bits(is_pluriclosed(h, mode="brute_force"))
-        assert report == _report_bits(is_pluriclosed(_on(_fresh(token), h), mode="brute_force"))
-        assert report == _reference_bits(_reference_brute_force_scan(h))
-    # one build per key set on g, then only replays
-    assert sum(basis is g.basis for basis in builds) == 2
+    # exterior_derivative builds one plan per key set on g, then only replays
+    assert sum(basis is g.basis for basis in builds) == 3
     assert len(g.basis._plans[3]) == 2
 
 

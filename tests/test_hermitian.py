@@ -17,6 +17,7 @@ from sktflow import (
     FiberMetric,
     GroupSpec,
     HermitianStructure,
+    InvariantForm,
     MissingComplexStructureError,
     Normalization,
     PositivityError,
@@ -50,6 +51,7 @@ import sktflow.hermitian as hermitian_module
 import sktflow.residuals as residuals_module
 from sktflow.family import finite_positive
 from sktflow.residuals import PairRows, QuadRows, pair_values
+from test_scan_arrays import _reference_ddc_candidates
 
 
 def _group(*tokens, **kw):
@@ -500,35 +502,38 @@ def test_brute_force_buckets_match_descriptor_reference(tokens):
         else:
             x = [tuple(rng.uniform(0.5, 2.5, rs.npositive)) for rs in g.systems]
             h = g.build(x=x, torus=_rand_spd(rng, g.layout.size))
-        four = exterior_derivative(dc_form(h))
-        for key in four.components:
+        # every component over every d^c candidate, zeros included, in the
+        # scan's order
+        four = _reference_ddc_candidates(h)
+        for key in four:
             if key not in want:
                 want[key] = reference(key)
-        buckets.update(want[key] for key in four.components)
+        buckets.update(want[key] for key in four)
         rep = is_pluriclosed(h, mode="brute_force")
-        keys, values = four.arrays()
-        first = tuple(keys[int(np.argmax(np.abs(values)))].tolist())  # first maximal key
+        first = max(four, key=lambda k: abs(four[k]))  # first maximal key
         word = rep.witness.split(" ")[0]
         assert word == want[first]
         words[word] += 1
         for bucket, worst in (("skt1", rep.skt1_max), ("skt2", rep.skt2_max)):
-            rows = (abs(v) / 2.0 for k, v in four.components.items() if want[k] == bucket)
+            rows = (abs(v) / 2.0 for k, v in four.items() if want[k] == bucket)
             assert worst == max(rows, default=0.0)
     assert buckets == {"skt1", "skt2", "mixed"}
     assert set(words) == {"skt1", "skt2"}
 
 
-def test_brute_force_scan_goes_through_the_module_level_functions(monkeypatch):
-    # the traced scan benchmark times these two by wrapping the module attributes
-    calls = Counter()
-    for name in ("exterior_derivative", "dc_form"):
-        def counted(*args, _fn=getattr(hermitian_module, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(hermitian_module, name, counted)
-    assert is_pluriclosed(pluriclosed_family(A2, (1.5, 2.0)), mode="brute_force").verdict
-    assert calls == {"exterior_derivative": 1, "dc_form": 1}
+def test_the_brute_force_scan_builds_no_form(monkeypatch):
+    # it replays the basis' one plan over d^c omega's values: no form is made,
+    # and no plan of exterior_derivative's per-key-set cache is looked up
+    g = _group("G2")
+    rng = np.random.default_rng(3)
+    off = g.build([rng.uniform(0.5, 2.5, 6)], torus=_rand_spd(rng, 2))
+    made = []
+    monkeypatch.setattr(InvariantForm, "_hold", lambda form, *args: made.append(form))
+    for h in (pluriclosed_family(g, (1.5, 2.0)), g.build(), off):
+        is_pluriclosed(h, mode="brute_force")
+    assert made == [] and g.basis._plans == {}
+    dc_form(off)  # a form, which the probe sees
+    assert len(made) == 1
 
 
 # ---------------------------------------------------------------- validation

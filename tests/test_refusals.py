@@ -138,6 +138,30 @@ REFUSALS = {
     "layout_negative_index": (
         lambda: FactorLayout(A2.systems).locate(-1), IndexError, "index -1 is outside the layout",
     ),
+    "root_fraction": (
+        lambda: Root((1.5, 0)), ValueError,
+        "coefficients (1.5, 0) of a root must be integers, got 1.5",
+    ),
+    "root_bool": (
+        lambda: Root((True, 0)), ValueError,
+        "coefficients (True, 0) of a root must be integers, got True",
+    ),
+    "index_of_float": (
+        lambda: A2.systems[0].index_of([1.0, 0.0]), ValueError,
+        "coefficients (1.0, 0.0) of a root must be integers, got 1.0",
+    ),
+    "index_of_bool": (
+        lambda: A2.systems[0].index_of((0, True)), ValueError,
+        "coefficients (0, True) of a root must be integers, got True",
+    ),
+    "layout_fractional_index": (
+        lambda: FactorLayout(A2.systems).locate(1.5), ValueError,
+        "layout index must be an integer, got 1.5",
+    ),
+    "layout_bool_index": (
+        lambda: FactorLayout(A2.systems).locate(True, rows=True), ValueError,
+        "layout index must be an integer, got True",
+    ),
     "moduli_fractional": (
         lambda: moduli_dimensions(1.5, 2), ValueError, "d must be an integer, got 1.5",
     ),

@@ -153,6 +153,25 @@ def test_a_root_is_its_coefficients():
     assert Root((-1, -1)).positive == Root((1, 1))
 
 
+def test_a_root_holds_python_ints():
+    # a list or numpy integers are read once, into a hashable tuple of ints
+    rs = system("A2")
+    for coeffs in ([1, 1], np.array([1, 1]), (np.int8(1), np.uint64(1))):
+        root = Root(coeffs)
+        assert root == Root((1, 1)) and hash(root) == hash(Root((1, 1)))
+        assert type(root.coeffs) is tuple and all(type(c) is int for c in root.coeffs)
+        assert rs.index_of(coeffs) == rs.index_of(root) == 2
+    assert all(type(c) is int for r in rs.all_roots() for c in r.coeffs)
+
+
+def test_layout_locates_numpy_integers():
+    layout = FactorLayout([system("A2"), system("G2")])
+    for index in (3, np.int64(3), np.uint8(3)):
+        f, i = layout.locate(index)
+        assert (f, i) == (1, 1) and type(i) is int
+    assert layout.locate(np.intp(4), rows=True) == (1, 1)
+
+
 DUAL_COXETER = {
     "A1": 2, "A2": 3, "A5": 6,
     "B2": 3, "B4": 7,

@@ -4,7 +4,9 @@ The references below are the loop implementations of the cochain
 differential, of d^c omega and of the closed-form and brute-force scans,
 kept verbatim apart from names and the closed-form scan's row order (every pair,
 then every quad). The array code must give the same keys, the same key order and the
-same float bits, and the same reports down to the witness.
+same float bits, and the same reports down to the witness. The brute-force
+reference sums over every candidate component of d^c omega, zeros included,
+as the scan replays one plan over them all.
 """
 
 import itertools
@@ -60,7 +62,7 @@ def _metrics(g, seed):
 def _reference_exterior_derivative(form, keep_zeros=False):
     by_elem = defaultdict(list)
     for key, val in form.components.items():
-        if val == 0:
+        if val == 0 and not keep_zeros:
             continue
         for m in key:
             by_elem[m].append((key, val))
@@ -80,7 +82,7 @@ def _reference_exterior_derivative(form, keep_zeros=False):
     return {k: v for k, v in out.items() if keep_zeros or v != 0}
 
 
-def _reference_dc_form(h):
+def _reference_dc_form(h, keep_zeros=False):
     basis = h.group.basis
     comps = {}
     for f, rs in enumerate(h.group.systems):
@@ -88,7 +90,7 @@ def _reference_dc_form(h):
             gk = h.gt @ h.group.layout.embed(f, root.coeffs)
             e = basis.element_index(f, t)
             for a in range(h.group.layout.size):
-                if gk[a]:
+                if gk[a] or keep_zeros:
                     comps[(a, e, e + 1)] = complex(-gk[a])
         n, fl, x = rs.npositive, h.group.constants[f].float_array.tolist(), h.xhat[f].tolist()
         for eta, theta, xi in zip(*(v.tolist() for v in rs.positive_sums())):
@@ -231,9 +233,16 @@ def _reference_bucket(basis, key):
     return "skt1" if p0 == p1 and p2 == p3 else "skt2"
 
 
+def _reference_ddc_candidates(h):
+    """dd^c omega summed over every candidate component of d^c omega, zeros
+    included, with every output component kept."""
+    candidates = InvariantForm(h.group.basis, 3, _reference_dc_form(h, keep_zeros=True))
+    return _reference_exterior_derivative(candidates, keep_zeros=True)
+
+
 def _reference_brute_force_scan(h):
     basis = h.group.basis
-    four = _reference_exterior_derivative(dc_form(h))
+    four = _reference_ddc_candidates(h)
     best = (0.0, None)
     skt1_max = 0.0
     skt2_max = 0.0
@@ -342,6 +351,26 @@ def test_closed_form_agrees_with_brute_force_on_large_and_coupled_groups(token):
                 assert abs(getattr(cf, key) - getattr(bf, key)) <= 1e-10, key
 
 
+@pytest.mark.parametrize("token", ["F4", "E6", "B3xG2", "A3xC3"])
+def test_brute_force_scan_reads_the_bits_of_the_public_differential(token):
+    # zero candidates add only signed zeros, so every nonzero component of
+    # exterior_derivative(dc_form(h)) keeps its bits in the scan
+    rng = np.random.default_rng(len(token))
+    types = [SimpleType(t[0], int(t[1:])) for t in token.split("x")]
+    for trial in range(3):
+        g = GroupSpec([FactorSpec(t, z=float(rng.uniform(0.3, 3.0))) for t in types])
+        for h in (*_metrics(g, trial), g.build()):
+            rep = is_pluriclosed(h, mode="brute_force")
+            keys, values = exterior_derivative(dc_form(h)).arrays()
+            r = np.abs(values) / 2.0
+            bucket = np.array([_reference_bucket(g.basis, k) for k in keys.tolist()])
+            best, skt1, skt2 = (float(r.max(where=m, initial=0.0))
+                                for m in (True, bucket == "skt1", bucket == "skt2"))
+            assert rep.verdict == (best / h.scale < rep.tol)
+            assert (rep.max_residual.hex(), rep.skt1_max.hex(), rep.skt2_max.hex()) == (
+                best.hex(), skt1.hex(), skt2.hex())
+
+
 def test_reports_count_what_they_checked():
     g = _group("A1xB2")
     h = _metrics(g, 1)[1]
@@ -350,8 +379,11 @@ def test_reports_count_what_they_checked():
     a1, b2 = g.systems
     assert cf.checked == 0 + 6 + len(b2.positive_quads()) + 1 * 4
     bf = is_pluriclosed(h, mode="brute_force")
-    # every component the differential sums, zero or not
-    assert bf.checked == len(_reference_exterior_derivative(dc_form(h), keep_zeros=True)) > 0
+    # every component the differential sums over every d^c candidate, zero
+    # or not: the group's count, on the family too
+    assert bf.checked == len(_reference_ddc_candidates(h)) > 0
+    on_family = is_pluriclosed(_metrics(g, 1)[0], mode="brute_force")
+    assert on_family.checked == bf.checked
     assert cf.elapsed_s >= 0.0 and bf.elapsed_s >= 0.0
     # elapsed time does not take part in report equality
     again = is_pluriclosed(h, mode="closed_form")
